@@ -3,7 +3,7 @@
 
 Counts morphisms into every 3-opetope with at most 3 nodes per level with
 a global union-find over all face words, merging along every relation
-square; this is deliberately not the library's per-class search.  The
+square; this is deliberately not the library's slice tables.  The
 output is committed at tests/golden/hom_counts.json and the acceptance
 suite compares both the library and a fresh oracle run against it.
 """

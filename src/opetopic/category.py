@@ -4,15 +4,21 @@ Objects are opetopes; generating morphisms are the target embedding ``t``
 into each positive-dimensional opetope and one source embedding ``s[p]``
 per node address.  Morphisms are words of generators modulo the relation
 squares (inner edge, the two globularity squares, and the degeneracy
-square).  Words are kept outermost-first; equality is decided by breadth
-first search over length-preserving rewrites, and each class is named by
-its least member under the order target-before-source, then by address.
+square).  Words are kept outermost-first.
+
+The morphisms into an opetope form a class table, built once by dynamic
+programming over its generating faces: the identity, plus each face f
+followed by a class from the table of the domain of f, glued by a
+union-find along the relation squares.  The squares preserve length, so a
+class is named by its least member (target before sources, then by
+address), and composition is a lookup in the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .address import EMPTY, Address
 from .errors import CompositionError, OpetopicError
@@ -56,10 +62,6 @@ class Face:
 
 
 Word = tuple[Face, ...]
-
-
-def word_key(word: Word):
-    return tuple(face.sort_key() for face in word)
 
 
 def faces_of(omega: Opetope) -> tuple[Face, ...]:
@@ -133,38 +135,112 @@ def relation_instances(omega: Opetope) -> tuple[RelationInstance, ...]:
     return tuple(instances)
 
 
+class SliceTable:
+    """Every morphism into an opetope, one entry per class, in name order.
+
+    Class 0 is the identity.  Class i > 0 is named by its least member:
+    ``faces[k]`` followed by class c of ``subtables[k]``, where
+    ``(k, c) = first[i]``.  ``through[k][c]`` is the class of the pair
+    (k, c) for every c, least or not.
+    """
+
+    def __init__(self, omega: Opetope) -> None:
+        self.faces = faces_of(omega)
+        self.position = {face: k for k, face in enumerate(self.faces)}
+        self.subtables = [slice_table(face.domain) for face in self.faces]
+        offsets = list(accumulate((len(t.first) for t in self.subtables), initial=0))
+        parent = list(range(offsets[-1]))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        # a square (f1, g1) ~ (f2, g2) identifies (f1, g1.c) with (f2, g2.c)
+        # for every class c into its common domain
+        for square in relation_instances(omega):
+            (f1, g1), (f2, g2) = square.left, square.right
+            k1, k2 = self.position[f1], self.position[f2]
+            left, right = self.subtables[k1].lift(g1), self.subtables[k2].lift(g2)
+            for a, b in zip(left, right):
+                parent[find(offsets[k1] + a)] = find(offsets[k2] + b)
+
+        # the squares preserve length, so the least member of a class starts
+        # with its least pair (face, subclass): visit pairs in that order
+        self.first: list[tuple[int, int] | None] = [None]
+        self.lengths, self.domains = [0], [omega]
+        number: dict[int, int] = {}
+        pairs = (
+            (length + 1, k, c)
+            for k, table in enumerate(self.subtables)
+            for c, length in enumerate(table.lengths)
+        )
+        for length, k, c in sorted(pairs):
+            root = find(offsets[k] + c)
+            if root not in number:
+                number[root] = len(self.first)
+                self.first.append((k, c))
+                self.lengths.append(length)
+                self.domains.append(self.subtables[k].domains[c])
+        self.through = [
+            [number[find(offsets[k] + c)] for c in range(len(table.first))]
+            for k, table in enumerate(self.subtables)
+        ]
+
+    def lift(self, face: Face) -> list[int]:
+        """For each class c into the domain of ``face``, the class of
+        ``face`` followed by c."""
+        return self.through[self.position[face]]
+
+
 @lru_cache(maxsize=None)
-def word_class(word: Word) -> frozenset[Word]:
-    """The full rewrite closure of a word; all members share its boundary."""
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        current = frontier.pop()
-        for i in range(len(current) - 1):
-            pair = (current[i], current[i + 1])
-            for relation in relation_instances(pair[0].codomain):
-                replacement = None
-                if relation.left == pair:
-                    replacement = relation.right
-                elif relation.right == pair:
-                    replacement = relation.left
-                if replacement is not None:
-                    rewritten = current[:i] + replacement + current[i + 2 :]
-                    if rewritten not in seen:
-                        seen.add(rewritten)
-                        frontier.append(rewritten)
-    return frozenset(seen)
+def slice_table(omega: Opetope) -> SliceTable:
+    return SliceTable(omega)
 
 
-def canonical_word(word: Word) -> Word:
-    return min(word_class(word), key=word_key)
+def _least_path(cls: MorphismClass):
+    """The tables and face positions along the least word of a class."""
+    table, index = slice_table(cls.codomain), cls.index
+    while index:
+        k, index = table.first[index]
+        yield table, k
+        table = table.subtables[k]
 
 
-def words_equal(first: Word, second: Word) -> bool:
-    return second in word_class(first)
+@dataclass(frozen=True)
+class MorphismClass:
+    """A morphism of the category: a class in the slice table of its
+    codomain, carried by its index there."""
+
+    codomain: Opetope
+    index: int
+
+    @property
+    def domain(self) -> Opetope:
+        return slice_table(self.codomain).domains[self.index]
+
+    @property
+    def word(self) -> Word:
+        """The least face word of the class, outermost face first."""
+        return tuple(table.faces[k] for table, k in _least_path(self))
+
+    @property
+    def is_identity(self) -> bool:
+        return self.index == 0
+
+    def then_face(self, face: Face) -> "MorphismClass":
+        """Precompose with one more face on the domain side."""
+        return compose(self, morphism(self.domain, (face,)))
+
+    def __str__(self) -> str:
+        if not self.index:
+            return "id"
+        return ".".join(str(face) for face in reversed(self.word))
 
 
-def word_domain(codomain: Opetope, word: Word) -> Opetope:
+def morphism(codomain: Opetope, word: Word) -> MorphismClass:
+    """The class of a face word into ``codomain``, outermost face first."""
     current = codomain
     for face in word:
         if face.codomain != current:
@@ -172,54 +248,14 @@ def word_domain(codomain: Opetope, word: Word) -> Opetope:
                 f"face into {face.codomain} cannot follow a face onto {current}"
             )
         current = face.domain
-    return current
-
-
-@dataclass(frozen=True)
-class MorphismClass:
-    """A morphism of the category: an equivalence class of face words,
-    carried by its canonical member."""
-
-    codomain: Opetope
-    word: Word
-
-    @property
-    def domain(self) -> Opetope:
-        return word_domain(self.codomain, self.word)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.word
-
-    def members(self) -> frozenset[Word]:
-        if not self.word:
-            return frozenset({()})
-        return word_class(self.word)
-
-    def then_face(self, face: Face) -> "MorphismClass":
-        """Precompose with one more face on the domain side."""
-        if face.codomain != self.domain:
-            raise CompositionError(
-                f"face into {face.codomain} does not attach to domain {self.domain}"
-            )
-        return morphism(self.codomain, self.word + (face,))
-
-    def __str__(self) -> str:
-        if not self.word:
-            return "id"
-        return ".".join(str(face) for face in reversed(self.word))
-
-    def sort_key(self):
-        return (len(self.word), word_key(self.word))
-
-
-def morphism(codomain: Opetope, word: Word) -> MorphismClass:
-    word_domain(codomain, word)
-    return MorphismClass(codomain, canonical_word(word) if word else ())
+    index = 0
+    for face in reversed(word):
+        index = slice_table(face.codomain).lift(face)[index]
+    return MorphismClass(codomain, index)
 
 
 def identity(omega: Opetope) -> MorphismClass:
-    return MorphismClass(omega, ())
+    return MorphismClass(omega, 0)
 
 
 def compose(outer: MorphismClass, inner: MorphismClass) -> MorphismClass:
@@ -229,24 +265,10 @@ def compose(outer: MorphismClass, inner: MorphismClass) -> MorphismClass:
         raise CompositionError(
             f"cannot compose: domain {outer.domain} != codomain {inner.codomain}"
         )
-    return morphism(outer.codomain, outer.word + inner.word)
-
-
-@lru_cache(maxsize=None)
-def _all_words_into(omega: Opetope) -> tuple[Word, ...]:
-    words: list[Word] = [()]
-    for face in faces_of(omega):
-        for tail in _all_words_into(face.domain):
-            words.append((face,) + tail)
-    return tuple(words)
-
-
-@lru_cache(maxsize=None)
-def _slice_classes(omega: Opetope) -> tuple[MorphismClass, ...]:
-    classes = {canonical_word(word) for word in _all_words_into(omega)}
-    morphisms = [MorphismClass(omega, word) for word in classes]
-    morphisms.sort(key=MorphismClass.sort_key)
-    return tuple(morphisms)
+    index = inner.index
+    for table, k in reversed(list(_least_path(outer))):
+        index = table.through[k][index]
+    return MorphismClass(outer.codomain, index)
 
 
 def slice_classes(omega: Opetope) -> dict[int, list[MorphismClass]]:
@@ -256,13 +278,12 @@ def slice_classes(omega: Opetope) -> dict[int, list[MorphismClass]]:
     faces of the opetope with their identifications already performed.
     """
     grouped: dict[int, list[MorphismClass]] = {}
-    for cls in _slice_classes(omega):
-        grouped.setdefault(cls.domain.dim, []).append(cls)
+    for index, domain in enumerate(slice_table(omega).domains):
+        grouped.setdefault(domain.dim, []).append(MorphismClass(omega, index))
     return grouped
 
 
 def hom(phi: Opetope, omega: Opetope) -> list[MorphismClass]:
     """All morphisms from ``phi`` to ``omega`` in deterministic order."""
-    if phi.dim > omega.dim:
-        return []
-    return [cls for cls in _slice_classes(omega) if cls.domain == phi]
+    domains = slice_table(omega).domains
+    return [MorphismClass(omega, i) for i, domain in enumerate(domains) if domain == phi]

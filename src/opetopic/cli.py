@@ -59,13 +59,18 @@ def _file_kind(text: str) -> str:
     return kind
 
 
+def _parse_expr(text: str) -> Opetope:
+    """One whole opetope expression; trailing text is an error."""
+    scanner = Scanner(text)
+    omega = parse_opetope_expr(scanner, {})
+    if not scanner.at_end():
+        raise scanner.error("end of input")
+    return omega
+
+
 def _load_opetope(args) -> Opetope:
     if getattr(args, "expr", None):
-        scanner = Scanner(args.expr)
-        omega = parse_opetope_expr(scanner, {})
-        if not scanner.at_end():
-            raise scanner.error("end of input")
-        return omega
+        return _parse_expr(args.expr)
     if not getattr(args, "file", None):
         raise ParseError("an opetope is required: pass a file or --expr")
     env = parse_opetope_file(_read(args.file))
@@ -196,8 +201,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    source = parse_opetope_expr(Scanner(getattr(args, "from")), {})
-    target = parse_opetope_expr(Scanner(args.to), {})
+    source = _parse_expr(getattr(args, "from"))
+    target = _parse_expr(args.to)
     classes = [str(cls) for cls in hom(source, target)]
     return _emit("\n".join(classes), classes, args.json)
 

@@ -176,10 +176,6 @@ def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
     raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
 
 
-def print_opetope(omega: Opetope) -> str:
-    return str(omega)
-
-
 def parse_opetope_file(text: str) -> dict[str, Opetope]:
     """A sequence of ``opetope NAME = EXPR`` definitions."""
     scanner = Scanner(text)

@@ -16,16 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .address import EMPTY
-from .category import Face, MorphismClass, faces_of, slice_classes
+from .category import Face, MorphismClass, Word, compose, faces_of, hom, slice_classes
 from .errors import CoherenceError, Report
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
 from .oset import OpetopicSet
 from .polygraph import Cell, MtoPolygraph, PolygraphMorphism
 from .trees import Tree
-
-
-def _class_name(cls: MorphismClass) -> str:
-    return str(cls)
 
 
 def realize_opetope(omega: Opetope) -> MtoPolygraph:
@@ -34,30 +30,24 @@ def realize_opetope(omega: Opetope) -> MtoPolygraph:
     classes = slice_classes(omega)
     for dim in sorted(classes):
         for cls in classes[dim]:
-            name = _class_name(cls)
+            name = str(cls)
             if dim == 0:
                 P.add_point(name)
             elif dim == 1:
-                source = _class_name(cls.then_face(Face(cls.domain, EMPTY)))
-                target = _class_name(cls.then_face(Face(cls.domain)))
+                source = str(cls.then_face(Face(cls.domain, EMPTY)))
+                target = str(cls.then_face(Face(cls.domain)))
                 P.add_arrow(name, source, target)
             else:
                 phi = cls.domain
-                target = _class_name(cls.then_face(Face(phi)))
+                target = cls.then_face(Face(phi))
                 if phi.is_degenerate:
-                    to_target = cls.then_face(Face(phi))
-                    color = _class_name(
-                        to_target.then_face(Face(to_target.domain))
-                    )
-                    tree: Tree = Tree.unit(color)
+                    color = target.then_face(Face(target.domain))
+                    tree: Tree = Tree.unit(str(color))
                 else:
                     tree = Tree.of(
-                        {
-                            p: _class_name(cls.then_face(Face(phi, p)))
-                            for p in phi.node_addresses()
-                        }
+                        {p: str(cls.then_face(Face(phi, p))) for p in phi.node_addresses()}
                     )
-                P.add_generator(dim, name, tree, target)
+                P.add_generator(dim, name, tree, str(target))
     return P
 
 
@@ -88,8 +78,6 @@ def boundary_colimit_check(omega: Opetope) -> Report:
     correspond one-to-one with the boundary generators, i.e. with the
     composite classes A after C.
     """
-    from .category import compose, hom
-
     report = Report()
     slice_objects = [
         cls
@@ -205,10 +193,6 @@ class ShapeResult:
     induced: PolygraphMorphism
 
 
-def _shape_memo(P: MtoPolygraph) -> dict[tuple[int, str], Opetope]:
-    return {}
-
-
 def shape_opetope(
     P: MtoPolygraph,
     dim: int,
@@ -243,10 +227,10 @@ def shape_opetope(
     return result
 
 
-def fold_faces(P: MtoPolygraph, dim: int, name: str, cls: MorphismClass) -> str:
+def fold_faces(P: MtoPolygraph, dim: int, name: str, word: Word) -> str:
     """Follow a face word from a generator down through the presentation."""
     current, current_dim = name, dim
-    for face in cls.word:
+    for face in word:
         if current_dim == 1:
             data = P.gen_data(1, current)
             current = data.target if face.is_target else data.source
@@ -265,11 +249,10 @@ def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
     hitting the generator."""
     shape = shape_opetope(P, dim, name)
     realization = realize_opetope(shape)
-    maps: dict[int, dict[str, str]] = {}
-    for j, classes in slice_classes(shape).items():
-        maps[j] = {
-            _class_name(cls): fold_faces(P, dim, name, cls) for cls in classes
-        }
+    maps = {
+        j: {str(cls): fold_faces(P, dim, name, cls.word) for cls in classes}
+        for j, classes in slice_classes(shape).items()
+    }
     induced = PolygraphMorphism(realization, P, maps)
     report = induced.validate()
     if not report.ok:
@@ -371,7 +354,7 @@ def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
                 shape,
                 name,
                 face,
-                fold_faces(P, dim, name, MorphismClass(shape, (face,))),
+                fold_faces(P, dim, name, (face,)),
             )
     return X
 
@@ -400,9 +383,7 @@ def unit_check(X: OpetopicSet) -> Report:
             image.append(gen)
             for face in faces_of(shape):
                 expected = names[(face.domain, X.face(shape, cell, face))]
-                actual = fold_faces(
-                    P, shape.dim, gen, MorphismClass(shape, (face,))
-                )
+                actual = fold_faces(P, shape.dim, gen, (face,))
                 if expected != actual:
                     report.fail(
                         f"cell {cell!r} at {shape}: face {face} gives "

@@ -193,10 +193,6 @@ def leaf_addresses(sig: Signature, tree: Tree) -> tuple[Address, ...]:
     return tuple(sorted(leaves))
 
 
-def decoration_at(tree: Tree, address: Address) -> Operation:
-    return tree.decoration(address)
-
-
 def edge_color(sig: Signature, tree: Tree, address: Address) -> Color:
     """Color of the edge at ``address``: the root edge or an input slot."""
     if tree.is_unit:

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from opetopic.address import EMPTY, Address, parse_address
@@ -9,7 +11,7 @@ from opetopic.category import (
     identity,
     morphism,
     relation_instances,
-    words_equal,
+    slice_classes,
 )
 from opetopic.errors import CompositionError
 from opetopic.opetope import (
@@ -110,13 +112,14 @@ class TestEquality:
         assert words_equal(left, right)
 
     def test_canonical_member_is_least(self):
-        omega = opetopic_integer(2)
-        for cls in hom(point(), omega):
-            members = cls.members()
-            keyed = sorted(
-                members, key=lambda w: tuple(f.sort_key() for f in w)
-            )
-            assert cls.word == keyed[0]
+        for omega in enumerate_opetopes(3, 2):
+            for classes in slice_classes(omega).values():
+                for cls in classes:
+                    keyed = sorted(
+                        members(cls),
+                        key=lambda w: tuple(f.sort_key() for f in w),
+                    )
+                    assert cls.word == keyed[0]
 
 
 class TestComposition:
@@ -163,8 +166,8 @@ class TestComposition:
         for outer in hom(arrow(), omega):
             for inner in hom(point(), outer.domain):
                 expected = compose(outer, inner)
-                for outer_word in outer.members():
-                    for inner_word in inner.members():
+                for outer_word in members(outer):
+                    for inner_word in members(inner):
                         assert (
                             morphism(omega, outer_word + inner_word) == expected
                         )
@@ -212,6 +215,61 @@ def union_find_hom_counts(omega):
     return {domain: len(roots) for domain, roots in classes.items()}
 
 
+def all_words_into(omega):
+    """Every face word into omega, by the enumeration of the oracle above."""
+    words = [()]
+    frontier = [()]
+    while frontier:
+        word = frontier.pop()
+        cod = word[-1].domain if word else omega
+        for face in faces_of(cod):
+            extended = word + (face,)
+            words.append(extended)
+            frontier.append(extended)
+    return words
+
+
+@cache
+def word_classes(omega):
+    """Brute-force quotient of every word into omega by the relation
+    squares at every position: each word mapped to its whole class."""
+    words = all_words_into(omega)
+    index = {word: k for k, word in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for word in words:
+        for position in range(len(word) - 1):
+            pair = (word[position], word[position + 1])
+            for instance in relation_instances(pair[0].codomain):
+                for side, other in (
+                    (instance.left, instance.right),
+                    (instance.right, instance.left),
+                ):
+                    if side == pair:
+                        rewritten = word[:position] + other + word[position + 2 :]
+                        parent[find(index[word])] = find(index[rewritten])
+    blocks = {}
+    for word, k in index.items():
+        blocks.setdefault(find(k), set()).add(word)
+    return {word: frozenset(blocks[find(k)]) for word, k in index.items()}
+
+
+def members(cls):
+    """Every face word in a morphism class, found without the class table."""
+    return word_classes(cls.codomain)[cls.word]
+
+
+def words_equal(first, second):
+    """Whether two nonempty words into the same opetope are related."""
+    return second in word_classes(first[0].codomain)[first]
+
+
 def edge_count_oracle(omega, phi):
     """Structural count for codimension 2: classes correspond to the edges
     of the tree, counted by their decorating opetope."""
@@ -250,13 +308,14 @@ class TestHom:
             assert len(endos) == 1 and endos[0].is_identity
 
     def test_matches_union_find_oracle(self):
-        for omega in enumerate_opetopes(3, 2):
-            oracle = union_find_hom_counts(omega)
-            mine = {
-                domain: len(hom(domain, omega))
-                for domain in oracle
-            }
-            assert mine == oracle
+        for dim in (3, 4, 5):
+            for omega in enumerate_opetopes(dim, 2):
+                oracle = union_find_hom_counts(omega)
+                mine = {
+                    domain: len(hom(domain, omega))
+                    for domain in oracle
+                }
+                assert mine == oracle
 
     def test_codimension_two_matches_edge_count(self):
         for omega in enumerate_opetopes(3, 3):

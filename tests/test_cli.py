@@ -56,6 +56,13 @@ class TestCommands:
         )
         assert code == 0 and len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "source, target", [("point garbage", "arrow"), ("point", "arrow garbage")]
+    )
+    def test_hom_rejects_trailing_text(self, capsys, source, target):
+        code, out, err = run(capsys, "hom", "--from", source, "--to", target)
+        assert code == 2 and out == "" and "end of input" in err
+
     def test_validate_polygraph(self, capsys):
         code, out, _ = run(capsys, "validate", str(GOLDEN / "path.poly"))
         assert code == 0 and out.strip() == "pass"

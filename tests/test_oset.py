@@ -5,6 +5,7 @@ from opetopic.category import Face, compose, hom, identity, morphism
 from opetopic.errors import UnknownNameError
 from opetopic.opetope import arrow, opetopic_integer, point
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
+from test_category import members
 
 O1 = opetopic_integer(1)
 O2 = opetopic_integer(2)
@@ -105,7 +106,7 @@ class TestApply:
         top = str(identity(O2))
         for cls in hom(point(), O2):
             results = set()
-            for word in cls.members():
+            for word in members(cls):
                 current = top
                 for face in word:
                     current = X.face(face.codomain, current, face)

@@ -205,3 +205,12 @@ class TestUnitCounit:
 
     def test_unit_on_nerves(self, path_polygraph):
         assert unit_check(nerve(path_polygraph, 2)).ok
+
+    def test_every_representable_and_realization_up_to_dim_five(self):
+        opetopes = enumerate_opetopes(5, 2)
+        assert len(opetopes) == 191
+        for omega in opetopes:
+            P = realize_opetope(omega)
+            assert P.validate().ok
+            assert unit_check(yoneda(omega, omega.dim)).ok
+            assert counit_check(P).ok

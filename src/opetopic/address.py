@@ -9,9 +9,15 @@ and ``*`` is sugar for an empty entry.  Canonical printing uses the sugar
 only inside base-level addresses (those whose entries are all empty), so a
 word over the arrow input prints ``[**]`` while deeper addresses spell
 empty entries out, e.g. ``[[*][]]``.
+
+Entries are validated at parse time and in public construction
+``Address(...)``; addresses built from addresses (``child``, ``concat``,
+``parent``, substitution in ``trees``) skip the check via ``_trusted``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import ParseError
 
@@ -34,17 +40,17 @@ class Address(tuple):
         return super().__new__(cls, entries)
 
     def concat(self, other: "Address") -> "Address":
-        return Address(tuple(self) + tuple(other))
+        return _trusted(self + other)
 
     def child(self, entry: "Address") -> "Address":
         """Extend by a single entry, i.e. concat(self, [entry])."""
-        return Address(tuple(self) + (entry,))
+        return _trusted(self + (entry,))
 
     @property
     def parent(self) -> "Address":
         if not self:
             raise ValueError("the empty address has no parent")
-        return Address(self[:-1])
+        return _trusted(self[:-1])
 
     @property
     def last(self) -> "Address":
@@ -70,6 +76,9 @@ class Address(tuple):
     def __repr__(self) -> str:
         return f"Address({str(self)!r})"
 
+
+# an address from a tuple whose entries are already addresses, unchecked
+_trusted = partial(tuple.__new__, Address)
 
 EMPTY = Address()
 

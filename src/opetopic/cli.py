@@ -234,6 +234,10 @@ def _oset_json(X) -> dict:
 def cmd_yoneda(args) -> int:
     omega = _load_opetope(args)
     max_dim = args.max_dim if args.max_dim is not None else omega.dim
+    if max_dim < omega.dim:
+        raise ParseError(
+            f"--max-dim {max_dim} is below the dimension {omega.dim} of the opetope"
+        )
     X = yoneda(omega, max_dim)
     return _emit(print_oset(X).rstrip("\n"), _oset_json(X), args.json)
 
@@ -308,6 +312,12 @@ def cmd_roundtrip(args) -> int:
     return 0 if stable and report.ok else 1
 
 
+def _natural(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opetopic",
@@ -347,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_source)
 
     p = sub.add_parser("enumerate")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, required=True)
+    p.add_argument("--dim", type=_natural, required=True)
+    p.add_argument("--max-nodes", type=_natural, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
@@ -371,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_shape)
 
     p = sub.add_parser("nerve")
-    p.add_argument("--max-dim", type=int)
+    p.add_argument("--max-dim", type=_natural)
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nerve)

@@ -335,10 +335,10 @@ def iter_opetopes(
                 yield opetopic_integer(k)
         return
 
-    previous = _enumerate_cached(n - 1, max_nodes)
+    previous = _enumerated(n - 1, max_nodes, None)
     allowed = frozenset(previous)
     index = 0
-    for shell in _enumerate_cached(n - 2, max_nodes):
+    for shell in _enumerated(n - 2, max_nodes, None):
         if sharded(index):
             omega = degenerate(shell)
             if omega.target() in allowed:
@@ -430,27 +430,39 @@ def iter_opetopes(
             yield from grow(nodes, leaves, (), tree, rho)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int, max_nodes: int) -> tuple[Opetope, ...]:
-    kept = list(iter_opetopes(n, max_nodes))
-    kept.sort(key=print_key)
-    return tuple(kept)
+_ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}
+
+
+def _enumerated(n: int, max_nodes: int, cap: int | None) -> tuple[Opetope, ...]:
+    """The sorted n-opetopes, built and interned once per bound; raises
+    EnumerationLimit past ``cap``, before interning any of them."""
+    kept = _ENUMERATED.get((n, max_nodes))
+    if kept is None:
+        kept = []
+        for omega in iter_opetopes(n, max_nodes, intern_results=False):
+            kept.append(omega)
+            if cap is not None and len(kept) > cap:
+                break
+        else:
+            kept = sorted(map(_intern, kept), key=print_key)
+            kept = _ENUMERATED[n, max_nodes] = tuple(kept)
+    if cap is not None and len(kept) > cap:
+        raise EnumerationLimit(f"more than {cap} opetopes of dimension {n}")
+    return kept
 
 
 def enumerate_opetopes(
     n: int, max_nodes: int, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> list[Opetope]:
     """All n-opetopes every one of whose iterated faces has at most
-    ``max_nodes`` nodes, sorted by canonical print, without duplicates."""
+    ``max_nodes`` nodes, sorted by canonical print, without duplicates.
+    The dimensions below n are built first, and ``cap`` bounds every
+    dimension that is built, not only n."""
     if n < 0:
         raise ValueError("dimension must be a natural number")
-    if cap is not None:
-        count = 0
-        for _ in iter_opetopes(n, max_nodes, intern_results=False):
-            count += 1
-            if count > cap:
-                raise EnumerationLimit(f"more than {cap} opetopes of dimension {n}")
-    return list(_enumerate_cached(n, max_nodes))
+    for dim in range(n):
+        _enumerated(dim, max_nodes, cap)
+    return list(_enumerated(n, max_nodes, cap))
 
 
 def rebuild_from_corollas(omega: Opetope) -> Opetope:

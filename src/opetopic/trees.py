@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
-from .address import EMPTY, Address
+from .address import EMPTY, Address, _trusted
 from .errors import (
     AddressError,
     CoherenceError,
@@ -166,17 +166,9 @@ class Tree:
         return "Tree.of({" + items + "})"
 
 
-def unit_tree(color: Color) -> Tree:
-    return Tree.unit(color)
-
-
 def corolla(op: Operation) -> Tree:
     """The one-node tree decorated by ``op``."""
     return Tree.of({EMPTY: op})
-
-
-def node_addresses(tree: Tree) -> tuple[Address, ...]:
-    return tree.node_addresses()
 
 
 def leaf_addresses(sig: Signature, tree: Tree) -> tuple[Address, ...]:
@@ -285,85 +277,6 @@ def total_graft(sig: Signature, base: Tree, assignment: Mapping[Address, Tree]) 
     return result
 
 
-def subtree_at(sig: Signature, tree: Tree, edge: Address) -> Tree:
-    """The full subtree hanging at an edge, translated to root position."""
-    color = edge_color(sig, tree, edge)
-    if tree.is_unit:
-        return tree
-    k = len(edge)
-    picked = {
-        Address(p[k:]): op
-        for p, op in tree.nodes.items()
-        if edge.is_prefix_of(p)
-    }
-    if not picked:
-        return Tree.unit(color)
-    return Tree.of(picked)
-
-
-@dataclass(frozen=True)
-class SubtreeDecomposition:
-    """A tree cut as outer part, inner subtree, and one branch per inner leaf."""
-
-    outer: Tree
-    hole: Address
-    branches: dict[Address, Tree]
-
-    def reassemble(self, sig: Signature, inner: Tree) -> Tree:
-        glued = graft(sig, self.outer, self.hole, inner)
-        result = glued
-        for leaf in sorted(self.branches, reverse=True):
-            result = graft(sig, result, self.hole.concat(leaf), self.branches[leaf])
-        return result
-
-
-def subtree_decomposition(
-    sig: Signature, whole: Tree, root_edge: Address, inner: Tree
-) -> SubtreeDecomposition:
-    """Exhibit ``inner`` (translated by ``root_edge``) as a subtree of ``whole``.
-
-    Raises GraftError naming the first mismatching address when the inner
-    tree does not embed there.
-    """
-    if inner.is_unit:
-        expected = edge_color(sig, whole, root_edge)
-        if inner.unit_color != expected:
-            raise GraftError(
-                f"not a subtree: unit color {inner.unit_color!r} vs edge "
-                f"{root_edge} colored {expected!r}"
-            )
-        inner_nodes: dict[Address, Operation] = {}
-    else:
-        if whole.is_unit:
-            raise GraftError("not a subtree: the outer tree has no nodes")
-        inner_nodes = inner.nodes
-        for p in sorted(inner_nodes):
-            translated = root_edge.concat(p)
-            if translated not in whole.nodes:
-                raise GraftError(f"not a subtree: no node at {translated}")
-            if whole.nodes[translated] != inner_nodes[p]:
-                raise GraftError(f"not a subtree: decoration differs at {translated}")
-    if whole.is_unit:
-        outer: Tree = whole
-    else:
-        outer_nodes = {
-            p: op
-            for p, op in whole.nodes.items()
-            if not root_edge.is_prefix_of(p)
-        }
-        if outer_nodes:
-            outer = Tree.of(outer_nodes)
-        else:
-            outer = Tree.unit(edge_color(sig, whole, root_edge))
-    branches: dict[Address, Tree] = {}
-    if not inner.is_unit:
-        for leaf in leaf_addresses(sig, inner):
-            branches[leaf] = subtree_at(sig, whole, root_edge.concat(leaf))
-    else:
-        branches[EMPTY] = subtree_at(sig, whole, root_edge)
-    return SubtreeDecomposition(outer=outer, hole=root_edge, branches=branches)
-
-
 def substitute(
     sig: Signature,
     outer: Tree,
@@ -413,7 +326,8 @@ def _substitute_core(
     head = tuple(at)
     for p, op in outer.nodes.items():
         if len(p) > k and p[:k] == head:
-            q = Address(head + tuple(inverse[p[k]]) + tuple(p[k + 1 :]))
+            # the glued leaf's entries are spliced in, not nested
+            q = _trusted(head + inverse[p[k]] + p[k + 1 :])
             moves[p] = q
             out[q] = op
         elif p != at:
@@ -421,7 +335,7 @@ def _substitute_core(
             out[p] = op
     if not inner.is_unit:
         for v, op in inner.nodes.items():
-            out[Address(head + tuple(v))] = op
+            out[_trusted(head + v)] = op
     if not out:
         return Tree.unit(inner.unit_color), moves
     return Tree._wrap(out), moves

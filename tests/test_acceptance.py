@@ -42,7 +42,6 @@ from opetopic.trees import (
     edge_color,
     graft,
     leaf_addresses,
-    node_addresses,
     total_graft,
 )
 
@@ -158,8 +157,8 @@ class TestCriterion03GraftingFormulas:
                 continue
             scion = corolla(rng.choice(options))
             glued = graft(OPETOPE_SIG, base, leaf, scion)
-            assert set(node_addresses(glued)) == set(node_addresses(base)) | {
-                leaf.concat(p) for p in node_addresses(scion)
+            assert set(glued.node_addresses()) == set(base.node_addresses()) | {
+                leaf.concat(p) for p in scion.node_addresses()
             }
             assert set(leaf_addresses(OPETOPE_SIG, glued)) == (
                 set(leaves) - {leaf}
@@ -184,8 +183,8 @@ class TestCriterion03GraftingFormulas:
                 scion_cell = random_cell(rng, P, dim, 3)
                 scion = corolla(rng.choice(options))
                 glued = graft(sig, base, leaf, scion)
-                assert set(node_addresses(glued)) == set(node_addresses(base)) | {
-                    leaf.concat(p) for p in node_addresses(scion)
+                assert set(glued.node_addresses()) == set(base.node_addresses()) | {
+                    leaf.concat(p) for p in scion.node_addresses()
                 }
                 assert set(leaf_addresses(sig, glued)) == (
                     set(leaves) - {leaf}

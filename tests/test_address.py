@@ -3,6 +3,7 @@ from hypothesis import given
 
 from opetopic.address import EMPTY, Address, compare, parse_address
 from opetopic.errors import ParseError
+from opetopic.opetope import enumerate_opetopes
 
 from conftest import addresses
 
@@ -127,3 +128,35 @@ class TestStructure:
         assert EMPTY.is_prefix_of(parse_address("[**]"))
         assert parse_address("[*]").is_prefix_of(parse_address("[**]"))
         assert not parse_address("[[*]]").is_prefix_of(parse_address("[**]"))
+
+
+def assert_hereditary(address):
+    """Every entry of ``address``, at every depth, is an Address."""
+    pending = [address]
+    while pending:
+        current = pending.pop()
+        assert isinstance(current, Address), repr(current)
+        pending.extend(current)
+
+
+class TestTrustedConstruction:
+    def test_public_construction_validates(self):
+        with pytest.raises(TypeError):
+            Address((1,))
+        with pytest.raises(TypeError):
+            Address((EMPTY, ()))
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_enumerated_addresses_are_hereditary(self, dim):
+        for omega in enumerate_opetopes(dim, 2):
+            for shape in (omega, omega.target()):
+                if shape.dim < 2:
+                    continue
+                rho = shape.readdress()
+                for address in [
+                    *shape.node_addresses(),
+                    *shape.leaf_addresses(),
+                    *rho,
+                    *rho.values(),
+                ]:
+                    assert_hereditary(address)

@@ -133,6 +133,20 @@ class TestCommands:
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("yoneda", "--expr", "arrow", "--max-dim", "0"),
+            ("yoneda", "--expr", "{[] <- arrow}", "--max-dim", "-1"),
+            ("enumerate", "--dim", "-1", "--max-nodes", "2"),
+            ("enumerate", "--dim", "2", "--max-nodes", "-1"),
+            ("nerve", "--max-dim", "-1", str(GOLDEN / "path.poly")),
+        ],
+    )
+    def test_out_of_range_integers_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
 
 class TestRoundtripCommand:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import pytest
 
+from opetopic import opetope
 from opetopic.address import EMPTY, Address, parse_address
 from opetopic.errors import AddressError, CoherenceError, EnumerationLimit
 from opetopic.opetope import (
@@ -216,6 +217,23 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(EnumerationLimit):
             enumerate_opetopes(3, 3, cap=10)
+
+    def test_cap_covers_every_dimension_built(self, monkeypatch):
+        built = []
+        original = opetope.iter_opetopes
+
+        def recording(n, *args, **kwargs):
+            built.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(opetope, "iter_opetopes", recording)
+        with pytest.raises(EnumerationLimit, match="dimension 4"):
+            enumerate_opetopes(6, 3, cap=1000)
+        assert 5 not in built and 6 not in built
+        # a dimension already built counts against a smaller cap too
+        enumerate_opetopes(2, 3)
+        with pytest.raises(EnumerationLimit, match="dimension 2"):
+            enumerate_opetopes(3, 3, cap=3)
 
     def test_shards_partition(self):
         whole = set(iter_opetopes(3, 3))

@@ -1,11 +1,14 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from opetopic.address import EMPTY, Address
 from opetopic.errors import CoherenceError, GraftError
 from opetopic.trees import (
+    Operation,
+    Signature,
     Tree,
     check_tree,
     corolla,
@@ -13,15 +16,94 @@ from opetopic.trees import (
     enumerate_trees,
     graft,
     leaf_addresses,
-    node_addresses,
-    subtree_at,
-    subtree_decomposition,
     substitute,
     total_graft,
-    unit_tree,
 )
 
 from conftest import ToySignature, random_toy_tree
+
+
+# subtree decomposition: nothing in the library uses it, so it lives here
+
+
+def subtree_at(sig: Signature, tree: Tree, edge: Address) -> Tree:
+    """The full subtree hanging at an edge, translated to root position."""
+    color = edge_color(sig, tree, edge)
+    if tree.is_unit:
+        return tree
+    k = len(edge)
+    picked = {
+        Address(p[k:]): op
+        for p, op in tree.nodes.items()
+        if edge.is_prefix_of(p)
+    }
+    if not picked:
+        return Tree.unit(color)
+    return Tree.of(picked)
+
+
+@dataclass(frozen=True)
+class SubtreeDecomposition:
+    """A tree cut as outer part, inner subtree, and one branch per inner leaf."""
+
+    outer: Tree
+    hole: Address
+    branches: dict[Address, Tree]
+
+    def reassemble(self, sig: Signature, inner: Tree) -> Tree:
+        glued = graft(sig, self.outer, self.hole, inner)
+        result = glued
+        for leaf in sorted(self.branches, reverse=True):
+            result = graft(sig, result, self.hole.concat(leaf), self.branches[leaf])
+        return result
+
+
+def subtree_decomposition(
+    sig: Signature, whole: Tree, root_edge: Address, inner: Tree
+) -> SubtreeDecomposition:
+    """Exhibit ``inner`` (translated by ``root_edge``) as a subtree of ``whole``.
+
+    Raises GraftError naming the first mismatching address when the inner
+    tree does not embed there.
+    """
+    if inner.is_unit:
+        expected = edge_color(sig, whole, root_edge)
+        if inner.unit_color != expected:
+            raise GraftError(
+                f"not a subtree: unit color {inner.unit_color!r} vs edge "
+                f"{root_edge} colored {expected!r}"
+            )
+        inner_nodes: dict[Address, Operation] = {}
+    else:
+        if whole.is_unit:
+            raise GraftError("not a subtree: the outer tree has no nodes")
+        inner_nodes = inner.nodes
+        for p in sorted(inner_nodes):
+            translated = root_edge.concat(p)
+            if translated not in whole.nodes:
+                raise GraftError(f"not a subtree: no node at {translated}")
+            if whole.nodes[translated] != inner_nodes[p]:
+                raise GraftError(f"not a subtree: decoration differs at {translated}")
+    if whole.is_unit:
+        outer: Tree = whole
+    else:
+        outer_nodes = {
+            p: op
+            for p, op in whole.nodes.items()
+            if not root_edge.is_prefix_of(p)
+        }
+        if outer_nodes:
+            outer = Tree.of(outer_nodes)
+        else:
+            outer = Tree.unit(edge_color(sig, whole, root_edge))
+    branches: dict[Address, Tree] = {}
+    if not inner.is_unit:
+        for leaf in leaf_addresses(sig, inner):
+            branches[leaf] = subtree_at(sig, whole, root_edge.concat(leaf))
+    else:
+        branches[EMPTY] = subtree_at(sig, whole, root_edge)
+    return SubtreeDecomposition(outer=outer, hole=root_edge, branches=branches)
+
 
 S0 = ToySignature.SLOT0
 S1 = ToySignature.SLOT1
@@ -29,14 +111,14 @@ S1 = ToySignature.SLOT1
 
 class TestElementary:
     def test_unit_tree(self, toy_sig):
-        tree = unit_tree("e")
-        assert node_addresses(tree) == ()
+        tree = Tree.unit("e")
+        assert tree.node_addresses() == ()
         assert leaf_addresses(toy_sig, tree) == (EMPTY,)
         assert edge_color(toy_sig, tree, EMPTY) == "e"
 
     def test_corolla(self, toy_sig):
         tree = corolla("u")
-        assert node_addresses(tree) == (EMPTY,)
+        assert tree.node_addresses() == (EMPTY,)
         assert leaf_addresses(toy_sig, tree) == (EMPTY.child(S0),)
 
     def test_corolla_of_nullary_op_has_no_leaves(self, toy_sig):
@@ -54,12 +136,12 @@ class TestGraft:
 
     def test_unit_graft_left(self, toy_sig):
         tree = corolla("b")
-        assert graft(toy_sig, unit_tree("e"), EMPTY, tree) == tree
+        assert graft(toy_sig, Tree.unit("e"), EMPTY, tree) == tree
 
     def test_unit_graft_right(self, toy_sig):
         tree = corolla("b")
         leaf = leaf_addresses(toy_sig, tree)[0]
-        assert graft(toy_sig, tree, leaf, unit_tree("e")) == tree
+        assert graft(toy_sig, tree, leaf, Tree.unit("e")) == tree
 
     def test_not_a_leaf(self, toy_sig):
         with pytest.raises(GraftError):
@@ -82,8 +164,8 @@ class TestGraft:
             leaf = rng.choice(leaves)
             scion = random_toy_tree(rng, toy_sig, rng.randint(1, 4))
             glued = graft(toy_sig, base, leaf, scion)
-            assert set(node_addresses(glued)) == set(node_addresses(base)) | {
-                leaf.concat(p) for p in node_addresses(scion)
+            assert set(glued.node_addresses()) == set(base.node_addresses()) | {
+                leaf.concat(p) for p in scion.node_addresses()
             }
             assert set(leaf_addresses(toy_sig, glued)) == (
                 set(leaves) - {leaf}
@@ -109,7 +191,7 @@ class TestTotalGraft:
     def test_unit_assignment_is_identity(self, toy_sig):
         base = corolla("b")
         assignment = {
-            leaf: unit_tree("e") for leaf in leaf_addresses(toy_sig, base)
+            leaf: Tree.unit("e") for leaf in leaf_addresses(toy_sig, base)
         }
         assert total_graft(toy_sig, base, assignment) == base
 
@@ -143,9 +225,9 @@ class TestSubtreeDecomposition:
     def test_unit_at_leaf(self, toy_sig):
         tree = corolla("u")
         leaf = leaf_addresses(toy_sig, tree)[0]
-        dec = subtree_decomposition(toy_sig, tree, leaf, unit_tree("e"))
+        dec = subtree_decomposition(toy_sig, tree, leaf, Tree.unit("e"))
         assert dec.outer == tree
-        assert dec.reassemble(toy_sig, unit_tree("e")) == tree
+        assert dec.reassemble(toy_sig, Tree.unit("e")) == tree
 
     def test_not_a_subtree_reports_address(self, toy_sig):
         chain = graft(toy_sig, corolla("u"), EMPTY.child(S0), corolla("z"))
@@ -158,7 +240,7 @@ class TestSubtreeDecomposition:
         for _ in range(200):
             whole = random_toy_tree(rng, toy_sig, rng.randint(1, 6))
             edges = [EMPTY] + [
-                p for p in node_addresses(whole) if p != EMPTY
+                p for p in whole.node_addresses() if p != EMPTY
             ] + list(leaf_addresses(toy_sig, whole))
             edge = rng.choice(edges)
             inner = subtree_at(toy_sig, whole, edge)
@@ -171,7 +253,7 @@ class TestSubstitute:
         rng = random.Random(11)
         for _ in range(200):
             outer = random_toy_tree(rng, toy_sig, rng.randint(1, 5))
-            at = rng.choice(node_addresses(outer))
+            at = rng.choice(outer.node_addresses())
             arity = len(toy_sig.inputs(outer.nodes[at]))
             # build a replacement with exactly `arity` leaves
             if arity == 0:
@@ -185,19 +267,19 @@ class TestSubstitute:
             )
             result, moves = substitute(toy_sig, outer, at, inner, glue)
             assert result.size == outer.size - 1 + inner.size
-            assert set(moves) == set(node_addresses(outer)) - {at}
+            assert set(moves) == set(outer.node_addresses()) - {at}
 
     def test_unit_substitution_splices(self, toy_sig):
         chain = Tree.of({EMPTY: "u", EMPTY.child(S0): "u"})
         result, moves = substitute(
-            toy_sig, chain, EMPTY, unit_tree("e"), {EMPTY: S0}
+            toy_sig, chain, EMPTY, Tree.unit("e"), {EMPTY: S0}
         )
         assert set(result.nodes) == {EMPTY}
         assert moves[EMPTY.child(S0)] == EMPTY
 
     def test_unit_into_corolla_gives_unit(self, toy_sig):
         result, moves = substitute(
-            toy_sig, corolla("u"), EMPTY, unit_tree("e"), {EMPTY: S0}
+            toy_sig, corolla("u"), EMPTY, Tree.unit("e"), {EMPTY: S0}
         )
         assert result.is_unit and result.unit_color == "e"
         assert moves == {}

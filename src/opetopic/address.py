@@ -18,6 +18,7 @@ Entries are validated at parse time and in public construction
 from __future__ import annotations
 
 from functools import partial
+from typing import Callable
 
 from .errors import ParseError
 
@@ -62,16 +63,30 @@ class Address(tuple):
         return len(self) <= len(other) and tuple(other[: len(self)]) == tuple(self)
 
     def depth(self) -> int:
-        if not self:
-            return 0
-        return 1 + max(entry.depth() for entry in self)
+        depth, level = 0, [self]
+        while any(level):
+            depth += 1
+            level = [entry for address in level for entry in address]
+        return depth
 
     def __str__(self) -> str:
-        if not self:
-            return "[]"
-        if all(not entry for entry in self):
-            return "[" + "*" * len(self) + "]"
-        return "[" + "".join(str(entry) for entry in self) + "]"
+        # base-level addresses print their empty entries as '*', deeper ones
+        # spell them out; a stack of entry iterators stands in for recursion
+        if not any(self):
+            return "[" + "*" * len(self) + "]" if self else "[]"
+        parts = ["["]
+        stack = [iter(self)]
+        while stack:
+            for entry in stack[-1]:
+                if any(entry):
+                    parts.append("[")
+                    stack.append(iter(entry))
+                    break
+                parts.append("[" + "*" * len(entry) + "]" if entry else "[]")
+            else:
+                stack.pop()
+                parts.append("]")
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Address({str(self)!r})"
@@ -92,11 +107,40 @@ def compare(p: Address, q: Address) -> int:
 
 def parse_address(text: str) -> Address:
     """Parse the bracketed form; ``*`` is accepted for ``[]`` in entry position."""
-    address, index = _parse_at(text, _skip_ws(text, 0))
+    address, index = read_address(text, _skip_ws(text, 0), partial(_error, text))
     index = _skip_ws(text, index)
     if index != len(text):
         raise _error(text, index, "end of input")
     return address
+
+
+def read_address(
+    text: str, index: int, error: Callable[[int, str], ParseError]
+) -> tuple[Address, int]:
+    """Read the address that opens at ``text[index]``; return it and the
+    index just past it.  ``error(index, expected)`` builds the exception
+    for malformed text.  Iterative, so nesting depth is unbounded."""
+    if index >= len(text) or text[index] != "[":
+        raise error(index, "'['")
+    index += 1
+    open_entries: list[list[Address]] = [[]]
+    while True:
+        index = _skip_ws(text, index)
+        char = text[index] if index < len(text) else ""
+        if char == "]":
+            index += 1
+            address = Address(tuple(open_entries.pop()))
+            if not open_entries:
+                return address, index
+            open_entries[-1].append(address)
+        elif char == "*":
+            open_entries[-1].append(EMPTY)
+            index += 1
+        elif char == "[":
+            open_entries.append([])
+            index += 1
+        else:
+            raise error(index, "']', '[' or '*'")
 
 
 def _skip_ws(text: str, index: int) -> int:
@@ -110,25 +154,3 @@ def _error(text: str, index: int, expected: str) -> ParseError:
     column = index - (text.rfind("\n", 0, index) + 1) + 1
     found = text[index] if index < len(text) else "end of input"
     return ParseError(f"expected {expected}, found {found!r}", line, column)
-
-
-def _parse_at(text: str, index: int) -> tuple[Address, int]:
-    if index >= len(text) or text[index] != "[":
-        raise _error(text, index, "'['")
-    index += 1
-    entries = []
-    while True:
-        index = _skip_ws(text, index)
-        if index >= len(text):
-            raise _error(text, index, "']', '[' or '*'")
-        char = text[index]
-        if char == "]":
-            return Address(tuple(entries)), index + 1
-        if char == "*":
-            entries.append(EMPTY)
-            index += 1
-        elif char == "[":
-            entry, index = _parse_at(text, index)
-            entries.append(entry)
-        else:
-            raise _error(text, index, "']', '[' or '*'")

@@ -23,7 +23,7 @@ dimension 0 and may rely on opetope definitions earlier in the file::
 
 from __future__ import annotations
 
-from .address import EMPTY, Address
+from .address import Address, read_address
 from .category import Face, faces_of
 from .errors import CompositionError, ParseError
 from .opetope import Opetope, arrow, degenerate, node_map, point
@@ -110,31 +110,12 @@ class Scanner:
         self._skip()
         if self.peek() != "[":
             raise self.error("an address")
-        entries, self.pos = self._address_entries(self.pos)
-        return entries
+        address, self.pos = read_address(self.text, self.pos, self._error_at)
+        return address
 
-    def _address_entries(self, pos: int) -> tuple[Address, int]:
-        # pos points at '['
-        pos += 1
-        entries = []
-        while True:
-            while pos < len(self.text) and self.text[pos].isspace():
-                pos += 1
-            if pos >= len(self.text):
-                self.pos = pos
-                raise self.error("']', '[' or '*'")
-            char = self.text[pos]
-            if char == "]":
-                return Address(tuple(entries)), pos + 1
-            if char == "*":
-                entries.append(EMPTY)
-                pos += 1
-            elif char == "[":
-                entry, pos = self._address_entries(pos)
-                entries.append(entry)
-            else:
-                self.pos = pos
-                raise self.error("']', '[' or '*'")
+    def _error_at(self, pos: int, expected: str) -> ParseError:
+        self.pos = pos
+        return self.error(expected)
 
 
 # -- opetope expressions ------------------------------------------------

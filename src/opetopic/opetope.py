@@ -20,10 +20,9 @@ from .errors import AddressError, CoherenceError, EnumerationLimit, OpetopicErro
 from .trees import (
     Signature,
     Tree,
-    _substitute_core,
     check_tree,
-    corolla,
     flatten,
+    grow_trees,
 )
 
 DEFAULT_ENUMERATION_CAP = 500_000
@@ -308,12 +307,12 @@ def iter_opetopes(
     """Generate the n-opetopes all of whose iterated faces have at most
     ``max_nodes`` nodes, in a deterministic but unsorted order.
 
-    Trees are grown by grafting corollas at leaves in strictly ascending
-    address order, which produces every tree exactly once, and the target
-    and readdressing are maintained incrementally (one substitution per
-    produced opetope) and cached on the instance.  ``shard = (i, k)``
-    restricts to every k-th root choice, for splitting sweeps across
-    processes.
+    The degenerate ones come first; the others are the trees that
+    ``trees.grow_trees`` grows from the (n-1)-opetopes with ``max_nodes``
+    as both node and leaf bound, with their target and readdressing kept
+    up to date by the grower and cached on the instance.  ``shard = (i, k)``
+    restricts to every k-th degenerate or root choice, for splitting
+    sweeps across processes.
     """
     if n < 0:
         raise ValueError("dimension must be a natural number")
@@ -337,34 +336,20 @@ def iter_opetopes(
 
     previous = _enumerated(n - 1, max_nodes, None)
     allowed = frozenset(previous)
-    index = 0
-    for shell in _enumerated(n - 2, max_nodes, None):
+    shells = _enumerated(n - 2, max_nodes, None)
+    for index, shell in enumerate(shells):
         if sharded(index):
             omega = degenerate(shell)
             if omega.target() in allowed:
                 yield omega
-        index += 1
+    # root choices are numbered after the degenerate ones, skipping one
+    roots = [root for i, root in enumerate(previous, len(shells) + 1) if sharded(i)]
 
-    # per-operation data: underlying tree, input slots with their colors,
-    # and the inverted leaf-to-input gluing; candidates bucketed by
-    # (target color, input arity) so leaf-count pruning selects buckets
-    info = {}
-    by_target: dict[Opetope, list[list[Opetope]]] = {}
-    for op in previous:
-        slots = op.node_addresses()
-        inverse = {slot: leaf for leaf, slot in op.readdress().items()}
-        info[op] = (
-            op.tree,
-            tuple((slot, op.source_at(slot)) for slot in slots),
-            inverse,
-        )
-        buckets = by_target.setdefault(op.target(), [])
-        while len(buckets) <= len(slots):
-            buckets.append([])
-        buckets[len(slots)].append(op)
-
-    def make(nodes: dict, result: Tree, rho: dict) -> Opetope:
-        omega = Opetope(n, Tree._wrap(nodes))
+    grown = grow_trees(
+        OPETOPE_SIG, previous, roots, max_nodes, max_leaves=max_nodes, readdress=True
+    )
+    for tree, result, rho in grown:
+        omega = Opetope(n, tree)
         if result.is_unit:
             target = degenerate(result.unit_color)
         else:
@@ -372,62 +357,9 @@ def iter_opetopes(
             target = _INTERN.get(candidate)
             if target is None:
                 target = _intern(candidate)
-        omega._boundary = (target, rho)
-        if intern_results:
-            omega = _intern(omega)
-        return omega
-
-    def grow(nodes, leaves, last, result, rho):
-        budget = max_nodes - len(nodes)
-        # adding a node with a inputs leaves at least
-        # len(leaves) - 1 + a - (budget - 1) leaves in any completion
-        max_arity = max_nodes + budget - len(leaves)
-        for leaf in sorted(leaves):
-            if not (last < tuple(leaf)):
-                continue
-            buckets = by_target.get(leaves[leaf])
-            if buckets is None:
-                continue
-            anchor = rho[leaf]
-            for arity_ops in buckets[: max_arity + 1]:
-                for op in arity_ops:
-                    tree, slots, inverse = info[op]
-                    new_nodes = dict(nodes)
-                    new_nodes[leaf] = op
-                    new_result, moves = _substitute_core(
-                        result, anchor, tree, inverse
-                    )
-                    new_rho = {
-                        l: moves[node] for l, node in rho.items() if l != leaf
-                    }
-                    new_leaves = dict(leaves)
-                    del new_leaves[leaf]
-                    for slot, slot_color in slots:
-                        new_rho[leaf.child(slot)] = anchor.concat(slot)
-                        new_leaves[leaf.child(slot)] = slot_color
-                    if len(new_leaves) <= max_nodes:
-                        omega = make(new_nodes, new_result, new_rho)
-                        if omega.target() in allowed:
-                            yield omega
-                    if budget > 1:
-                        yield from grow(
-                            new_nodes, new_leaves, tuple(leaf), new_result, new_rho
-                        )
-
-    for root in previous:
-        index += 1
-        if not sharded(index):
-            continue
-        tree, slots, _ = info[root]
-        nodes = {EMPTY: root}
-        leaves = {EMPTY.child(slot): color for slot, color in slots}
-        rho = {EMPTY.child(slot): slot for slot, _ in slots}
-        if len(leaves) <= max_nodes:
-            omega = make(nodes, tree, rho)
-            if omega.target() in allowed:
-                yield omega
-        if max_nodes > 1:
-            yield from grow(nodes, leaves, (), tree, rho)
+        if target in allowed:
+            omega._boundary = (target, rho)
+            yield _intern(omega) if intern_results else omega
 
 
 _ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}
@@ -463,17 +395,3 @@ def enumerate_opetopes(
     for dim in range(n):
         _enumerated(dim, max_nodes, cap)
     return list(_enumerated(n, max_nodes, cap))
-
-
-def rebuild_from_corollas(omega: Opetope) -> Opetope:
-    """Reassemble a non-degenerate opetope by grafting corollas of its
-    decorations in address order; used as a reconstruction check."""
-    from .trees import graft
-
-    if omega.dim < 2 or omega.is_degenerate:
-        raise AddressError("reconstruction applies to non-degenerate dim >= 2")
-    items = sorted(omega.tree.nodes.items(), key=lambda kv: kv[0])
-    tree = corolla(items[0][1])
-    for address, decoration in items[1:]:
-        tree = graft(OPETOPE_SIG, tree, address, corolla(decoration))
-    return from_tree(tree)

@@ -22,6 +22,7 @@ from .errors import (
     AddressError,
     CoherenceError,
     CompositionError,
+    GraftError,
     Report,
     UnknownNameError,
 )
@@ -31,10 +32,11 @@ from .trees import (
     check_tree,
     corolla,
     edge_color,
-    enumerate_trees,
     flatten,
     graft,
+    grow_trees,
     leaf_addresses,
+    total_graft,
 )
 
 
@@ -76,14 +78,6 @@ def print_cell_tree(tree: Tree) -> str:
         f"{address} <- {tree.nodes[address]}" for address in tree.node_addresses()
     )
     return "{" + bindings + "}"
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """One generator occurrence inside a cell: an irreducible context."""
-
-    address: Address
-    generator: str
 
 
 class StageSignature(Signature):
@@ -234,13 +228,6 @@ class MtoPolygraph:
             return self.gen_data(1, root).target
         return self.gen_data(cell.dim, root).target
 
-    def occurrences(self, cell: Cell) -> list[Occurrence]:
-        """Generator occurrences in the cell, in address order."""
-        return [
-            Occurrence(address, cell.tree.nodes[address])
-            for address in cell.tree.node_addresses()
-        ]
-
     def leaf_contexts(self, cell: Cell) -> list[Address]:
         """Leaf addresses; these index the occurrences in the source."""
         return list(leaf_addresses(self.stage(cell.dim), cell.tree))
@@ -264,17 +251,18 @@ class MtoPolygraph:
 
     def compose_total(self, base: Cell, assignment: Mapping[Address, Cell]) -> Cell:
         """Compose one cell into every leaf; order-independent."""
-        result = base
+        for cell in assignment.values():
+            if cell.dim != base.dim:
+                raise CompositionError(
+                    f"cannot compose cells of dimensions {base.dim} and {cell.dim}"
+                )
         sig = self.stage(base.dim)
-        leaves = set(leaf_addresses(sig, base.tree))
-        if set(assignment) != leaves:
-            raise CompositionError(
-                "total composition needs exactly one cell per leaf; got "
-                f"{sorted(map(str, assignment))} for leaves {sorted(map(str, leaves))}"
-            )
-        for leaf in sorted(assignment, reverse=True):
-            result = self.compose_at(result, leaf, assignment[leaf])
-        return result
+        trees = {leaf: cell.tree for leaf, cell in assignment.items()}
+        try:
+            tree = total_graft(sig, base.tree, trees)
+        except GraftError as error:
+            raise CompositionError(str(error)) from error
+        return Cell(base.dim, tree)
 
     def parallel(self, left: Union[Cell, str], right: Union[Cell, str]) -> bool:
         """Same source and same target; 0-cells are all parallel."""
@@ -293,13 +281,14 @@ class MtoPolygraph:
 
     def enumerate_cells(self, dim: int, budget: int) -> list[Cell]:
         """All dimension-``dim`` cells with at most ``budget`` generator
-        occurrences: identities first, then composites by size."""
+        occurrences: identities first, then composites in growth order."""
         cells = [
             Cell(dim, Tree.unit(name)) for name in self.generators(dim - 1)
         ]
-        if budget >= 1 and self.generators(dim):
-            for tree in enumerate_trees(self.stage(dim), self.generators(dim), budget):
-                cells.append(Cell(dim, tree))
+        gens = self.generators(dim)
+        if budget >= 1 and gens:
+            grown = grow_trees(self.stage(dim), gens, gens, budget)
+            cells.extend(Cell(dim, tree) for tree, _, _ in grown)
         return cells
 
     # -- validation ---------------------------------------------------

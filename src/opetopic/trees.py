@@ -12,20 +12,21 @@ substitution pure address bookkeeping:
 * ``flatten`` contracts a tree of operations into a single composite one
   level down, keeping track of where each leaf ends up (the readdressing
   map).  This is the structure map that computes opetope targets and
-  polygraph cell sources.
+  polygraph cell sources;
+* ``grow_trees`` grows every tree by grafting corollas at leaves; it
+  enumerates both opetopes and polygraph cells.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .address import EMPTY, Address, _trusted
 from .errors import (
     AddressError,
     CoherenceError,
-    EnumerationLimit,
     GraftError,
     OpetopicError,
 )
@@ -381,107 +382,87 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     return FlattenResult(result, rho)
 
 
-def enumerate_trees(
+def grow_trees(
     sig: Signature,
     operations: Iterable[Operation],
+    roots: Iterable[Operation],
     max_nodes: int,
-    *,
     max_leaves: int | None = None,
-    sort_key: Callable[[Any], Any] = str,
-    cap: int | None = None,
-) -> list[Tree]:
-    """All node-map trees with 1..max_nodes nodes decorated from ``operations``.
+    readdress: bool = False,
+) -> Iterator[tuple[Tree, Tree | None, dict[Address, Address] | None]]:
+    """The node-map trees with a root from ``roots`` and further nodes from
+    ``operations`` (which contains the roots), with at most ``max_nodes``
+    nodes (each root corolla is always tried) and, when ``max_leaves`` is
+    given, at most that many leaves.
 
-    Deterministic: operations are tried in ``sort_key`` order and results
-    come out in generation order (root operation first, then sizes).  The
-    optional ``max_leaves`` bound prunes shapes that cannot stay under it.
+    Corollas are grafted at leaves in strictly ascending address order,
+    which reaches every tree exactly once, root by root in the given order.
+    Yields ``(tree, flat, rho)``: with ``readdress``, ``flatten``'s result
+    tree and readdressing map, kept up to date by one substitution per
+    tree; otherwise ``None, None``.
     """
-    ops = sorted(operations, key=sort_key)
-    by_target: dict[Color, list[Operation]] = {}
-    for op in ops:
-        by_target.setdefault(sig.target_color(op), []).append(op)
+    # per operation: input slots with their colors, and for readdressing
+    # its source tree and the inverted leaf-to-input gluing; operations are
+    # bucketed by (target color, arity) so that the leaf bound picks buckets
+    info = {}
+    by_target: dict[Color, list[list[Operation]]] = {}
+    for op in operations:
+        slots = tuple((slot, sig.source_color(op, slot)) for slot in sig.inputs(op))
+        if readdress:
+            inverse = {slot: leaf for leaf, slot in sig.sub_readdress(op).items()}
+            info[op] = (slots, sig.source_tree(op), inverse)
+        else:
+            info[op] = (slots, None, None)
+        buckets = by_target.setdefault(sig.target_color(op), [])
+        while len(buckets) <= len(slots):
+            buckets.append([])
+        buckets[len(slots)].append(op)
 
-    memo: dict[tuple[Color, int], list[tuple[dict, int]]] = {}
-
-    def exact(color: Color, k: int) -> list[tuple[dict, int]]:
-        """Trees with root color ``color`` and exactly k nodes, with leaf counts."""
-        key = (color, k)
-        if key in memo:
-            return memo[key]
-        results: list[tuple[dict, int]] = []
-        for op in by_target.get(color, ()):
-            slots = sig.inputs(op)
-            arity = len(slots)
-            budget = k - 1
-            if budget == 0:
-                if max_leaves is None or arity <= max_leaves:
-                    results.append(({EMPTY: op}, arity))
+    def grow(nodes, leaves, last, flat, rho):
+        budget = max_nodes - len(nodes)
+        # adding a node with a inputs leaves at least
+        # len(leaves) - 1 + a - (budget - 1) leaves in any completion
+        stop = None
+        if max_leaves is not None:
+            stop = max_leaves + budget - len(leaves) + 1
+        for leaf in sorted(leaves):
+            if not (last < tuple(leaf)):
                 continue
-            if arity == 0:
+            buckets = by_target.get(leaves[leaf])
+            if buckets is None:
                 continue
-            for sizes in _compositions(budget, arity):
-                choices: list[list[tuple[dict | None, int]]] = []
-                feasible = True
-                for slot, size in zip(slots, sizes):
-                    if size == 0:
-                        choices.append([(None, 1)])
-                    else:
-                        subs = exact(sig.source_color(op, slot), size)
-                        if not subs:
-                            feasible = False
-                            break
-                        choices.append([(t, l) for t, l in subs])
-                if not feasible:
-                    continue
-                for combo in _product(choices):
-                    leaves = sum(l for _, l in combo)
-                    if max_leaves is not None and leaves > max_leaves:
-                        continue
-                    nodes = {EMPTY: op}
-                    for slot, (subnodes, _) in zip(slots, combo):
-                        if subnodes is None:
-                            continue
-                        prefix = EMPTY.child(slot)
-                        for p, sub_op in subnodes.items():
-                            nodes[prefix.concat(p)] = sub_op
-                    results.append((nodes, leaves))
-        memo[key] = results
-        return results
+            anchor = rho[leaf] if readdress else None
+            for arity_ops in buckets[:stop]:
+                for op in arity_ops:
+                    slots, tree, inverse = info[op]
+                    new_nodes = dict(nodes)
+                    new_nodes[leaf] = op
+                    new_leaves = dict(leaves)
+                    del new_leaves[leaf]
+                    new_flat = new_rho = None
+                    if readdress:
+                        new_flat, moves = _substitute_core(flat, anchor, tree, inverse)
+                        new_rho = {
+                            l: moves[node] for l, node in rho.items() if l != leaf
+                        }
+                    for slot, color in slots:
+                        child = leaf.child(slot)
+                        new_leaves[child] = color
+                        if readdress:
+                            new_rho[child] = anchor.concat(slot)
+                    if max_leaves is None or len(new_leaves) <= max_leaves:
+                        yield Tree._wrap(new_nodes), new_flat, new_rho
+                    if budget > 1:
+                        yield from grow(
+                            new_nodes, new_leaves, tuple(leaf), new_flat, new_rho
+                        )
 
-    colors = sorted({sig.target_color(op) for op in ops}, key=sort_key)
-    out: list[Tree] = []
-    for k in range(1, max_nodes + 1):
-        for color in colors:
-            for nodes, leaves in exact(color, k):
-                if max_leaves is not None and leaves > max_leaves:
-                    continue
-                out.append(Tree.of(nodes))
-                if cap is not None and len(out) > cap:
-                    raise EnumerationLimit(
-                        f"tree enumeration exceeded the cap of {cap}"
-                    )
-    return out
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write ``total`` as an ordered sum of ``parts`` naturals."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _product(choices: list[list]) -> Iterator[tuple]:
-    if not choices:
-        yield ()
-        return
-    head, *tail = choices
-    for item in head:
-        for rest in _product(tail):
-            yield (item,) + rest
+    for root in roots:
+        slots, tree, _ = info[root]
+        nodes = {EMPTY: root}
+        leaves = {EMPTY.child(slot): color for slot, color in slots}
+        rho = {EMPTY.child(slot): slot for slot, _ in slots} if readdress else None
+        if max_leaves is None or len(leaves) <= max_leaves:
+            yield Tree._wrap(nodes), tree, rho
+        if max_nodes > 1:
+            yield from grow(nodes, leaves, (), tree, rho)

@@ -111,6 +111,16 @@ class TestParsePrint:
         assert info.value.line == 1
         assert info.value.column == 3
 
+    def test_deep_nesting_roundtrip(self):
+        address = parse_address("[" * 3000 + "]" * 3000)
+        assert address.depth() == 2999
+        text = str(address)
+        assert text == "[" * 2999 + "*" + "]" * 2999
+        # compared by print: tuple equality this deep exceeds the recursion limit
+        again = parse_address(text)
+        assert again.depth() == 2999
+        assert str(again) == text
+
 
 class TestStructure:
     def test_child_and_parent(self):

@@ -130,6 +130,14 @@ class TestCommands:
             assert code == 0
             json.loads(out)
 
+    def test_deep_address_is_an_error_not_a_crash(self, capsys):
+        deep = "[" * 3000 + "]" * 3000
+        code, out, err = run(
+            capsys, "source", "--expr", "{[] <- arrow}", "--addr", deep
+        )
+        assert code in (1, 2) and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
 

@@ -5,6 +5,7 @@ from opetopic.address import EMPTY, Address, parse_address
 from opetopic.errors import AddressError, CoherenceError, EnumerationLimit
 from opetopic.opetope import (
     OPETOPE_SIG,
+    Opetope,
     arrow,
     check_identities,
     degenerate,
@@ -14,12 +15,25 @@ from opetopic.opetope import (
     node_map,
     opetopic_integer,
     point,
-    rebuild_from_corollas,
 )
 from opetopic.trees import corolla, edge_color, graft, leaf_addresses
 
 STAR = Address((EMPTY,))
 O2 = opetopic_integer(2)
+
+
+def rebuild_from_corollas(omega: Opetope) -> Opetope:
+    """Reassemble a non-degenerate opetope by grafting corollas of its
+    decorations in address order; used as a reconstruction check."""
+    from opetopic.trees import graft
+
+    if omega.dim < 2 or omega.is_degenerate:
+        raise AddressError("reconstruction applies to non-degenerate dim >= 2")
+    items = sorted(omega.tree.nodes.items(), key=lambda kv: kv[0])
+    tree = corolla(items[0][1])
+    for address, decoration in items[1:]:
+        tree = graft(OPETOPE_SIG, tree, address, corolla(decoration))
+    return from_tree(tree)
 
 
 def addr(text):

@@ -18,7 +18,14 @@ from opetopic.polygraph import (
     identity_morphism,
 )
 from opetopic.randomized import random_cell, random_polygraph
-from opetopic.trees import Tree, substitute
+from opetopic.trees import (
+    Tree,
+    corolla,
+    edge_color,
+    graft,
+    leaf_addresses,
+    substitute,
+)
 
 STAR = Address((EMPTY,))
 
@@ -68,10 +75,7 @@ class TestCells:
     def test_generator_cell(self, path_polygraph):
         cell = path_polygraph.generator_cell(2, "m")
         assert count(cell) == 1
-        occurrences = path_polygraph.occurrences(cell)
-        assert len(occurrences) == 1
-        assert occurrences[0].address == EMPTY
-        assert occurrences[0].generator == "m"
+        assert cell.tree.nodes == {EMPTY: "m"}
 
     def test_source_of_identity_is_corolla(self, path_polygraph):
         cell = path_polygraph.identity_cell(1, "f")
@@ -384,7 +388,47 @@ class TestMorphisms:
             assert P.target_name(image) == P.target_name(cell)
 
 
+def oracle_enumerate_cells(P, dim, budget):
+    """Generate-and-filter oracle, independent of the library's grower:
+    identities, then the breadth-first closure of generator corollas under
+    grafting a corolla at any leaf."""
+    sig = P.stage(dim)
+    out = {Cell(dim, Tree.unit(name)) for name in P.generators(dim - 1)}
+    if budget < 1:
+        return out
+    seen = {corolla(name) for name in P.generators(dim)}
+    frontier = set(seen)
+    while frontier:
+        fresh = set()
+        for tree in frontier:
+            if tree.size >= budget:
+                continue
+            for leaf in leaf_addresses(sig, tree):
+                color = edge_color(sig, tree, leaf)
+                for name in P.generators(dim):
+                    if sig.target_color(name) != color:
+                        continue
+                    bigger = graft(sig, tree, leaf, corolla(name))
+                    if bigger not in seen:
+                        fresh.add(bigger)
+        seen |= fresh
+        frontier = fresh
+    return out | {Cell(dim, tree) for tree in seen}
+
+
 class TestEnumerateCells:
+    def test_matches_grafting_oracle(self):
+        composites = 0
+        for seed in range(12):
+            P = random_polygraph(random.Random(seed))
+            for dim in range(1, 4):
+                for budget in range(4):
+                    cells = P.enumerate_cells(dim, budget)
+                    assert len(set(cells)) == len(cells)
+                    assert set(cells) == oracle_enumerate_cells(P, dim, budget)
+                    composites += sum(not cell.is_identity for cell in cells)
+        assert composites > 0
+
     def test_loop_one_cells(self, loop_polygraph):
         cells = loop_polygraph.enumerate_cells(1, 3)
         # the identity on a plus paths of length 1..3

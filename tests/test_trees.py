@@ -13,8 +13,8 @@ from opetopic.trees import (
     check_tree,
     corolla,
     edge_color,
-    enumerate_trees,
     graft,
+    grow_trees,
     leaf_addresses,
     substitute,
     total_graft,
@@ -304,29 +304,33 @@ class TestValidation:
         assert "edge mismatch" in str(info.value)
 
 
+def grown(sig, ops, max_nodes, max_leaves=None):
+    return [tree for tree, _, _ in grow_trees(sig, ops, ops, max_nodes, max_leaves)]
+
+
 class TestEnumerateTrees:
     def test_hand_count_small(self, toy_sig):
         ops = ["z", "u", "b"]
-        trees = enumerate_trees(toy_sig, ops, 1)
+        trees = grown(toy_sig, ops, 1)
         assert len(trees) == 3
-        trees = enumerate_trees(toy_sig, ops, 2)
+        trees = grown(toy_sig, ops, 2)
         # 3 corollas, 3 one-child chains under u, 2 slots x 3 ops under b
         assert len(trees) == 3 + 3 + 6
 
     def test_deterministic_and_duplicate_free(self, toy_sig):
         ops = ["z", "u", "b"]
-        first = enumerate_trees(toy_sig, ops, 3)
-        second = enumerate_trees(toy_sig, ops, 3)
+        first = grown(toy_sig, ops, 3)
+        second = grown(toy_sig, ops, 3)
         assert first == second
         assert len(set(first)) == len(first)
 
     def test_leaf_bound(self, toy_sig):
         ops = ["z", "u", "b"]
-        bounded = enumerate_trees(toy_sig, ops, 3, max_leaves=1)
+        bounded = grown(toy_sig, ops, 3, max_leaves=1)
         assert all(
             len(leaf_addresses(toy_sig, tree)) <= 1 for tree in bounded
         )
-        unbounded = enumerate_trees(toy_sig, ops, 3)
+        unbounded = grown(toy_sig, ops, 3)
         expected = [
             tree
             for tree in unbounded

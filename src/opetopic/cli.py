@@ -8,6 +8,7 @@ success, 1 for a validation failure, 2 for parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -277,33 +278,39 @@ def cmd_nerve(args) -> int:
     return _emit(print_oset(X).rstrip("\n"), _oset_json(X), args.json)
 
 
+# file kind -> (parser, canonical printer)
+_FORMATS = {
+    "polygraph": (parse_polygraph, print_polygraph),
+    "oset": (parse_oset, print_oset),
+    "opetope": (parse_opetope_file, print_opetope_file),
+}
+
+
 def cmd_roundtrip(args) -> int:
     """Canonical re-print plus the unit/counit checks where they apply.
 
-    Prints the canonical form of the file; for polygraph and opetopic-set
-    files it additionally verifies the realization/nerve round trip
-    (counit resp. unit).  Failures go to stderr and the exit code.
+    Prints the canonical form of the file and checks that it is stable
+    under reparsing; a file that already is its canonical form is not
+    parsed again, since parsing is deterministic.  For polygraph and
+    opetopic-set files it additionally verifies the realization/nerve
+    round trip (counit resp. unit).  Failures go to stderr and the exit
+    code.
     """
     text = _read(args.file)
     kind = _file_kind(text)
+    parse, show = _FORMATS[kind]
+    parsed = parse(text)
+    canonical = show(parsed)
+    stable = text == canonical or show(parse(canonical)) == canonical
     report = Report()
     if kind == "polygraph":
-        P = parse_polygraph(text)
-        canonical = print_polygraph(P)
-        stable = print_polygraph(parse_polygraph(canonical)) == canonical
-        report = P.validate()
+        report = parsed.validate()
         if report.ok:
-            report = counit_check(P)
+            report = counit_check(parsed)
     elif kind == "oset":
-        X = parse_oset(text)
-        canonical = print_oset(X)
-        stable = print_oset(parse_oset(canonical)) == canonical
-        report = validate_oset(X)
+        report = validate_oset(parsed)
         if report.ok:
-            report = unit_check(X)
-    else:
-        canonical = print_opetope_file(parse_opetope_file(text))
-        stable = print_opetope_file(parse_opetope_file(canonical)) == canonical
+            report = unit_check(parsed)
     print(canonical, end="")
     if not stable:
         print("canonical form is not stable under reparsing", file=sys.stderr)
@@ -318,7 +325,10 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: callers
+    must not change it."""
     parser = argparse.ArgumentParser(
         prog="opetopic",
         description="opetopes, their category, many-to-one polygraphs, and the "

@@ -23,6 +23,10 @@ dimension 0 and may rely on opetope definitions earlier in the file::
 
 from __future__ import annotations
 
+import functools
+import re
+from typing import Callable, TypeVar
+
 from .address import Address, read_address
 from .category import Face, faces_of
 from .errors import CompositionError, ParseError
@@ -31,32 +35,46 @@ from .oset import OpetopicSet
 from .polygraph import MtoPolygraph, print_cell_tree
 from .trees import Tree
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789.[]*@")
+# whitespace (``\s`` is ``str.isspace``) and comments; a comment only ends
+# at a newline or the end of the text, so a failed match cannot backtrack
+# into one
+_SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
+_SKIP_RE = re.compile(_SKIP)
+_NAME = re.compile(_SKIP + r"([A-Za-z_][A-Za-z0-9_.\[\]*@]*)")
+_NUMBER = re.compile(_SKIP + r"([0-9]+)")
+# the longest run of address characters: a key into the address memo
+_ADDRESS_RUN = re.compile(_SKIP + r"(\[[\[\]*]*)")
+
+
+@functools.cache
+def _symbol(symbol: str) -> re.Pattern[str]:
+    return re.compile(_SKIP + re.escape(symbol))
+
+
+T = TypeVar("T")
 
 
 class Scanner:
-    """Character scanner with expectation-driven tokenization.
+    """Expectation-driven scanner: the parser says what it expects next,
+    since addresses and names share characters.
 
-    Addresses and names share characters, so the parser says what it
-    expects and the scanner reads exactly that.
+    Every read skips whitespace and ``#`` comments first.  A name, an ASCII
+    number or a symbol is read with one precompiled regular-expression
+    match.  Addresses are read by ``address.read_address`` and memoized by
+    their source text, so equal addresses in one text are one object.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._addresses: dict[str, Address] = {}
 
     def _skip(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            char = text[self.pos]
-            if char.isspace():
-                self.pos += 1
-            elif char == "#":
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
+        self.pos = _SKIP_RE.match(self.text, self.pos).end()
+
+    def line_at(self, pos: int) -> int:
+        """The line of the first token at or after ``pos``."""
+        return self.text.count("\n", 0, _SKIP_RE.match(self.text, pos).end()) + 1
 
     def position(self) -> tuple[int, int]:
         self._skip()
@@ -73,49 +91,71 @@ class Scanner:
         self._skip()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def try_symbol(self, symbol: str) -> bool:
-        self._skip()
-        if self.text.startswith(symbol, self.pos):
-            self.pos += len(symbol)
-            return True
-        return False
+        match = _symbol(symbol).match(self.text, self.pos)
+        if match is None:
+            return False
+        self.pos = match.end()
+        return True
 
     def expect_symbol(self, symbol: str) -> None:
         if not self.try_symbol(symbol):
             raise self.error(repr(symbol))
 
     def name(self) -> str:
-        self._skip()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _NAME_START:
+        match = _NAME.match(self.text, self.pos)
+        if match is None:
             raise self.error("a name")
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        return self.text[start : self.pos]
+        self.pos = match.end()
+        return match.group(1)
 
     def number(self) -> int:
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        match = _NUMBER.match(self.text, self.pos)
+        if match is None:
             raise self.error("a number")
-        return int(self.text[start : self.pos])
+        self.pos = match.end()
+        return int(match.group(1))
 
     def address(self) -> Address:
-        self._skip()
-        if self.peek() != "[":
+        match = _ADDRESS_RUN.match(self.text, self.pos)
+        if match is None:
             raise self.error("an address")
-        address, self.pos = read_address(self.text, self.pos, self._error_at)
-        return address
+        # a memoized text was read whole by read_address, which stops where
+        # the address closes, so the same run of characters reads the same
+        known = self._addresses.get(match.group(1))
+        if known is not None:
+            self.pos = match.end()
+            return known
+        start = match.start(1)
+        address, self.pos = read_address(self.text, start, self._error_at)
+        return self._addresses.setdefault(self.text[start : self.pos], address)
 
     def _error_at(self, pos: int, expected: str) -> ParseError:
         self.pos = pos
         return self.error(expected)
+
+
+def _bindings(scanner: Scanner, value: Callable[[], T]) -> dict[Address, T]:
+    """The ``ADDRESS <- VALUE`` pairs of a braced block, after its ``{``;
+    an address bound twice is an error naming the lines of both."""
+    bindings: dict[Address, T] = {}
+    starts: dict[Address, int] = {}
+    while True:
+        start = scanner.pos
+        address = scanner.address()
+        scanner.expect_symbol("<-")
+        bound = value()
+        if address in bindings:
+            first, second = scanner.line_at(starts[address]), scanner.line_at(start)
+            raise ParseError(
+                f"address {address} bound twice (lines {first} and {second})",
+                *scanner.position(),
+            )
+        bindings[address] = bound
+        starts[address] = start
+        if not scanner.try_symbol(","):
+            scanner.expect_symbol("}")
+            return bindings
 
 
 # -- opetope expressions ------------------------------------------------
@@ -126,27 +166,8 @@ def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
         inner = parse_opetope_expr(scanner, env)
         scanner.expect_symbol(">>")
         return degenerate(inner)
-    if scanner.peek() == "{":
-        scanner.expect_symbol("{")
-        bindings: dict[Address, Opetope] = {}
-        lines: dict[Address, int] = {}
-        while True:
-            line, _ = scanner.position()
-            address = scanner.address()
-            scanner.expect_symbol("<-")
-            value = parse_opetope_expr(scanner, env)
-            if address in bindings:
-                raise ParseError(
-                    f"address {address} bound twice (lines {lines[address]} and {line})",
-                    *scanner.position(),
-                )
-            bindings[address] = value
-            lines[address] = line
-            if scanner.try_symbol(","):
-                continue
-            scanner.expect_symbol("}")
-            break
-        return node_map(bindings)
+    if scanner.try_symbol("{"):
+        return node_map(_bindings(scanner, lambda: parse_opetope_expr(scanner, env)))
     word = scanner.name()
     if word == "point":
         return point()
@@ -188,25 +209,7 @@ def parse_cell_tree(scanner: Scanner) -> Tree:
         scanner.expect_symbol(")")
         return Tree.unit(name)
     scanner.expect_symbol("{")
-    bindings: dict[Address, str] = {}
-    lines: dict[Address, int] = {}
-    while True:
-        line, _ = scanner.position()
-        address = scanner.address()
-        scanner.expect_symbol("<-")
-        value = scanner.name()
-        if address in bindings:
-            raise ParseError(
-                f"address {address} bound twice (lines {lines[address]} and {line})",
-                *scanner.position(),
-            )
-        bindings[address] = value
-        lines[address] = line
-        if scanner.try_symbol(","):
-            continue
-        scanner.expect_symbol("}")
-        break
-    return Tree.of(bindings)
+    return Tree.of(_bindings(scanner, scanner.name))
 
 
 def parse_polygraph(text: str) -> MtoPolygraph:
@@ -279,8 +282,7 @@ def parse_oset(text: str) -> OpetopicSet:
         shape = parse_opetope_expr(scanner, env)
         max_dim = max(max_dim, shape.dim)
         assignments: dict[Face, str] = {}
-        if scanner.peek() == "{":
-            scanner.expect_symbol("{")
+        if scanner.try_symbol("{"):
             while True:
                 try:
                     if scanner.try_symbol("t"):

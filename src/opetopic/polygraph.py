@@ -286,7 +286,7 @@ class MtoPolygraph:
             Cell(dim, Tree.unit(name)) for name in self.generators(dim - 1)
         ]
         gens = self.generators(dim)
-        if budget >= 1 and gens:
+        if gens:
             grown = grow_trees(self.stage(dim), gens, gens, budget)
             cells.extend(Cell(dim, tree) for tree, _, _ in grown)
         return cells

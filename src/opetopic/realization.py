@@ -369,6 +369,11 @@ def unit_check(X: OpetopicSet) -> Report:
     P = realize_oset(X)
     names = oset_generator_names(X)
     memo: dict[tuple[int, str], Opetope] = {}
+    # the generators grouped by shape, in one pass over the shared memo
+    by_shape: dict[Opetope, list[str]] = {}
+    for dim in range(P.max_dim + 1):
+        for gen in P.generators(dim):
+            by_shape.setdefault(shape_opetope(P, dim, gen, memo), []).append(gen)
     for shape in X.support():
         cells = X.cells_at(shape)
         image = []
@@ -389,11 +394,9 @@ def unit_check(X: OpetopicSet) -> Report:
                         f"cell {cell!r} at {shape}: face {face} gives "
                         f"{actual!r}, expected {expected!r}"
                     )
-        if sorted(image) != sorted(cells_of_shape(P, shape)):
-            report.fail(
-                f"shape {shape}: cells {sorted(image)} vs generators "
-                f"{sorted(cells_of_shape(P, shape))}"
-            )
+        generators = sorted(by_shape.get(shape, ()))
+        if sorted(image) != generators:
+            report.fail(f"shape {shape}: cells {sorted(image)} vs generators {generators}")
     return report
 
 

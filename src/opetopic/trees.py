@@ -392,8 +392,7 @@ def grow_trees(
 ) -> Iterator[tuple[Tree, Tree | None, dict[Address, Address] | None]]:
     """The node-map trees with a root from ``roots`` and further nodes from
     ``operations`` (which contains the roots), with at most ``max_nodes``
-    nodes (each root corolla is always tried) and, when ``max_leaves`` is
-    given, at most that many leaves.
+    nodes and, when ``max_leaves`` is given, at most that many leaves.
 
     Corollas are grafted at leaves in strictly ascending address order,
     which reaches every tree exactly once, root by root in the given order.
@@ -401,6 +400,8 @@ def grow_trees(
     tree and readdressing map, kept up to date by one substitution per
     tree; otherwise ``None, None``.
     """
+    if max_nodes < 1:
+        return
     # per operation: input slots with their colors, and for readdressing
     # its source tree and the inverted leaf-to-input gluing; operations are
     # bucketed by (target color, arity) so that the leaf bound picks buckets

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from opetopic import cli
+from opetopic.address import parse_address
 from opetopic.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +140,23 @@ class TestCommands:
         assert code in (1, 2) and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_deep_address_bound_twice_is_an_error_not_a_crash(self, capsys):
+        deep = "[" * 1200 + "]" * 1200
+        code, out, err = run(
+            capsys, "target", "--expr", f"{{[] <- arrow, {deep} <- arrow, {deep} <- arrow}}"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1, column ") and "Traceback" not in err
+        assert f"address {parse_address(deep)} bound twice (lines 1 and 1)" in err
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_only_ascii_digits_are_numbers(self, capsys, tmp_path, digit):
+        path = tmp_path / "bad.poly"
+        path.write_text(f"gen {digit} x\n", encoding="utf-8")
+        code, out, err = run(capsys, "roundtrip", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: line 1, column 5: expected a number, found {digit!r}\n"
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
 
@@ -177,3 +196,23 @@ class TestRoundtripCommand:
         code, out, _ = run(capsys, "roundtrip", str(GOLDEN / variant))
         assert code == 0
         assert out == (GOLDEN / f"{original}.canonical").read_text()
+
+    @pytest.mark.parametrize(
+        "name, parses",
+        [("path.poly.canonical", 1), ("path.poly", 2), ("cells.oset.canonical", 1)],
+    )
+    def test_canonical_input_is_parsed_once(self, capsys, monkeypatch, name, parses):
+        kind = "oset" if ".oset" in name else "polygraph"
+        parse, show = cli._FORMATS[kind]
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setitem(cli._FORMATS, kind, (counting, show))
+        code, out, _ = run(capsys, "roundtrip", str(GOLDEN / name))
+        assert code == 0
+        canonical = name if name.endswith(".canonical") else f"{name}.canonical"
+        assert out == (GOLDEN / canonical).read_text()
+        assert len(calls) == parses

@@ -1,7 +1,12 @@
+import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opetopic.address import parse_address
 from opetopic.errors import ParseError
 from opetopic.formats import (
     parse_opetope_expr,
@@ -13,10 +18,29 @@ from opetopic.formats import (
     print_polygraph,
     Scanner,
 )
-from opetopic.opetope import arrow, degenerate, opetopic_integer, point
+from opetopic.opetope import (
+    arrow,
+    degenerate,
+    enumerate_opetopes,
+    opetopic_integer,
+    point,
+)
 from opetopic.oset import validate_oset
+from opetopic.randomized import random_polygraph
+from opetopic.realization import nerve
 
 GOLDEN = Path(__file__).parent / "golden"
+
+PARSERS = {
+    "polygraph": parse_polygraph,
+    "oset": parse_oset,
+    "opetope": parse_opetope_file,
+}
+
+# malformed texts of all three formats with their exact error messages:
+# names, numbers, symbols, t/s faces, id(, unbalanced and wrong-character
+# addresses, duplicate bindings, comments between tokens
+ERROR_CORPUS = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
 
 
 def expr(text):
@@ -161,3 +185,94 @@ class TestGoldenCorpus:
             again = print_opetope_file(parse_opetope_file(canonical))
         assert printed == canonical
         assert again == canonical
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        ERROR_CORPUS,
+        ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(ERROR_CORPUS)],
+    )
+    def test_exact_message(self, kind, text, message):
+        with pytest.raises(ParseError) as info:
+            PARSERS[kind](text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (expr, "{[] <- arrow, D <- arrow, D <- arrow}"),
+            (parse_polygraph, "gen 2 m : {[] <- f, D <- f, D <- f} -> g"),
+        ],
+    )
+    def test_deep_address_bound_twice(self, parse, text):
+        deep = "[" * 1200 + "]" * 1200
+        with pytest.raises(ParseError) as info:
+            parse(text.replace("D", deep))
+        printed = str(parse_address(deep))
+        assert f"address {printed} bound twice (lines 1 and 1)" in str(info.value)
+
+
+# separators that may stand wherever a canonical print has a space
+SEPARATORS = st.lists(
+    st.sampled_from(
+        [" ", "   ", "\t", "\n", "\u00a0", " # <- [*] }\n", "\n# gen 0 x\n\n"]
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def respaced(text, separators):
+    parts = text.split(" ")
+    out = [parts[0]]
+    for i, part in enumerate(parts[1:]):
+        out.append(separators[i % len(separators)])
+        out.append(part)
+    return "".join(out)
+
+
+def generators(P):
+    return [
+        {name: P.gen_data(dim, name) for name in P.generators(dim)}
+        for dim in range(P.max_dim + 1)
+    ]
+
+
+class TestRoundTrip:
+    """parse, print, parse is the identity on random polygraphs, their
+    nerves and opetope files, and whitespace and comments between tokens
+    change nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SEPARATORS)
+    def test_polygraphs(self, seed, separators):
+        P = random_polygraph(random.Random(seed))
+        text = print_polygraph(P)
+        Q = parse_polygraph(text)
+        assert generators(Q) == generators(P)
+        assert print_polygraph(Q) == text
+        assert print_polygraph(parse_polygraph(respaced(text, separators))) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SEPARATORS)
+    def test_opetope_files(self, seed, separators):
+        rng = random.Random(seed)
+        shapes = enumerate_opetopes(rng.randint(0, 4), 2)
+        env = {f"o{i}": rng.choice(shapes) for i in range(rng.randint(1, 5))}
+        text = print_opetope_file(env)
+        assert parse_opetope_file(text) == env
+        assert print_opetope_file(parse_opetope_file(text)) == text
+        noisy = respaced(text, separators)
+        assert print_opetope_file(parse_opetope_file(noisy)) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SEPARATORS)
+    def test_nerves(self, seed, separators):
+        P = random_polygraph(random.Random(seed))
+        X = nerve(P, P.max_dim)
+        text = print_oset(X)
+        Y = parse_oset(text)
+        assert (Y.cells, Y.faces) == (X.cells, X.faces)
+        assert print_oset(Y) == text
+        assert print_oset(parse_oset(respaced(text, separators))) == text

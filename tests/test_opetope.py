@@ -160,7 +160,7 @@ def oracle_enumerate(n, max_nodes):
     if n == 2:
         return {opetopic_integer(k) for k in range(max_nodes + 1)}
     allowed = set(previous)
-    seen = {from_tree(corolla(op)) for op in previous}
+    seen = {from_tree(corolla(op)) for op in previous} if max_nodes >= 1 else set()
     frontier = set(seen)
     while frontier:
         fresh = set()
@@ -195,6 +195,13 @@ def oracle_enumerate(n, max_nodes):
 class TestEnumerate:
     def test_dimension_one(self):
         assert enumerate_opetopes(1, 5) == [arrow()]
+
+    def test_zero_nodes_leaves_only_the_nodeless_opetopes(self):
+        found = [str(omega) for n in range(6) for omega in enumerate_opetopes(n, 0)]
+        assert found == ["point", "arrow", "<<point>>"]
+        for n in range(3, 6):
+            assert list(iter_opetopes(n, 0)) == []
+            assert oracle_enumerate(n, 0) == set()
 
     def test_opetopic_integers(self):
         assert enumerate_opetopes(2, 3) == [

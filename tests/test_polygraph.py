@@ -429,6 +429,11 @@ class TestEnumerateCells:
                     composites += sum(not cell.is_identity for cell in cells)
         assert composites > 0
 
+    def test_zero_budget_gives_only_identities(self, path_polygraph):
+        cells = path_polygraph.enumerate_cells(2, 0)
+        assert [cell.tree.unit_color for cell in cells] == ["f", "g", "h"]
+        assert all(cell.is_identity for cell in cells)
+
     def test_loop_one_cells(self, loop_polygraph):
         cells = loop_polygraph.enumerate_cells(1, 3)
         # the identity on a plus paths of length 1..3

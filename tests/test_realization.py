@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from opetopic import realization
 from opetopic.category import slice_classes
 from opetopic.opetope import (
     arrow,
@@ -205,6 +208,37 @@ class TestUnitCounit:
 
     def test_unit_on_nerves(self, path_polygraph):
         assert unit_check(nerve(path_polygraph, 2)).ok
+
+    @pytest.mark.parametrize(
+        "add_extra, message",
+        [
+            (
+                lambda P: P.add_arrow("extra", "a", "b"),
+                "shape arrow: cells ['f', 'g', 'h'] vs generators "
+                "['extra', 'f', 'g', 'h']",
+            ),
+            (
+                lambda P: P.add_generator(
+                    2, "extra", P.gen_data(2, "m").source_tree, "h"
+                ),
+                "shape {[] <- arrow, [*] <- arrow}: cells ['m'] vs generators "
+                "['extra', 'm']",
+            ),
+        ],
+    )
+    def test_unit_reports_an_extra_generator_of_an_existing_shape(
+        self, monkeypatch, path_polygraph, add_extra, message
+    ):
+        X = nerve(path_polygraph, 2)
+        realize = realization.realize_oset
+
+        def realize_with_extra(X):
+            P = realize(X)
+            add_extra(P)
+            return P
+
+        monkeypatch.setattr(realization, "realize_oset", realize_with_extra)
+        assert unit_check(X).failures == [message]
 
     def test_every_representable_and_realization_up_to_dim_five(self):
         opetopes = enumerate_opetopes(5, 2)

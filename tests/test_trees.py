@@ -317,6 +317,9 @@ class TestEnumerateTrees:
         # 3 corollas, 3 one-child chains under u, 2 slots x 3 ops under b
         assert len(trees) == 3 + 3 + 6
 
+    def test_zero_nodes_grows_nothing(self, toy_sig):
+        assert grown(toy_sig, ["z", "u", "b"], 0) == []
+
     def test_deterministic_and_duplicate_free(self, toy_sig):
         ops = ["z", "u", "b"]
         first = grown(toy_sig, ops, 3)

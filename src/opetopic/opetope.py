@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .address import EMPTY, Address
-from .errors import AddressError, CoherenceError, EnumerationLimit, OpetopicError, Report
+from .errors import AddressError, CoherenceError, EnumerationLimit, Report
 from .trees import (
     Signature,
     Tree,
@@ -103,12 +103,12 @@ class Opetope:
         if self._boundary is None:
             if self._dim == 1:
                 self._boundary = (point(), {})
-            elif self._dim == 2:
-                leaves = self.leaf_addresses()
-                self._boundary = (arrow(), {leaves[0]: EMPTY})
             else:
+                # flattening arrows gives the corolla on the point, which
+                # is the arrow; the arrow is stored without a tree
                 result = flatten(OPETOPE_SIG, self._tree)
-                self._boundary = (from_tree(result.tree), result.readdress)
+                target = from_tree(result.tree) if self._dim > 2 else arrow()
+                self._boundary = (target, result.readdress)
         return self._boundary
 
     def __eq__(self, other: object) -> bool:
@@ -209,9 +209,8 @@ class OpetopeSignature(Signature):
     """Signature whose operations are opetopes one dimension down.
 
     Works uniformly at every level: inputs of an opetope are its node
-    addresses, colors are sources and targets.  Flattening bottoms out at
-    the arrow, whose source tree lives nowhere; targets in dimension 2 are
-    special-cased in Opetope instead.
+    addresses, colors are sources and targets.  The arrow has no source
+    tree; flattening a tree of arrows is the base case of ``flatten``.
     """
 
     def inputs(self, op: Opetope) -> tuple[Address, ...]:
@@ -223,13 +222,8 @@ class OpetopeSignature(Signature):
     def target_color(self, op: Opetope) -> Opetope:
         return op.target()
 
-    def source_tree(self, op: Opetope) -> Tree:
-        if op.dim < 2:
-            raise OpetopicError(
-                "flatten is unavailable over arrows; dimension <= 2 targets "
-                "are special-cased"
-            )
-        return op.tree
+    def source_tree(self, op: Opetope) -> Tree | None:
+        return op.tree if op.dim >= 2 else None
 
     def sub_readdress(self, op: Opetope) -> dict[Address, Address]:
         return op.readdress()

@@ -120,11 +120,11 @@ def yoneda(omega: Opetope, max_dim: int) -> OpetopicSet:
         raise ValueError(f"representable of a {omega.dim}-opetope needs max_dim >= {omega.dim}")
     X = OpetopicSet(max_dim=max_dim)
     classes = slice_classes(omega)
+    names = {cls.index: str(cls) for group in classes.values() for cls in group}
     for dim in sorted(classes):
         for cls in classes[dim]:
-            X.add_cell(cls.domain, str(cls))
-    for dim in sorted(classes):
-        for cls in classes[dim]:
+            name = names[cls.index]
+            X.add_cell(cls.domain, name)
             for face in faces_of(cls.domain):
-                X.set_face(cls.domain, str(cls), face, str(cls.then_face(face)))
+                X.set_face(cls.domain, name, face, names[cls.then_face(face).index])
     return X

@@ -86,8 +86,8 @@ class StageSignature(Signature):
     Colors are the (n-1)-generators, operations the n-generators; the
     inputs of an n-generator are the node addresses of its source tree
     (the single root slot for n = 1).  The gluing map needed by flatten is
-    itself computed one dimension down, bottoming out at n = 2 where every
-    source tree is a line with a single leaf.
+    itself computed one dimension down, bottoming out at n = 1, where
+    1-generators have no source tree and a cell is a chain.
     """
 
     def __init__(self, polygraph: "MtoPolygraph", dim: int):
@@ -109,9 +109,9 @@ class StageSignature(Signature):
     def target_color(self, op: str) -> str:
         return self.polygraph.gen_data(self.dim, op).target
 
-    def source_tree(self, op: str) -> Tree:
+    def source_tree(self, op: str) -> Tree | None:
         if self.dim < 2:
-            raise CoherenceError("1-generators have no source tree")
+            return None
         return self.polygraph.gen_data(self.dim, op).source_tree
 
     def sub_readdress(self, op: str) -> dict[Address, Address]:
@@ -188,13 +188,7 @@ class MtoPolygraph:
         key = (dim, op)
         if key not in self._readdress_cache:
             tree = self.gen_data(dim, op).source_tree
-            if dim == 2:
-                leaves = leaf_addresses(self.stage(1), tree)
-                self._readdress_cache[key] = {leaves[0]: EMPTY}
-            else:
-                self._readdress_cache[key] = flatten(
-                    self.stage(dim - 1), tree
-                ).readdress
+            self._readdress_cache[key] = flatten(self.stage(dim - 1), tree).readdress
         return self._readdress_cache[key]
 
     # -- cells --------------------------------------------------------
@@ -211,12 +205,9 @@ class MtoPolygraph:
     def source_cell(self, cell: Cell) -> Union[Cell, str]:
         """The source boundary: a cell one dimension down (a 0-generator
         name for 1-dimensional cells)."""
-        if cell.dim == 1:
-            if cell.tree.is_unit:
-                return cell.tree.unit_color
-            deepest = max(cell.tree.nodes)
-            return self.gen_data(1, cell.tree.nodes[deepest]).source
         result = flatten(self.stage(cell.dim), cell.tree)
+        if cell.dim == 1:
+            return result.tree.nodes[EMPTY]
         return Cell(cell.dim - 1, result.tree)
 
     def target_name(self, cell: Cell) -> str:

@@ -1,14 +1,14 @@
 """The bridge between opetopes, opetopic sets, and many-to-one polygraphs.
 
-Realizing an opetope produces the polygraph whose j-generators are the
-morphism classes from j-opetopes into it: the target of a class is its
-composite with the target embedding, and its source tree redecorates the
-domain's tree with composites along source embeddings.  The same recipe
-realizes a whole opetopic set.  In the other direction the nerve of a
-polygraph collects its generators by shape, where the shape of a generator
-replaces every generator in its source tree by its shape, recursively.
-The unit and counit checks verify that the two directions invert each
-other on finite instances.
+Realizing an opetopic set produces the polygraph with one generator per
+cell: the target of a generator is the cell's target face, and its source
+tree redecorates the tree of the cell's shape with the cell's source
+faces.  An opetope is realized as its representable, whose j-cells are
+the morphism classes from j-opetopes into it.  In the other direction the
+nerve of a polygraph collects its generators by shape, where the shape of
+a generator replaces every generator in its source tree by its shape,
+recursively.  The unit and counit checks verify that the two directions
+invert each other on finite instances.
 """
 
 from __future__ import annotations
@@ -16,131 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .address import EMPTY
-from .category import Face, MorphismClass, Word, compose, faces_of, hom, slice_classes
+from .category import Face, Word, faces_of, slice_classes
 from .errors import CoherenceError, Report
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
-from .oset import OpetopicSet
+from .oset import OpetopicSet, yoneda
 from .polygraph import Cell, MtoPolygraph, PolygraphMorphism
 from .trees import Tree
 
 
 def realize_opetope(omega: Opetope) -> MtoPolygraph:
-    """The polygraph freely implementing the face structure of an opetope."""
-    P = MtoPolygraph()
-    classes = slice_classes(omega)
-    for dim in sorted(classes):
-        for cls in classes[dim]:
-            name = str(cls)
-            if dim == 0:
-                P.add_point(name)
-            elif dim == 1:
-                source = str(cls.then_face(Face(cls.domain, EMPTY)))
-                target = str(cls.then_face(Face(cls.domain)))
-                P.add_arrow(name, source, target)
-            else:
-                phi = cls.domain
-                target = cls.then_face(Face(phi))
-                if phi.is_degenerate:
-                    color = target.then_face(Face(target.domain))
-                    tree: Tree = Tree.unit(str(color))
-                else:
-                    tree = Tree.of(
-                        {p: str(cls.then_face(Face(phi, p))) for p in phi.node_addresses()}
-                    )
-                P.add_generator(dim, name, tree, str(target))
-    return P
+    """The polygraph freely implementing the face structure of an opetope:
+    the realization of its representable."""
+    return realize_oset(yoneda(omega, omega.dim))
 
 
 def boundary_polygraph(omega: Opetope) -> MtoPolygraph:
-    """The realization with the single top generator removed."""
-    whole = realize_opetope(omega)
-    P = MtoPolygraph()
-    for dim in range(whole.max_dim + 1):
-        for name in whole.generators(dim):
-            if dim == omega.dim:
-                continue
-            data = whole.gen_data(dim, name)
-            if dim == 0:
-                P.add_point(name)
-            elif dim == 1:
-                P.add_arrow(name, data.source, data.target)
-            else:
-                P.add_generator(dim, name, data.source_tree, data.target)
-    return P
-
-
-def boundary_colimit_check(omega: Opetope) -> Report:
-    """Cross-check the boundary against its gluing description.
-
-    Glue the realizations of all proper faces over the slice: pairs
-    (face class A, generator C of the realization of A's domain) are
-    identified along every slice morphism.  The resulting classes must
-    correspond one-to-one with the boundary generators, i.e. with the
-    composite classes A after C.
-    """
-    report = Report()
-    slice_objects = [
-        cls
-        for dim in range(omega.dim)
-        for cls in slice_classes(omega).get(dim, [])
-    ]
-    pairs: list[tuple[MorphismClass, MorphismClass]] = []
-    index: dict[tuple[str, str], int] = {}
-    for A in slice_objects:
-        for dim, inner_classes in slice_classes(A.domain).items():
-            for C in inner_classes:
-                key = (str(A), str(C))
-                index[key] = len(pairs)
-                pairs.append((A, C))
-    parent = list(range(len(pairs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    for A in slice_objects:
-        for B in slice_objects:
-            for h in hom(B.domain, A.domain):
-                if compose(A, h) != B:
-                    continue
-                # the slice morphism h : (B.domain, B) -> (A.domain, A)
-                # identifies (B, C) with (A, h after C)
-                for dim, inner_classes in slice_classes(B.domain).items():
-                    for C in inner_classes:
-                        i = index[(str(B), str(C))]
-                        j = index[(str(A), str(compose(h, C)))]
-                        union(i, j)
-    glued: dict[int, set[str]] = {}
-    for k, (A, C) in enumerate(pairs):
-        glued.setdefault(find(k), set()).add(str(compose(A, C)))
-    for root, composites in glued.items():
-        if len(composites) != 1:
-            report.fail(
-                f"glued class maps to several boundary generators: "
-                f"{sorted(composites)}"
-            )
-    boundary_names = {
-        str(cls)
-        for dim in range(omega.dim)
-        for cls in slice_classes(omega).get(dim, [])
-    }
-    image = {next(iter(v)) for v in glued.values() if len(v) == 1}
-    if image != boundary_names:
-        report.fail(
-            f"glued classes {sorted(image)} differ from boundary generators "
-            f"{sorted(boundary_names)}"
-        )
-    if len(glued) != len(boundary_names):
-        report.fail(
-            f"{len(glued)} glued classes for {len(boundary_names)} boundary "
-            "generators"
-        )
-    return report
+    """The realization of the representable without its top cell, the
+    identity, which is its only cell of shape ``omega``."""
+    X = yoneda(omega, omega.dim)
+    del X.cells[omega]
+    return realize_oset(X)
 
 
 # -- the terminal many-to-one polygraph --------------------------------

@@ -44,6 +44,8 @@ class Signature(ABC):
     provide ``source_tree``, ``sub_readdress`` (a bijection from the leaves
     of that tree to the inputs of the operation's target), and the
     ``sub_signature`` those trees live over; this is what ``flatten`` needs.
+    Their ``source_tree`` is None at the bottom level, where every
+    operation has a single input (arrows, 1-generators).
     """
 
     @abstractmethod
@@ -55,7 +57,7 @@ class Signature(ABC):
     @abstractmethod
     def target_color(self, op: Operation) -> Color: ...
 
-    def source_tree(self, op: Operation) -> "Tree":
+    def source_tree(self, op: Operation) -> "Tree | None":
         raise OpetopicError(
             f"signature {type(self).__name__} has no level-down structure; "
             "flatten is unavailable at the base level"
@@ -351,22 +353,32 @@ class FlattenResult:
 def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     """Contract a tree of operations into one composite a level down.
 
-    The unit on a color becomes the corolla at that color; a corolla
-    becomes its operation's source tree; each further node substitutes its
-    source tree into the partial result at the node its attachment leaf
-    readdresses to.  The returned map is a bijection from the leaves of the
-    input onto the nodes of the result.
+    The unit on a color becomes the corolla at that color.  Operations
+    without a source tree (arrows, 1-generators) have one input each, so
+    their trees are chains; this is the base case, and a chain also
+    becomes the corolla on the color of its only leaf.  Otherwise a corolla
+    becomes its operation's source tree, and each further node substitutes
+    its source tree into the partial result at the node its attachment
+    leaf readdresses to.  The returned map is a bijection from the leaves
+    of the input onto the nodes of the result.
     """
-    sub = sig.sub_signature()
     if tree.is_unit:
         return FlattenResult(corolla(tree.unit_color), {EMPTY: EMPTY})
-    items = sorted(tree.nodes.items(), key=lambda kv: kv[0])
-    root_addr, root_op = items[0]
-    if root_addr != EMPTY:
+    nodes = tree.nodes
+    if EMPTY not in nodes:
         raise CoherenceError("node map does not contain the root address")
+    root_op = nodes[EMPTY]
     result = sig.source_tree(root_op)
+    if result is None:
+        # a chain: the deepest node, the greatest address, holds the leaf
+        deepest = max(nodes)
+        op = nodes[deepest]
+        (slot,) = sig.inputs(op)
+        leaf = deepest.child(slot)
+        return FlattenResult(corolla(sig.source_color(op, slot)), {leaf: EMPTY})
+    sub = sig.sub_signature()
     rho = {EMPTY.child(e): e for e in sig.inputs(root_op)}
-    for p, op in items[1:]:
+    for p, op in sorted(nodes.items(), key=lambda kv: kv[0])[1:]:
         if p not in rho:
             raise CoherenceError(f"node at {p} is not attached to a leaf")
         r = rho.pop(p)

@@ -29,7 +29,6 @@ from opetopic.oset import yoneda
 from opetopic.polygraph import CompositeShape, count, decompose
 from opetopic.randomized import RandomPolygraphConfig, random_cell, random_polygraph
 from opetopic.realization import (
-    boundary_colimit_check,
     counit_check,
     realize_opetope,
     shape_of,
@@ -291,6 +290,8 @@ class TestCriterion05HomCounts:
 
 class TestCriterion06Realization:
     def test_realizations_validate_with_slice_counts(self):
+        from test_realization import boundary_colimit_check
+
         checked = 0
         for dim in range(4):
             for omega in enumerate_opetopes(dim, 3):

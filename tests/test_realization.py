@@ -3,17 +3,21 @@ import random
 import pytest
 
 from opetopic import realization
-from opetopic.category import slice_classes
+from opetopic.address import EMPTY
+from opetopic.category import Face, MorphismClass, compose, hom, slice_classes
+from opetopic.errors import Report
+from opetopic.formats import print_polygraph
 from opetopic.opetope import (
+    Opetope,
     arrow,
     enumerate_opetopes,
     opetopic_integer,
     point,
 )
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
+from opetopic.polygraph import MtoPolygraph
 from opetopic.randomized import random_polygraph
 from opetopic.realization import (
-    boundary_colimit_check,
     boundary_polygraph,
     cells_of_shape,
     counit_check,
@@ -25,13 +29,126 @@ from opetopic.realization import (
     terminal_polygraph,
     unit_check,
 )
+from opetopic.trees import Tree
 
 O0 = opetopic_integer(0)
 O2 = opetopic_integer(2)
 
 
+def oracle_corpus():
+    """Every opetope of dims 0-3 at bound 3 and of dims 4-5 at bound 2."""
+    return [omega for dim in range(4) for omega in enumerate_opetopes(dim, 3)] + [
+        omega for dim in (4, 5) for omega in enumerate_opetopes(dim, 2)
+    ]
+
+
 def generator_counts(P):
     return [len(P.generators(dim)) for dim in range(P.max_dim + 1)]
+
+
+# -- independent oracles: realization built straight from slice classes,
+# and the boundary glued from the realizations of the proper faces
+
+
+def direct_realization(omega: Opetope) -> MtoPolygraph:
+    """The polygraph freely implementing the face structure of an opetope."""
+    P = MtoPolygraph()
+    classes = slice_classes(omega)
+    for dim in sorted(classes):
+        for cls in classes[dim]:
+            name = str(cls)
+            if dim == 0:
+                P.add_point(name)
+            elif dim == 1:
+                source = str(cls.then_face(Face(cls.domain, EMPTY)))
+                target = str(cls.then_face(Face(cls.domain)))
+                P.add_arrow(name, source, target)
+            else:
+                phi = cls.domain
+                target = cls.then_face(Face(phi))
+                if phi.is_degenerate:
+                    color = target.then_face(Face(target.domain))
+                    tree: Tree = Tree.unit(str(color))
+                else:
+                    tree = Tree.of(
+                        {p: str(cls.then_face(Face(phi, p))) for p in phi.node_addresses()}
+                    )
+                P.add_generator(dim, name, tree, str(target))
+    return P
+
+
+def boundary_colimit_check(omega: Opetope) -> Report:
+    """Cross-check the boundary against its gluing description.
+
+    Glue the realizations of all proper faces over the slice: pairs
+    (face class A, generator C of the realization of A's domain) are
+    identified along every slice morphism.  The resulting classes must
+    correspond one-to-one with the boundary generators, i.e. with the
+    composite classes A after C.
+    """
+    report = Report()
+    slice_objects = [
+        cls
+        for dim in range(omega.dim)
+        for cls in slice_classes(omega).get(dim, [])
+    ]
+    pairs: list[tuple[MorphismClass, MorphismClass]] = []
+    index: dict[tuple[str, str], int] = {}
+    for A in slice_objects:
+        for dim, inner_classes in slice_classes(A.domain).items():
+            for C in inner_classes:
+                key = (str(A), str(C))
+                index[key] = len(pairs)
+                pairs.append((A, C))
+    parent = list(range(len(pairs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        parent[find(i)] = find(j)
+
+    for A in slice_objects:
+        for B in slice_objects:
+            for h in hom(B.domain, A.domain):
+                if compose(A, h) != B:
+                    continue
+                # the slice morphism h : (B.domain, B) -> (A.domain, A)
+                # identifies (B, C) with (A, h after C)
+                for dim, inner_classes in slice_classes(B.domain).items():
+                    for C in inner_classes:
+                        i = index[(str(B), str(C))]
+                        j = index[(str(A), str(compose(h, C)))]
+                        union(i, j)
+    glued: dict[int, set[str]] = {}
+    for k, (A, C) in enumerate(pairs):
+        glued.setdefault(find(k), set()).add(str(compose(A, C)))
+    for root, composites in glued.items():
+        if len(composites) != 1:
+            report.fail(
+                f"glued class maps to several boundary generators: "
+                f"{sorted(composites)}"
+            )
+    boundary_names = {
+        str(cls)
+        for dim in range(omega.dim)
+        for cls in slice_classes(omega).get(dim, [])
+    }
+    image = {next(iter(v)) for v in glued.values() if len(v) == 1}
+    if image != boundary_names:
+        report.fail(
+            f"glued classes {sorted(image)} differ from boundary generators "
+            f"{sorted(boundary_names)}"
+        )
+    if len(glued) != len(boundary_names):
+        report.fail(
+            f"{len(glued)} glued classes for {len(boundary_names)} boundary "
+            "generators"
+        )
+    return report
 
 
 class TestRealizeOpetope:
@@ -144,14 +261,17 @@ class TestShape:
 
 class TestRealizeOSet:
     def test_yoneda_matches_realization(self):
-        for omega in [arrow(), O0, O2]:
-            via_oset = realize_oset(yoneda(omega, omega.dim))
-            direct = realize_opetope(omega)
-            assert generator_counts(via_oset) == generator_counts(direct)
-            for dim in range(direct.max_dim + 1):
-                assert sorted(via_oset.generators(dim)) == sorted(
-                    direct.generators(dim)
-                )
+        for omega in oracle_corpus():
+            direct = print_polygraph(direct_realization(omega))
+            via_oset = print_polygraph(realize_oset(yoneda(omega, omega.dim)))
+            assert via_oset == direct, omega
+            assert print_polygraph(realize_opetope(omega)) == direct, omega
+            # the boundary is the oracle without its top generator
+            top = f"gen {omega.dim} "
+            boundary = "".join(
+                line for line in direct.splitlines(True) if not line.startswith(top)
+            )
+            assert print_polygraph(boundary_polygraph(omega)) == boundary, omega
 
     def test_empty(self):
         P = realize_oset(OpetopicSet(max_dim=2))

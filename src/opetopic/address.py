@@ -115,11 +115,21 @@ def parse_address(text: str) -> Address:
 
 
 def read_address(
-    text: str, index: int, error: Callable[[int, str], ParseError]
+    text: str,
+    index: int,
+    error: Callable[[int, str], ParseError],
+    interned: dict[tuple[int, ...], Address] | None = None,
 ) -> tuple[Address, int]:
     """Read the address that opens at ``text[index]``; return it and the
     index just past it.  ``error(index, expected)`` builds the exception
-    for malformed text.  Iterative, so nesting depth is unbounded."""
+    for malformed text.  Iterative, so nesting depth is unbounded.
+
+    Each address is built bottom-up and looked up in ``interned`` by the
+    identities of its entries, so equal addresses read through one table
+    are one object.  Comparing them is then an identity test, which does
+    not recurse however deep they are nested."""
+    if interned is None:
+        interned = {}
     if index >= len(text) or text[index] != "[":
         raise error(index, "'['")
     index += 1
@@ -129,7 +139,11 @@ def read_address(
         char = text[index] if index < len(text) else ""
         if char == "]":
             index += 1
-            address = Address(tuple(open_entries.pop()))
+            entries = open_entries.pop()
+            key = tuple(map(id, entries))
+            address = interned.get(key)
+            if address is None:
+                address = interned[key] = _trusted(entries) if entries else EMPTY
             if not open_entries:
                 return address, index
             open_entries[-1].append(address)

@@ -60,14 +60,16 @@ class Scanner:
 
     Every read skips whitespace and ``#`` comments first.  A name, an ASCII
     number or a symbol is read with one precompiled regular-expression
-    match.  Addresses are read by ``address.read_address`` and memoized by
-    their source text, so equal addresses in one text are one object.
+    match.  Addresses are read by ``address.read_address`` through one
+    intern table per text, so equal addresses in one text are one object,
+    and memoized by their source text.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self._addresses: dict[str, Address] = {}
+        self._interned: dict[tuple[int, ...], Address] = {}
 
     def _skip(self) -> None:
         self.pos = _SKIP_RE.match(self.text, self.pos).end()
@@ -127,7 +129,9 @@ class Scanner:
             self.pos = match.end()
             return known
         start = match.start(1)
-        address, self.pos = read_address(self.text, start, self._error_at)
+        address, self.pos = read_address(
+            self.text, start, self._error_at, self._interned
+        )
         return self._addresses.setdefault(self.text[start : self.pos], address)
 
     def _error_at(self, pos: int, expected: str) -> ParseError:

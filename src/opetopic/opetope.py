@@ -6,9 +6,13 @@ A unit tree is a degenerate opetope.  The target of an opetope and the
 readdressing bijection from its leaves onto the target's nodes are computed
 by flattening the tree one dimension down.
 
-Instances are interned, so equality is pointer identity for values built
-through the factory functions here and targets are computed once per
-distinct opetope.
+Opetopes are hash-consed: the factory functions here return one instance
+per opetope, so equality and hashing are the object defaults, identity.
+An opetope is found in the intern table by a shallow key, its dimension
+and its node map, whose values are interned opetopes one dimension down;
+a degenerate opetope is keyed by its shell, the point and the arrow by
+their dimension.  Computing a key or comparing two node maps therefore
+stops one level down, and targets are computed once per opetope.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ DEFAULT_ENUMERATION_CAP = 500_000
 class Opetope:
     """An opetope; use the factory functions, not the constructor."""
 
-    __slots__ = ("_dim", "_tree", "_hash", "_boundary", "_str", "_leaves")
+    __slots__ = ("_dim", "_tree", "_boundary", "_str", "_leaves")
 
     def __init__(self, dim: int, tree: Tree | None):
         self._dim = dim
         self._tree = tree
-        self._hash: int | None = None
         self._boundary: tuple["Opetope", dict[Address, Address]] | None = None
         self._str: str | None = None
         self._leaves: tuple[Address, ...] | None = None
@@ -111,17 +114,15 @@ class Opetope:
                 self._boundary = (target, result.readdress)
         return self._boundary
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Opetope):
-            return NotImplemented
-        return self._dim == other._dim and self._tree == other._tree
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._dim, self._tree))
-        return self._hash
+    def __reduce__(self):
+        # rebuild through the factories, so a copy is the interned instance
+        if self._dim == 0:
+            return point, ()
+        if self._dim == 1:
+            return arrow, ()
+        if self.is_degenerate:
+            return degenerate, (self.shell,)
+        return from_tree, (self._tree,)
 
     def __str__(self) -> str:
         if self._str is None:
@@ -143,11 +144,37 @@ class Opetope:
         return f"Opetope({self})"
 
 
-_INTERN: dict[Opetope, Opetope] = {}
+# interned opetopes by shallow key; a key taken by a different opetope
+# (a hash collision) is probed past, one step at a time, so each entry is
+# one opetope and nothing is ever removed
+_INTERN: dict[int, Opetope] = {}
+
+
+def _probe(dim: int, tree: Tree | None) -> tuple[Opetope | None, int]:
+    """The interned opetope of dimension ``dim`` with this tree (None below
+    dimension 2), or None; and the key it has or would get."""
+    if tree is None:
+        key = hash((dim, None))
+    elif tree._nodes is None:
+        key = hash((dim, tree._unit))
+    else:
+        key = hash((dim, frozenset(tree._nodes.items())))
+    while (found := _INTERN.get(key)) is not None:
+        other = found._tree
+        if found._dim == dim and (
+            other is None
+            or (other._unit is tree._unit and other._nodes == tree._nodes)
+        ):
+            break
+        key += 1
+    return found, key
 
 
 def _intern(candidate: Opetope) -> Opetope:
-    return _INTERN.setdefault(candidate, candidate)
+    found, key = _probe(candidate._dim, candidate._tree)
+    if found is None:
+        found = _INTERN[key] = candidate
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -162,26 +189,26 @@ def arrow() -> Opetope:
 
 def degenerate(shell: Opetope) -> Opetope:
     """The opetope two dimensions above ``shell`` with a bare-edge tree."""
-    return _intern(Opetope(shell.dim + 2, Tree.unit(shell)))
+    return from_tree(Tree.unit(shell))
 
 
 def from_tree(tree: Tree, validate: bool = False) -> Opetope:
     """Wrap a tree of (n-1)-opetopes as an n-opetope."""
     if tree.is_unit:
-        return degenerate(tree.unit_color)
-    dims = {op.dim for op in tree.nodes.values()}
-    if len(dims) != 1:
-        raise CoherenceError(f"node decorations mix dimensions {sorted(dims)}")
-    dim = dims.pop()
-    if dim < 1:
-        raise CoherenceError("node decorations must have dimension >= 1")
-    candidate = Opetope(dim + 1, tree)
-    existing = _INTERN.get(candidate)
-    if existing is not None:
-        return existing
-    if validate:
-        check_tree(OPETOPE_SIG, tree)
-    return _intern(candidate)
+        dim = tree.unit_color.dim + 2
+    else:
+        dims = {op.dim for op in tree.nodes.values()}
+        if len(dims) != 1:
+            raise CoherenceError(f"node decorations mix dimensions {sorted(dims)}")
+        dim = dims.pop() + 1
+        if dim < 2:
+            raise CoherenceError("node decorations must have dimension >= 1")
+    found, key = _probe(dim, tree)
+    if found is None:
+        if validate:
+            check_tree(OPETOPE_SIG, tree)
+        found = _INTERN[key] = Opetope(dim, tree)
+    return found
 
 
 def node_map(bindings: dict[Address, Opetope]) -> Opetope:
@@ -261,9 +288,13 @@ def check_identities(omega: Opetope) -> Report:
             report.fail(f"degeneracy: s[[]] t = {left} but t t = {right}")
         return report
     # sources of a decoration: its node decorations, or the point below an
-    # arrow; parent addresses are tuple slices, valid as dict keys
+    # arrow, which has no tree; parent addresses are tuple slices, valid as
+    # dict keys
+    below_arrow = point()
+
     def source(op, slot):
-        return op.tree.nodes[slot] if op.dim >= 2 else point()
+        tree = op._tree
+        return below_arrow if tree is None else tree._nodes[slot]
 
     nodes = omega.tree.nodes
     for address, op in nodes.items():
@@ -303,10 +334,16 @@ def iter_opetopes(
 
     The degenerate ones come first; the others are the trees that
     ``trees.grow_trees`` grows from the (n-1)-opetopes with ``max_nodes``
-    as both node and leaf bound, with their target and readdressing kept
-    up to date by the grower and cached on the instance.  ``shard = (i, k)``
-    restricts to every k-th degenerate or root choice, for splitting
-    sweeps across processes.
+    as both node and leaf bound.  The grower keeps each tree's target,
+    readdressing and sorted leaves up to date, and they are cached on the
+    instance; the target is looked up by its shallow key, and a tree whose
+    target is not interned is skipped before any opetope is built.
+    ``shard = (i, k)`` restricts to every k-th degenerate or root choice,
+    for splitting sweeps across processes.
+
+    With ``intern_results`` false, an opetope that is already interned is
+    yielded as the interned instance and any other as a fresh instance
+    that is not stored, so a long sweep does not grow the intern table.
     """
     if n < 0:
         raise ValueError("dimension must be a natural number")
@@ -342,18 +379,21 @@ def iter_opetopes(
     grown = grow_trees(
         OPETOPE_SIG, previous, roots, max_nodes, max_leaves=max_nodes, readdress=True
     )
-    for tree, result, rho in grown:
-        omega = Opetope(n, tree)
-        if result.is_unit:
-            target = degenerate(result.unit_color)
-        else:
-            candidate = Opetope(n - 1, result)
-            target = _INTERN.get(candidate)
-            if target is None:
-                target = _intern(candidate)
-        if target in allowed:
+    for tree, result, rho, leaves in grown:
+        # a target that is not interned is not among the allowed ones
+        target = _probe(n - 1, result)[0]
+        if target is None or target not in allowed:
+            continue
+        omega, key = _probe(n, tree)
+        if omega is None:
+            omega = Opetope(n, tree)
+            if intern_results:
+                _INTERN[key] = omega
+        if omega._boundary is None:
             omega._boundary = (target, rho)
-            yield _intern(omega) if intern_results else omega
+        if omega._leaves is None:
+            omega._leaves = leaves
+        yield omega
 
 
 _ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}

@@ -279,7 +279,7 @@ class MtoPolygraph:
         gens = self.generators(dim)
         if gens:
             grown = grow_trees(self.stage(dim), gens, gens, budget)
-            cells.extend(Cell(dim, tree) for tree, _, _ in grown)
+            cells.extend(Cell(dim, tree) for tree, _, _, _ in grown)
         return cells
 
     # -- validation ---------------------------------------------------

@@ -182,7 +182,7 @@ def leaf_addresses(sig: Signature, tree: Tree) -> tuple[Address, ...]:
     leaves = []
     for p, op in nodes.items():
         for q in sig.inputs(op):
-            a = p.child(q)
+            a = _trusted(p + (q,))
             if a not in nodes:
                 leaves.append(a)
     return tuple(sorted(leaves))
@@ -401,81 +401,92 @@ def grow_trees(
     max_nodes: int,
     max_leaves: int | None = None,
     readdress: bool = False,
-) -> Iterator[tuple[Tree, Tree | None, dict[Address, Address] | None]]:
+) -> Iterator[
+    tuple[Tree, Tree | None, dict[Address, Address] | None, tuple[Address, ...]]
+]:
     """The node-map trees with a root from ``roots`` and further nodes from
     ``operations`` (which contains the roots), with at most ``max_nodes``
     nodes and, when ``max_leaves`` is given, at most that many leaves.
 
     Corollas are grafted at leaves in strictly ascending address order,
     which reaches every tree exactly once, root by root in the given order.
-    Yields ``(tree, flat, rho)``: with ``readdress``, ``flatten``'s result
-    tree and readdressing map, kept up to date by one substitution per
-    tree; otherwise ``None, None``.
+    Yields ``(tree, flat, rho, leaves)``: with ``readdress``, ``flatten``'s
+    result tree and readdressing map, kept up to date by one substitution
+    per tree, otherwise ``None, None``; and the tree's leaf addresses in
+    ascending order, as ``leaf_addresses`` gives them.
     """
     if max_nodes < 1:
         return
-    # per operation: input slots with their colors, and for readdressing
-    # its source tree and the inverted leaf-to-input gluing; operations are
-    # bucketed by (target color, arity) so that the leaf bound picks buckets
+    # per operation: input slots in ascending order and their colors, and
+    # for readdressing its source tree and the inverted leaf-to-input
+    # gluing; operations are bucketed by (target color, arity) so that the
+    # leaf bound picks buckets
     info = {}
     by_target: dict[Color, list[list[Operation]]] = {}
     for op in operations:
-        slots = tuple((slot, sig.source_color(op, slot)) for slot in sig.inputs(op))
+        slots = tuple(sorted(sig.inputs(op)))
+        colors = tuple(sig.source_color(op, slot) for slot in slots)
         if readdress:
             inverse = {slot: leaf for leaf, slot in sig.sub_readdress(op).items()}
-            info[op] = (slots, sig.source_tree(op), inverse)
+            info[op] = (slots, colors, sig.source_tree(op), inverse)
         else:
-            info[op] = (slots, None, None)
+            info[op] = (slots, colors, None, None)
         buckets = by_target.setdefault(sig.target_color(op), [])
         while len(buckets) <= len(slots):
             buckets.append([])
         buckets[len(slots)].append(op)
 
-    def grow(nodes, leaves, last, flat, rho):
+    def grow(nodes, leaves, colors, start, flat, rho):
+        # ``leaves`` is sorted and ``colors`` runs alongside it; leaves are
+        # an antichain, so the children of a grafted leaf take its place in
+        # the order, and grafting goes on from there
         budget = max_nodes - len(nodes)
         # adding a node with a inputs leaves at least
         # len(leaves) - 1 + a - (budget - 1) leaves in any completion
         stop = None
         if max_leaves is not None:
             stop = max_leaves + budget - len(leaves) + 1
-        for leaf in sorted(leaves):
-            if not (last < tuple(leaf)):
-                continue
-            buckets = by_target.get(leaves[leaf])
+        for i in range(start, len(leaves)):
+            buckets = by_target.get(colors[i])
             if buckets is None:
                 continue
+            leaf = leaves[i]
+            before, after = leaves[:i], leaves[i + 1 :]
+            colors_before, colors_after = colors[:i], colors[i + 1 :]
             anchor = rho[leaf] if readdress else None
             for arity_ops in buckets[:stop]:
                 for op in arity_ops:
-                    slots, tree, inverse = info[op]
+                    slots, op_colors, tree, inverse = info[op]
                     new_nodes = dict(nodes)
                     new_nodes[leaf] = op
-                    new_leaves = dict(leaves)
-                    del new_leaves[leaf]
+                    children = tuple([_trusted(leaf + (slot,)) for slot in slots])
+                    new_leaves = before + children + after
                     new_flat = new_rho = None
                     if readdress:
                         new_flat, moves = _substitute_core(flat, anchor, tree, inverse)
                         new_rho = {
                             l: moves[node] for l, node in rho.items() if l != leaf
                         }
-                    for slot, color in slots:
-                        child = leaf.child(slot)
-                        new_leaves[child] = color
-                        if readdress:
-                            new_rho[child] = anchor.concat(slot)
+                        for child, slot in zip(children, slots):
+                            new_rho[child] = _trusted(anchor + slot)
                     if max_leaves is None or len(new_leaves) <= max_leaves:
-                        yield Tree._wrap(new_nodes), new_flat, new_rho
+                        yield Tree._wrap(new_nodes), new_flat, new_rho, new_leaves
                     if budget > 1:
                         yield from grow(
-                            new_nodes, new_leaves, tuple(leaf), new_flat, new_rho
+                            new_nodes,
+                            new_leaves,
+                            colors_before + op_colors + colors_after,
+                            i,
+                            new_flat,
+                            new_rho,
                         )
 
     for root in roots:
-        slots, tree, _ = info[root]
+        slots, colors, tree, _ = info[root]
         nodes = {EMPTY: root}
-        leaves = {EMPTY.child(slot): color for slot, color in slots}
-        rho = {EMPTY.child(slot): slot for slot, _ in slots} if readdress else None
+        leaves = tuple([EMPTY.child(slot) for slot in slots])
+        rho = dict(zip(leaves, slots)) if readdress else None
         if max_leaves is None or len(leaves) <= max_leaves:
-            yield Tree._wrap(nodes), tree, rho
+            yield Tree._wrap(nodes), tree, rho, leaves
         if max_nodes > 1:
-            yield from grow(nodes, leaves, (), tree, rho)
+            yield from grow(nodes, leaves, colors, 0, tree, rho)

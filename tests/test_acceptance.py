@@ -63,7 +63,7 @@ def _sweep_opetopes(args):
         if not report.ok:
             identity_failures.append(f"{omega}: {report}")
         rho = omega.readdress()
-        leaves = omega.leaf_addresses()
+        leaves = leaf_addresses(OPETOPE_SIG, omega.tree)
         targets = omega.target().node_addresses()
         values = sorted(rho.values())
         if (

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from opetopic.address import EMPTY, Address, compare, parse_address
+from opetopic.address import EMPTY, Address, compare, parse_address, read_address
 from opetopic.errors import ParseError
 from opetopic.opetope import enumerate_opetopes
 
@@ -120,6 +120,20 @@ class TestParsePrint:
         again = parse_address(text)
         assert again.depth() == 2999
         assert str(again) == text
+
+    def test_one_table_reads_equal_addresses_as_one_object(self):
+        def error(index, expected):
+            return ParseError(f"expected {expected}", 1, index + 1)
+
+        interned = {}
+        deep = "[" * 1200 + "]" * 1200
+        spaced = "[" * 1200 + " " + "]" * 1200
+        first, _ = read_address(deep, 0, error, interned)
+        second, _ = read_address(spaced, 0, error, interned)
+        assert first is second
+        starred, _ = read_address("[[] [*] *]", 0, error, interned)
+        assert starred[0] is EMPTY and starred[2] is EMPTY
+        assert starred == parse_address("[[] [*] *]")
 
 
 class TestStructure:

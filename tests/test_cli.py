@@ -149,6 +149,18 @@ class TestCommands:
         assert err.startswith("error: line 1, column ") and "Traceback" not in err
         assert f"address {parse_address(deep)} bound twice (lines 1 and 1)" in err
 
+    def test_deep_address_spelled_twice_is_an_error_not_a_crash(self, capsys):
+        # the two spellings differ in text, so only interning the parsed
+        # addresses keeps the duplicate test from comparing them entry by entry
+        deep = "[" * 1200 + "]" * 1200
+        spaced = "[" * 1200 + " " + "]" * 1200
+        code, out, err = run(
+            capsys, "target", "--expr", f"{{[] <- arrow, {deep} <- arrow, {spaced} <- arrow}}"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1, column ") and "Traceback" not in err
+        assert f"address {parse_address(deep)} bound twice (lines 1 and 1)" in err
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
     def test_only_ascii_digits_are_numbers(self, capsys, tmp_path, digit):
         path = tmp_path / "bad.poly"

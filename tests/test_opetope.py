@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from opetopic import opetope
@@ -16,7 +19,7 @@ from opetopic.opetope import (
     opetopic_integer,
     point,
 )
-from opetopic.trees import corolla, edge_color, graft, leaf_addresses
+from opetopic.trees import Tree, corolla, edge_color, graft, leaf_addresses
 
 STAR = Address((EMPTY,))
 O2 = opetopic_integer(2)
@@ -285,3 +288,88 @@ class TestStructure:
             assert len(omega.leaf_addresses()) == len(
                 omega.target().node_addresses()
             )
+
+
+def with_faces(opetopes):
+    """The given opetopes and all their iterated sources and targets."""
+    seen = set()
+    stack = list(opetopes)
+    while stack:
+        omega = stack.pop()
+        if omega in seen:
+            continue
+        seen.add(omega)
+        if omega.dim >= 1:
+            stack.append(omega.target())
+        if omega.is_degenerate:
+            stack.append(omega.shell)
+        elif omega.dim >= 2:
+            stack.extend(omega.tree.nodes.values())
+    return seen
+
+
+def is_interned(omega) -> bool:
+    """Whether the intern table holds this very instance under its key."""
+    found, _ = opetope._probe(omega.dim, omega._tree)
+    return found is omega
+
+
+class TestHashConsing:
+    """Equality is identity, so every way of building an opetope must
+    give back its one interned instance."""
+
+    @pytest.mark.parametrize("dim, bound", [(0, 3), (1, 3), (2, 3), (3, 3), (4, 3), (5, 2)])
+    def test_canonical_instances(self, dim, bound):
+        for omega in with_faces(enumerate_opetopes(dim, bound)):
+            assert is_interned(omega)
+            if omega.dim >= 1:
+                assert is_interned(omega.target())
+            if omega.is_degenerate:
+                assert degenerate(omega.shell) is omega
+                assert from_tree(Tree.unit(omega.shell)) is omega
+            elif omega.dim >= 2:
+                # a fresh node map with a different insertion order
+                reversed_nodes = dict(reversed(omega.tree.nodes.items()))
+                assert from_tree(Tree.of(reversed_nodes)) is omega
+                assert node_map(reversed_nodes) is omega
+
+    @pytest.mark.parametrize("dim", range(5))
+    def test_pickle_and_deepcopy_give_the_interned_instance(self, dim):
+        for omega in enumerate_opetopes(dim, 2):
+            assert pickle.loads(pickle.dumps(omega)) is omega
+            assert copy.deepcopy(omega) is omega
+            assert copy.copy(omega) is omega
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_grower_leaves_match_the_tree(self, dim):
+        for omega in enumerate_opetopes(dim, 3):
+            if omega.dim >= 2:
+                assert omega.leaf_addresses() == leaf_addresses(OPETOPE_SIG, omega.tree)
+
+    def test_grower_leaves_on_a_full_sweep_shard(self):
+        enumerate_opetopes(3, 4)
+        size = len(opetope._INTERN)
+        degenerate_count = grown = 0
+        for omega in iter_opetopes(4, 4, shard=(5, 64), intern_results=False):
+            if omega.is_degenerate:
+                degenerate_count += 1
+                continue
+            grown += 1
+            # handed over by the grower, not computed from the tree
+            assert omega._leaves is not None
+            assert omega.leaf_addresses() == leaf_addresses(OPETOPE_SIG, omega.tree)
+        assert grown > 10_000
+        # un-interned results are not stored; degenerate ones may be
+        assert len(opetope._INTERN) - size <= degenerate_count
+
+    def test_uninterned_results_intern_to_the_enumerated_instances(self):
+        enumerate_opetopes(3, 3)
+        fresh = list(iter_opetopes(4, 3, intern_results=False))
+        canonical = enumerate_opetopes(4, 3)
+        assert len(fresh) == len(canonical)
+        assert {id(opetope._intern(omega)) for omega in fresh} == set(map(id, canonical))
+        # once interned, the interned instances are what is yielded
+        size = len(opetope._INTERN)
+        again = list(iter_opetopes(4, 3, intern_results=False))
+        assert set(map(id, again)) == set(map(id, canonical))
+        assert len(opetope._INTERN) == size

@@ -305,7 +305,7 @@ class TestValidation:
 
 
 def grown(sig, ops, max_nodes, max_leaves=None):
-    return [tree for tree, _, _ in grow_trees(sig, ops, ops, max_nodes, max_leaves)]
+    return [tree for tree, _, _, _ in grow_trees(sig, ops, ops, max_nodes, max_leaves)]
 
 
 class TestEnumerateTrees:

@@ -16,7 +16,7 @@ address), and composition is a lookup in the tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
@@ -26,12 +26,16 @@ from .errors import CompositionError, OpetopicError
 from .opetope import Opetope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
-    """A single face embedding into ``codomain``; address None means target."""
+    """A single face embedding into ``codomain``; address None means target.
+
+    ``faces_of`` shares one instance per face of an opetope, so lookups
+    keyed by faces mostly hit on identity; the hash is computed once."""
 
     codomain: Opetope
     address: Address | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.address is None:
@@ -41,6 +45,11 @@ class Face:
             raise CompositionError(
                 f"{self.address} is not a node address of {self.codomain}"
             )
+        # by address alone, which unlike the codomain's identity survives pickling
+        object.__setattr__(self, "_hash", hash(self.address))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_target(self) -> bool:
@@ -52,11 +61,6 @@ class Face:
             return self.codomain.target()
         return self.codomain.source_at(self.address)
 
-    def sort_key(self):
-        if self.address is None:
-            return (0, (), str(self.codomain))
-        return (1, tuple(self.address), str(self.codomain))
-
     def __str__(self) -> str:
         return "t" if self.address is None else f"s{self.address}"
 
@@ -65,11 +69,13 @@ Word = tuple[Face, ...]
 
 
 def faces_of(omega: Opetope) -> tuple[Face, ...]:
-    """Target embedding first, then source embeddings in address order."""
-    if omega.dim < 1:
-        return ()
-    sources = tuple(Face(omega, p) for p in omega.node_addresses())
-    return (Face(omega),) + sources
+    """Target embedding first, then source embeddings in address order;
+    built once per opetope and kept on it, so callers share its faces."""
+    faces = omega._faces
+    if faces is None:
+        sources = tuple(Face(omega, p) for p in omega.node_addresses())
+        faces = omega._faces = (Face(omega),) + sources if omega.dim else ()
+    return faces
 
 
 @dataclass(frozen=True)

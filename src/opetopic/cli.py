@@ -12,9 +12,10 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .address import parse_address
-from .category import hom
+from .category import faces_of, hom
 from .errors import OpetopicError, ParseError, Report, UnknownNameError
 from .formats import (
     Scanner,
@@ -139,11 +140,13 @@ def _report_exit(report: Report, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
-def _emit(text: str, payload, as_json: bool) -> int:
+def _emit(text: Callable[[], str], payload: Callable[[], object], as_json: bool) -> int:
+    """Print the JSON payload under ``--json``, else the text; only the
+    one printed is built."""
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
     return 0
 
 
@@ -167,19 +170,19 @@ def cmd_validate(args) -> int:
 def cmd_target(args) -> int:
     omega = _load_opetope(args)
     result = omega.target()
-    return _emit(str(result), _opetope_json(result), args.json)
+    return _emit(lambda: str(result), lambda: _opetope_json(result), args.json)
 
 
 def cmd_source(args) -> int:
     omega = _load_opetope(args)
     result = omega.source_at(parse_address(args.addr))
-    return _emit(str(result), _opetope_json(result), args.json)
+    return _emit(lambda: str(result), lambda: _opetope_json(result), args.json)
 
 
 def cmd_leaves(args) -> int:
     omega = _load_opetope(args)
     leaves = [str(leaf) for leaf in omega.leaf_addresses()]
-    return _emit("\n".join(leaves), leaves, args.json)
+    return _emit(lambda: "\n".join(leaves), lambda: leaves, args.json)
 
 
 def cmd_readdress(args) -> int:
@@ -187,7 +190,7 @@ def cmd_readdress(args) -> int:
     rho = omega.readdress()
     lines = [f"{leaf} -> {rho[leaf]}" for leaf in sorted(rho)]
     payload = {str(leaf): str(rho[leaf]) for leaf in sorted(rho)}
-    return _emit("\n".join(lines), payload, args.json)
+    return _emit(lambda: "\n".join(lines), lambda: payload, args.json)
 
 
 def cmd_identities(args) -> int:
@@ -198,29 +201,31 @@ def cmd_identities(args) -> int:
 def cmd_enumerate(args) -> int:
     out = enumerate_opetopes(args.dim, args.max_nodes)
     lines = [str(omega) for omega in out]
-    return _emit("\n".join(lines), lines, args.json)
+    return _emit(lambda: "\n".join(lines), lambda: lines, args.json)
 
 
 def cmd_hom(args) -> int:
     source = _parse_expr(getattr(args, "from"))
     target = _parse_expr(args.to)
     classes = [str(cls) for cls in hom(source, target)]
-    return _emit("\n".join(classes), classes, args.json)
+    return _emit(lambda: "\n".join(classes), lambda: classes, args.json)
 
 
 def cmd_realize(args) -> int:
     P = realize_opetope(_load_opetope(args))
-    return _emit(print_polygraph(P).rstrip("\n"), _polygraph_json(P), args.json)
+    return _emit(
+        lambda: print_polygraph(P).rstrip("\n"), lambda: _polygraph_json(P), args.json
+    )
 
 
 def cmd_boundary(args) -> int:
     P = boundary_polygraph(_load_opetope(args))
-    return _emit(print_polygraph(P).rstrip("\n"), _polygraph_json(P), args.json)
+    return _emit(
+        lambda: print_polygraph(P).rstrip("\n"), lambda: _polygraph_json(P), args.json
+    )
 
 
 def _oset_json(X) -> dict:
-    from .category import faces_of
-
     return {
         str(shape): {
             name: {
@@ -240,7 +245,7 @@ def cmd_yoneda(args) -> int:
             f"--max-dim {max_dim} is below the dimension {omega.dim} of the opetope"
         )
     X = yoneda(omega, max_dim)
-    return _emit(print_oset(X).rstrip("\n"), _oset_json(X), args.json)
+    return _emit(lambda: print_oset(X).rstrip("\n"), lambda: _oset_json(X), args.json)
 
 
 def cmd_shape(args) -> int:
@@ -258,14 +263,17 @@ def cmd_shape(args) -> int:
         )
     dim = args.dim if args.dim is not None else dims[0]
     result = shape_of(P, dim, args.gen)
-    payload = {
-        "shape": _opetope_json(result.shape),
-        "induced": {
-            str(d): dict(sorted(mapping.items()))
-            for d, mapping in result.induced.maps.items()
-        },
-    }
-    return _emit(str(result.shape), payload, args.json)
+
+    def payload():
+        return {
+            "shape": _opetope_json(result.shape),
+            "induced": {
+                str(d): dict(sorted(mapping.items()))
+                for d, mapping in result.induced.maps.items()
+            },
+        }
+
+    return _emit(lambda: str(result.shape), payload, args.json)
 
 
 def cmd_nerve(args) -> int:
@@ -275,7 +283,7 @@ def cmd_nerve(args) -> int:
         print(report, file=sys.stderr)
         return 1
     X = nerve(P, args.max_dim if args.max_dim is not None else P.max_dim)
-    return _emit(print_oset(X).rstrip("\n"), _oset_json(X), args.json)
+    return _emit(lambda: print_oset(X).rstrip("\n"), lambda: _oset_json(X), args.json)
 
 
 # file kind -> (parser, canonical printer)

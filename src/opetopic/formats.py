@@ -1,6 +1,6 @@
 """Parsers and canonical printers for the three file formats.
 
-Opetope definitions::
+Opetope definitions (``<<`` and ``{`` nest at most ``MAX_NESTING`` deep)::
 
     opetope NAME = EXPR
     EXPR ::= "point" | "arrow" | "<<" EXPR ">>"
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, TypeVar
 
 from .address import Address, read_address
 from .category import Face, faces_of
@@ -51,9 +50,6 @@ def _symbol(symbol: str) -> re.Pattern[str]:
     return re.compile(_SKIP + re.escape(symbol))
 
 
-T = TypeVar("T")
-
-
 class Scanner:
     """Expectation-driven scanner: the parser says what it expects next,
     since addresses and names share characters.
@@ -62,7 +58,8 @@ class Scanner:
     number or a symbol is read with one precompiled regular-expression
     match.  Addresses are read by ``address.read_address`` through one
     intern table per text, so equal addresses in one text are one object,
-    and memoized by their source text.
+    and memoized by their source text; ``parse_oset`` memoizes cell shapes
+    the same way.
     """
 
     def __init__(self, text: str):
@@ -139,47 +136,77 @@ class Scanner:
         return self.error(expected)
 
 
-def _bindings(scanner: Scanner, value: Callable[[], T]) -> dict[Address, T]:
-    """The ``ADDRESS <- VALUE`` pairs of a braced block, after its ``{``;
-    an address bound twice is an error naming the lines of both."""
-    bindings: dict[Address, T] = {}
-    starts: dict[Address, int] = {}
-    while True:
-        start = scanner.pos
-        address = scanner.address()
-        scanner.expect_symbol("<-")
-        bound = value()
-        if address in bindings:
-            first, second = scanner.line_at(starts[address]), scanner.line_at(start)
+class _Block:
+    """The ``ADDRESS <- VALUE`` pairs of a braced block after its ``{``,
+    bound one value at a time; an address bound twice is an error naming
+    the lines of both."""
+
+    def __init__(self, scanner: Scanner):
+        self.scanner, self.bindings, self.starts = scanner, {}, {}
+        self._next()
+
+    def _next(self) -> None:
+        self.start = self.scanner.pos
+        self.address = self.scanner.address()
+        self.scanner.expect_symbol("<-")
+
+    def bind(self, value) -> bool:
+        """Bind the pending address; True once the block has closed."""
+        scanner, address = self.scanner, self.address
+        if address in self.bindings:
+            first = scanner.line_at(self.starts[address])
+            second = scanner.line_at(self.start)
             raise ParseError(
                 f"address {address} bound twice (lines {first} and {second})",
                 *scanner.position(),
             )
-        bindings[address] = bound
-        starts[address] = start
-        if not scanner.try_symbol(","):
-            scanner.expect_symbol("}")
-            return bindings
+        self.bindings[address], self.starts[address] = value, self.start
+        if scanner.try_symbol(","):
+            self._next()
+            return False
+        scanner.expect_symbol("}")
+        return True
 
 
 # -- opetope expressions ------------------------------------------------
 
+# printing an opetope, its target and its slice tables recurse per level or
+# dimension; at this depth they stay within the default recursion limit
+MAX_NESTING = 64
+
 
 def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
-    if scanner.try_symbol("<<"):
-        inner = parse_opetope_expr(scanner, env)
-        scanner.expect_symbol(">>")
-        return degenerate(inner)
-    if scanner.try_symbol("{"):
-        return node_map(_bindings(scanner, lambda: parse_opetope_expr(scanner, env)))
-    word = scanner.name()
-    if word == "point":
-        return point()
-    if word == "arrow":
-        return arrow()
-    if word in env:
-        return env[word]
-    raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
+    """One opetope expression, read with an explicit stack of the enclosing
+    ``<<`` (None) and ``{`` blocks, innermost last."""
+    pending: list[_Block | None] = []
+    while True:
+        if len(pending) > MAX_NESTING:
+            message = f"opetope expression nested more than {MAX_NESTING} deep"
+            raise ParseError(message, *scanner.position())
+        if scanner.try_symbol("<<"):
+            pending.append(None)
+            continue
+        if scanner.try_symbol("{"):
+            pending.append(_Block(scanner))
+            continue
+        word = scanner.name()
+        if word in ("point", "arrow"):
+            value = point() if word == "point" else arrow()
+        elif word in env:
+            value = env[word]
+        else:
+            raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
+        while pending:
+            if pending[-1] is None:
+                scanner.expect_symbol(">>")
+                value = degenerate(value)
+            elif pending[-1].bind(value):
+                value = node_map(pending[-1].bindings)
+            else:
+                break
+            pending.pop()
+        else:
+            return value
 
 
 def parse_opetope_file(text: str) -> dict[str, Opetope]:
@@ -213,7 +240,10 @@ def parse_cell_tree(scanner: Scanner) -> Tree:
         scanner.expect_symbol(")")
         return Tree.unit(name)
     scanner.expect_symbol("{")
-    return Tree.of(_bindings(scanner, scanner.name))
+    block = _Block(scanner)
+    while not block.bind(scanner.name()):
+        pass
+    return Tree.of(block.bindings)
 
 
 def parse_polygraph(text: str) -> MtoPolygraph:
@@ -263,9 +293,40 @@ def print_polygraph(P: MtoPolygraph) -> str:
 # -- opetopic-set files ---------------------------------------------------
 
 
+_BRACKET = re.compile(r"[{}]|<<|>>")
+
+
+def _shape(
+    scanner: Scanner, env: dict[str, Opetope], memo: dict[str, Opetope]
+) -> Opetope:
+    """A cell's shape, parsed once per text.  A ``{``- or ``<<``-expression
+    ends at its closing symbol, so wherever its exact text recurs it reads
+    the same (names are never redefined).  ``memo`` maps the spans parsed;
+    a lookup tries the span to the bracket balancing the first one."""
+    scanner._skip()
+    text, start = scanner.text, scanner.pos
+    if text.startswith(("{", "<<"), start):
+        depth = 0
+        for bracket in _BRACKET.finditer(text, start):
+            depth += 1 if bracket.group() in ("{", "<<") else -1
+            if depth == 0:
+                break
+        known = memo.get(text[start : bracket.end()])
+        if known is not None:
+            scanner.pos = bracket.end()
+            return known
+    shape = parse_opetope_expr(scanner, env)
+    memo[text[start : scanner.pos]] = shape
+    return shape
+
+
 def parse_oset(text: str) -> OpetopicSet:
+    """An opetopic-set file.  Each distinct shape text is parsed once, and
+    the faces assigned are the shared ones of ``faces_of``."""
     scanner = Scanner(text)
     env: dict[str, Opetope] = {}
+    shapes: dict[str, Opetope] = {}
+    tables: dict[Opetope, dict[Address | None, Face]] = {}
     entries: list[tuple[Opetope, str, dict[Face, str]]] = []
     max_dim = 0
     while not scanner.at_end():
@@ -283,18 +344,23 @@ def parse_oset(text: str) -> OpetopicSet:
             )
         name = scanner.name()
         scanner.expect_symbol(":")
-        shape = parse_opetope_expr(scanner, env)
+        shape = _shape(scanner, env, shapes)
         max_dim = max(max_dim, shape.dim)
+        faces = tables.get(shape)
+        if faces is None:
+            faces = tables[shape] = {face.address: face for face in faces_of(shape)}
         assignments: dict[Face, str] = {}
         if scanner.try_symbol("{"):
             while True:
+                if scanner.try_symbol("t"):
+                    address = None
+                elif scanner.try_symbol("s"):
+                    address = scanner.address()
+                else:
+                    raise scanner.error("'t' or 's'")
                 try:
-                    if scanner.try_symbol("t"):
-                        face = Face(shape)
-                    elif scanner.try_symbol("s"):
-                        face = Face(shape, scanner.address())
-                    else:
-                        raise scanner.error("'t' or 's'")
+                    # a face the shape lacks fails Face's own check
+                    face = faces.get(address) or Face(shape, address)
                 except CompositionError as error:
                     raise ParseError(str(error), *scanner.position())
                 scanner.expect_symbol("<-")
@@ -308,18 +374,13 @@ def parse_oset(text: str) -> OpetopicSet:
                     continue
                 scanner.expect_symbol("}")
                 break
-        expected = set(faces_of(shape))
-        given = set(assignments)
-        if expected != given:
-            missing = ", ".join(str(f) for f in sorted(expected - given, key=Face.sort_key))
-            spurious = ", ".join(str(f) for f in sorted(given - expected, key=Face.sort_key))
-            parts = []
-            if missing:
-                parts.append(f"missing faces: {missing}")
-            if spurious:
-                parts.append(f"spurious faces: {spurious}")
+        if len(assignments) < len(faces):
+            missing = ", ".join(
+                str(face) for face in faces.values() if face not in assignments
+            )
             raise ParseError(
-                f"cell {name!r} at {shape}: " + "; ".join(parts), *scanner.position()
+                f"cell {name!r} at {shape}: missing faces: {missing}",
+                *scanner.position(),
             )
         entries.append((shape, name, assignments))
     X = OpetopicSet(max_dim=max_dim)

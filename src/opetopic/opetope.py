@@ -18,6 +18,7 @@ stops one level down, and targets are computed once per opetope.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .address import EMPTY, Address
 from .errors import AddressError, CoherenceError, EnumerationLimit, Report
@@ -35,7 +36,7 @@ DEFAULT_ENUMERATION_CAP = 500_000
 class Opetope:
     """An opetope; use the factory functions, not the constructor."""
 
-    __slots__ = ("_dim", "_tree", "_boundary", "_str", "_leaves")
+    __slots__ = ("_dim", "_tree", "_boundary", "_str", "_leaves", "_faces")
 
     def __init__(self, dim: int, tree: Tree | None):
         self._dim = dim
@@ -43,6 +44,7 @@ class Opetope:
         self._boundary: tuple["Opetope", dict[Address, Address]] | None = None
         self._str: str | None = None
         self._leaves: tuple[Address, ...] | None = None
+        self._faces: tuple | None = None  # kept by ``category.faces_of``
 
     @property
     def dim(self) -> int:
@@ -347,22 +349,34 @@ def iter_opetopes(
     """
     if n < 0:
         raise ValueError("dimension must be a natural number")
+    keyed = _keyed_opetopes(n, max_nodes, shard)
+    if not intern_results:
+        return map(itemgetter(0), keyed)
+    return (
+        omega if key is None else _INTERN.setdefault(key, omega)
+        for omega, key in keyed
+    )
+
+
+def _keyed_opetopes(n: int, max_nodes: int, shard: tuple[int, int] | None):
+    """The opetopes of ``iter_opetopes``, the grown ones not interned, each
+    with the intern slot its probe found, or None if interned when built."""
 
     def sharded(index: int) -> bool:
         return shard is None or index % shard[1] == shard[0]
 
     if n == 0:
         if sharded(0):
-            yield point()
+            yield point(), None
         return
     if n == 1:
         if sharded(0):
-            yield arrow()
+            yield arrow(), None
         return
     if n == 2:
         for k in range(max_nodes + 1):
             if sharded(k):
-                yield opetopic_integer(k)
+                yield opetopic_integer(k), None
         return
 
     previous = _enumerated(n - 1, max_nodes, None)
@@ -372,7 +386,7 @@ def iter_opetopes(
         if sharded(index):
             omega = degenerate(shell)
             if omega.target() in allowed:
-                yield omega
+                yield omega, None
     # root choices are numbered after the degenerate ones, skipping one
     roots = [root for i, root in enumerate(previous, len(shells) + 1) if sharded(i)]
 
@@ -387,13 +401,11 @@ def iter_opetopes(
         omega, key = _probe(n, tree)
         if omega is None:
             omega = Opetope(n, tree)
-            if intern_results:
-                _INTERN[key] = omega
         if omega._boundary is None:
             omega._boundary = (target, rho)
         if omega._leaves is None:
             omega._leaves = leaves
-        yield omega
+        yield omega, key
 
 
 _ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}
@@ -404,13 +416,21 @@ def _enumerated(n: int, max_nodes: int, cap: int | None) -> tuple[Opetope, ...]:
     EnumerationLimit past ``cap``, before interning any of them."""
     kept = _ENUMERATED.get((n, max_nodes))
     if kept is None:
-        kept = []
-        for omega in iter_opetopes(n, max_nodes, intern_results=False):
+        kept, keys = [], []
+        for omega, key in _keyed_opetopes(n, max_nodes, None):
             kept.append(omega)
+            keys.append(key)
             if cap is not None and len(kept) > cap:
                 break
         else:
-            kept = sorted(map(_intern, kept), key=print_key)
+            # intern at the slot each probe found, or probe again if another
+            # opetope has taken it since; a None slot means already interned
+            kept = [
+                omega if key is None or _INTERN.setdefault(key, omega) is omega
+                else _intern(omega)
+                for omega, key in zip(kept, keys)
+            ]
+            kept.sort(key=print_key)
             kept = _ENUMERATED[n, max_nodes] = tuple(kept)
     if cap is not None and len(kept) > cap:
         raise EnumerationLimit(f"more than {cap} opetopes of dimension {n}")

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .address import EMPTY
-from .category import Face, Word, faces_of, slice_classes
+from .category import Word, faces_of, slice_classes
 from .errors import CoherenceError, Report
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
 from .oset import OpetopicSet, yoneda
@@ -198,35 +197,35 @@ def oset_generator_names(X: OpetopicSet) -> dict[tuple[Opetope, str], str]:
 
 def realize_oset(X: OpetopicSet) -> MtoPolygraph:
     """One generator per cell; boundaries are read off the face actions."""
-    names = oset_generator_names(X)
+    return _realize(X, oset_generator_names(X))
+
+
+def _realize(X: OpetopicSet, names: dict[tuple[Opetope, str], str]) -> MtoPolygraph:
+    """``realize_oset`` with the generator names already computed."""
     P = MtoPolygraph()
     for shape in X.support():
         dim = shape.dim
+        faces = faces_of(shape)
         for cell in X.cells_at(shape):
             name = names[(shape, cell)]
             if dim == 0:
                 P.add_point(name)
                 continue
-            target_cell = X.face(shape, cell, Face(shape))
+            target_cell = X.face(shape, cell, faces[0])
             target = names[(shape.target(), target_cell)]
             if dim == 1:
-                source_cell = X.face(shape, cell, Face(shape, EMPTY))
+                source_cell = X.face(shape, cell, faces[1])
                 P.add_arrow(name, names[(point(), source_cell)], target)
                 continue
             if shape.is_degenerate:
                 below = shape.target()
-                color_cell = X.face(below, target_cell, Face(below))
+                color_cell = X.face(below, target_cell, faces_of(below)[0])
                 tree: Tree = Tree.unit(names[(below.target(), color_cell)])
             else:
                 tree = Tree.of(
                     {
-                        p: names[
-                            (
-                                shape.source_at(p),
-                                X.face(shape, cell, Face(shape, p)),
-                            )
-                        ]
-                        for p in shape.node_addresses()
+                        face.address: names[(face.domain, X.face(shape, cell, face))]
+                        for face in faces[1:]
                     }
                 )
             P.add_generator(dim, name, tree, target)
@@ -261,8 +260,8 @@ def unit_check(X: OpetopicSet) -> Report:
     """Cells correspond to same-shape generators of the realization,
     compatibly with every generating face."""
     report = Report()
-    P = realize_oset(X)
     names = oset_generator_names(X)
+    P = _realize(X, names)
     memo: dict[tuple[int, str], Opetope] = {}
     # the generators grouped by shape, in one pass over the shared memo
     by_shape: dict[Opetope, list[str]] = {}
@@ -300,8 +299,8 @@ def counit_check(P: MtoPolygraph) -> Report:
     generator."""
     report = Report()
     X = nerve(P, max(P.max_dim, 0))
-    Q = realize_oset(X)
     names = oset_generator_names(X)
+    Q = _realize(X, names)
     maps: dict[int, dict[str, str]] = {dim: {} for dim in range(Q.max_dim + 1)}
     memo: dict[tuple[int, str], Opetope] = {}
     for dim in range(P.max_dim + 1):

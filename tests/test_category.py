@@ -24,6 +24,13 @@ from opetopic.opetope import (
 STAR = Address((EMPTY,))
 
 
+def face_key(face):
+    """Target before sources, sources by address."""
+    if face.address is None:
+        return (0, (), str(face.codomain))
+    return (1, tuple(face.address), str(face.codomain))
+
+
 def kinds(omega):
     out = {}
     for instance in relation_instances(omega):
@@ -50,6 +57,23 @@ class TestFaces:
 
     def test_faces_of_point(self):
         assert faces_of(point()) == ()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_faces_are_built_once_and_equal_fresh_ones(self, dim):
+        for omega in enumerate_opetopes(dim, 2):
+            shared = faces_of(omega)
+            assert faces_of(omega) is shared
+            sources = tuple(Face(omega, p) for p in omega.node_addresses())
+            fresh = (Face(omega),) + sources
+            assert fresh == shared
+            for new, old in zip(fresh, shared):
+                assert new is not old and hash(new) == hash(old)
+                assert {new: 1}[old] == 1
+
+    def test_faces_of_different_opetopes_differ(self):
+        # the hash reads the address alone; equality reads the codomain too
+        assert Face(arrow(), EMPTY) != Face(opetopic_integer(1), EMPTY)
+        assert Face(arrow()) != Face(opetopic_integer(0))
 
 
 class TestRelationInstances:
@@ -117,7 +141,7 @@ class TestEquality:
                 for cls in classes:
                     keyed = sorted(
                         members(cls),
-                        key=lambda w: tuple(f.sort_key() for f in w),
+                        key=lambda w: tuple(face_key(f) for f in w),
                     )
                     assert cls.word == keyed[0]
 

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opetopic import cli
 from opetopic.address import parse_address
@@ -169,6 +173,22 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err == f"error: line 1, column 5: expected a number, found {digit!r}\n"
 
+    @pytest.mark.parametrize("depth", [1000, 2000])
+    @pytest.mark.parametrize("opening, closing", [("<<", ">>"), ("{[] <- ", "}")])
+    def test_deep_expression_is_an_error_not_a_crash(
+        self, capsys, depth, opening, closing
+    ):
+        expr = opening * depth + "arrow" + closing * depth
+        code, out, err = run(capsys, "target", "--expr", expr)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1, column ") and "Traceback" not in err
+        assert "nested more than 64 deep" in err
+
+    @pytest.mark.parametrize("command", ["target", "realize", "yoneda", "identities"])
+    def test_expression_at_the_nesting_bound_still_works(self, capsys, command):
+        code, out, _ = run(capsys, command, "--expr", "<<" * 64 + "point" + ">>" * 64)
+        assert code == 0 and out
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
 
@@ -228,3 +248,102 @@ class TestRoundtripCommand:
         canonical = name if name.endswith(".canonical") else f"{name}.canonical"
         assert out == (GOLDEN / canonical).read_text()
         assert len(calls) == parses
+
+
+# -- fuzzing: random and mutated text through every command ----------------
+
+FUZZ_CORPUS = sorted(
+    path.read_text(encoding="utf-8")
+    for path in GOLDEN.rglob("*")
+    if path.suffix in (".poly", ".oset", ".optp", ".canonical")
+) + ["point", "arrow", "<<point>>", "{[] <- arrow, [*] <- arrow}", "{[] <- <<point>>}"]
+FUZZ_TOKENS = [
+    "gen", "cell", "opetope", "point", "arrow", "id", "(", ")", "<<", ">>", "{",
+    "}", "[", "]", "*", "<-", "->", ",", ":", "=", "t", "s", "#", "\n", " ",
+    "0", "1", "2", "3", "a", "f", "m", "x", "two", "٣", "é",
+]
+# small enough that ``enumerate`` stays quick; a --max-dim may be huge
+FUZZ_NUMBERS = ["0", "1", "2", "3", "-1", "", "x", " 2", "٢"]
+FUZZ_MAX_DIMS = FUZZ_NUMBERS + ["10", "99999999999999999999"]
+FUZZ_OPETOPE_COMMANDS = [
+    "target", "leaves", "readdress", "identities", "realize", "boundary", "yoneda"
+]
+
+
+def mutated(text, edits):
+    """Delete, duplicate or insert at relative positions of ``text``."""
+    for kind, where, length, token in edits:
+        i = int(where * len(text))
+        j = min(len(text), i + length)
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "duplicate":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + token + text[i:]
+    return text
+
+
+FUZZ_TEXTS = st.one_of(
+    st.text(alphabet=sorted(set("".join(FUZZ_TOKENS))), max_size=40),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=30).map(" ".join),
+    st.builds(
+        mutated,
+        st.sampled_from(FUZZ_CORPUS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["delete", "duplicate", "insert"]),
+                st.floats(0, 1),
+                st.integers(1, 12),
+                st.sampled_from(FUZZ_TOKENS),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestFuzz:
+    """Whatever the text, every command and every format ends in exit 0, 1
+    or 2, and no exception escapes ``main``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        FUZZ_TEXTS,
+        FUZZ_TEXTS,
+        st.sampled_from(FUZZ_NUMBERS),
+        st.sampled_from(FUZZ_NUMBERS),
+        st.sampled_from(FUZZ_MAX_DIMS),
+        st.sampled_from(["a", "f", "m", "x"]),
+    )
+    def test_every_command_exits_cleanly(
+        self, fuzz_file, text, other, n, m, max_dim, gen
+    ):
+        fuzz_file.write_text(text, encoding="utf-8")
+        path = str(fuzz_file)
+        argvs = [
+            ["validate", path],
+            ["roundtrip", path],
+            ["nerve", path],
+            ["nerve", path, "--json", "--max-dim", max_dim],
+            ["shape", "--gen", gen, path],
+            ["shape", "--gen", gen, "--dim", n, path, "--json"],
+            ["enumerate", "--dim", n, "--max-nodes", m],
+            ["hom", "--from", other, "--to", text],
+            ["source", path, "--addr", other],
+            ["source", "--expr", text, "--addr", other, "--json"],
+            ["yoneda", "--expr", text, "--max-dim", max_dim],
+        ]
+        for command in FUZZ_OPETOPE_COMMANDS:
+            argvs.append([command, path, "--name", gen])
+            argvs.append([command, "--expr", text, "--json"])
+        for argv in argvs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv

@@ -166,6 +166,33 @@ class TestOSetFiles:
         X = parse_oset("cell p : point\n")
         assert X.cells_at(point()) == ["p"]
 
+    def test_same_shape_text_around_a_definition(self):
+        cells = "{ t <- f, s [] <- f }\n"
+        text = (
+            "cell p : point\ncell f : arrow { t <- p, s [] <- p }\n"
+            "opetope A = arrow\n"
+            f"cell u : {{[] <- A}} {cells}"
+            "opetope B = <<point>>\n"
+            f"cell v : {{[] <- A}} {cells}"
+            f"cell w :  # the same text after a comment\n {{[] <- A}} {cells}"
+            "cell z : <<point>> { t <- f }\ncell y : <<point>>{ t <- f }\n"
+        )
+        X = parse_oset(text)
+        assert X.cells_at(opetopic_integer(1)) == ["u", "v", "w"]
+        assert X.cells_at(opetopic_integer(0)) == ["z", "y"]
+        assert validate_oset(X).ok
+
+    def test_repeated_malformed_shape_reports_its_first_occurrence(self):
+        text = (
+            "cell p : point\ncell f : arrow { t <- p, s [] <- p }\n"
+            "cell u : {[] <- Q} { t <- f, s [] <- f }\n"
+            "opetope Q = arrow\n"
+            "cell v : {[] <- Q} { t <- f, s [] <- f }\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_oset(text)
+        assert str(info.value) == "line 3, column 18: unknown opetope name 'Q'"
+
 
 class TestGoldenCorpus:
     @pytest.mark.parametrize(

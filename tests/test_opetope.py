@@ -244,13 +244,13 @@ class TestEnumerate:
 
     def test_cap_covers_every_dimension_built(self, monkeypatch):
         built = []
-        original = opetope.iter_opetopes
+        original = opetope._keyed_opetopes
 
         def recording(n, *args, **kwargs):
             built.append(n)
             return original(n, *args, **kwargs)
 
-        monkeypatch.setattr(opetope, "iter_opetopes", recording)
+        monkeypatch.setattr(opetope, "_keyed_opetopes", recording)
         with pytest.raises(EnumerationLimit, match="dimension 4"):
             enumerate_opetopes(6, 3, cap=1000)
         assert 5 not in built and 6 not in built

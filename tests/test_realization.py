@@ -350,14 +350,14 @@ class TestUnitCounit:
         self, monkeypatch, path_polygraph, add_extra, message
     ):
         X = nerve(path_polygraph, 2)
-        realize = realization.realize_oset
+        realize = realization._realize
 
-        def realize_with_extra(X):
-            P = realize(X)
+        def realize_with_extra(X, names):
+            P = realize(X, names)
             add_extra(P)
             return P
 
-        monkeypatch.setattr(realization, "realize_oset", realize_with_extra)
+        monkeypatch.setattr(realization, "_realize", realize_with_extra)
         assert unit_check(X).failures == [message]
 
     def test_every_representable_and_realization_up_to_dim_five(self):

@@ -10,8 +10,12 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from opetopic.randomized import RandomPolygraphConfig, random_polygraph
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from randomized import RandomPolygraphConfig, random_polygraph
+
 from opetopic.realization import counit_check, nerve, unit_check
 
 

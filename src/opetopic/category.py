@@ -11,7 +11,9 @@ programming over its generating faces: the identity, plus each face f
 followed by a class from the table of the domain of f, glued by a
 union-find along the relation squares.  The squares preserve length, so a
 class is named by its least member (target before sources, then by
-address), and composition is a lookup in the tables.
+address).  The same pass fills in each class's name and its precomposition
+with every face of its domain, so the representable is read off the
+table, and composition is a lookup in the tables.
 """
 
 from __future__ import annotations
@@ -147,7 +149,9 @@ class SliceTable:
     Class 0 is the identity.  Class i > 0 is named by its least member:
     ``faces[k]`` followed by class c of ``subtables[k]``, where
     ``(k, c) = first[i]``.  ``through[k][c]`` is the class of the pair
-    (k, c) for every c, least or not.
+    (k, c) for every c, least or not.  ``names[i]`` is the printed least
+    word, innermost face first, and ``action[i][j]`` is the class of
+    class i followed by face j of its domain.
     """
 
     def __init__(self, omega: Opetope) -> None:
@@ -193,6 +197,13 @@ class SliceTable:
             [number[find(offsets[k] + c)] for c in range(len(table.first))]
             for k, table in enumerate(self.subtables)
         ]
+        self.names = ["id"]
+        self.action = [[row[0] for row in self.through]]
+        for k, c in self.first[1:]:
+            table, through = self.subtables[k], self.through[k]
+            face = str(self.faces[k])
+            self.names.append(f"{table.names[c]}.{face}" if c else face)
+            self.action.append([through[x] for x in table.action[c]])
 
     def lift(self, face: Face) -> list[int]:
         """For each class c into the domain of ``face``, the class of
@@ -235,14 +246,8 @@ class MorphismClass:
     def is_identity(self) -> bool:
         return self.index == 0
 
-    def then_face(self, face: Face) -> "MorphismClass":
-        """Precompose with one more face on the domain side."""
-        return compose(self, morphism(self.domain, (face,)))
-
     def __str__(self) -> str:
-        if not self.index:
-            return "id"
-        return ".".join(str(face) for face in reversed(self.word))
+        return slice_table(self.codomain).names[self.index]
 
 
 def morphism(codomain: Opetope, word: Word) -> MorphismClass:

@@ -171,14 +171,18 @@ class _Block:
 # -- opetope expressions ------------------------------------------------
 
 # printing an opetope, its target and its slice tables recurse per level or
-# dimension; at this depth they stay within the default recursion limit
+# dimension; at this depth they stay within the default recursion limit.
+# ``<<`` adds two dimensions, so one expression reaches at most MAX_DIM;
+# a chain of definitions could go on, and is cut off there too.
 MAX_NESTING = 64
+MAX_DIM = 2 * MAX_NESTING + 1
 
 
 def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
     """One opetope expression, read with an explicit stack of the enclosing
     ``<<`` (None) and ``{`` blocks, innermost last."""
     pending: list[_Block | None] = []
+    start = scanner.pos
     while True:
         if len(pending) > MAX_NESTING:
             message = f"opetope expression nested more than {MAX_NESTING} deep"
@@ -206,6 +210,10 @@ def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
                 break
             pending.pop()
         else:
+            if value.dim > MAX_DIM:
+                scanner.pos = start
+                message = f"opetope of dimension {value.dim} is above {MAX_DIM}"
+                raise ParseError(message, *scanner.position())
             return value
 
 

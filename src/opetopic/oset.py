@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .category import (
-    Face,
-    MorphismClass,
-    faces_of,
-    relation_instances,
-    slice_classes,
-)
+from .category import Face, MorphismClass, faces_of, relation_instances, slice_table
 from .errors import Report, UnknownNameError
 from .opetope import Opetope, print_key
 
@@ -114,17 +108,18 @@ def yoneda(omega: Opetope, max_dim: int) -> OpetopicSet:
     """The representable opetopic set of an opetope.
 
     Cells at a shape are the morphism classes into ``omega``, named by
-    their canonical words; faces act by precomposition.
+    their canonical words, in order of dimension and then of class; faces
+    act by precomposition.  Names and precompositions are read from the
+    slice table of ``omega``.
     """
     if omega.dim > max_dim:
         raise ValueError(f"representable of a {omega.dim}-opetope needs max_dim >= {omega.dim}")
     X = OpetopicSet(max_dim=max_dim)
-    classes = slice_classes(omega)
-    names = {cls.index: str(cls) for group in classes.values() for cls in group}
-    for dim in sorted(classes):
-        for cls in classes[dim]:
-            name = names[cls.index]
-            X.add_cell(cls.domain, name)
-            for face in faces_of(cls.domain):
-                X.set_face(cls.domain, name, face, names[cls.then_face(face).index])
+    table = slice_table(omega)
+    names, domains = table.names, table.domains
+    for i in sorted(range(len(domains)), key=lambda i: domains[i].dim):
+        domain, name = domains[i], names[i]
+        X.add_cell(domain, name)
+        for face, j in zip(faces_of(domain), table.action[i]):
+            X.set_face(domain, name, face, names[j])
     return X

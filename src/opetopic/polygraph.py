@@ -27,6 +27,7 @@ from .errors import (
     UnknownNameError,
 )
 from .trees import (
+    FlattenResult,
     Signature,
     Tree,
     check_tree,
@@ -132,7 +133,7 @@ class MtoPolygraph:
     def __init__(self) -> None:
         self._dims: list[dict[str, Union[None, Gen1, GenN]]] = []
         self._stages: dict[int, StageSignature] = {}
-        self._readdress_cache: dict[tuple[int, str], dict[Address, Address]] = {}
+        self._flat_sources: dict[tuple[int, str], FlattenResult] = {}
 
     # -- construction -------------------------------------------------
 
@@ -184,12 +185,16 @@ class MtoPolygraph:
             self._stages[dim] = StageSignature(self, dim)
         return self._stages[dim]
 
-    def _sub_readdress(self, dim: int, op: str) -> dict[Address, Address]:
+    def _flat_source(self, dim: int, op: str) -> FlattenResult:
+        """The flattened source tree of a generator, computed once."""
         key = (dim, op)
-        if key not in self._readdress_cache:
+        if key not in self._flat_sources:
             tree = self.gen_data(dim, op).source_tree
-            self._readdress_cache[key] = flatten(self.stage(dim - 1), tree).readdress
-        return self._readdress_cache[key]
+            self._flat_sources[key] = flatten(self.stage(dim - 1), tree)
+        return self._flat_sources[key]
+
+    def _sub_readdress(self, dim: int, op: str) -> dict[Address, Address]:
+        return self._flat_source(dim, op).readdress
 
     # -- cells --------------------------------------------------------
 
@@ -286,7 +291,12 @@ class MtoPolygraph:
 
     def validate(self) -> Report:
         """Check reference integrity, source-tree coherence, and the
-        parallelism of every generator's boundary pair."""
+        parallelism of every generator's boundary pair.
+
+        A generator's source composite is flattened once, into the memo
+        that flattening higher cells reads its readdressing from, and is
+        compared with the target generator's own source tree (its source
+        point in dimension 2); no target corolla is flattened."""
         report = Report()
         for name in self.generators(1):
             data = self.gen_data(1, name)
@@ -311,10 +321,19 @@ class MtoPolygraph:
                 except (CoherenceError, UnknownNameError, AddressError) as error:
                     report.fail(f"{dim}-generator {name!r}: {error}")
                     continue
-                source = Cell(dim - 1, tree)
-                target = self.generator_cell(dim - 1, data.target)
+                # parallel(source, target corolla) without flattening the
+                # corolla: its source is the target's own source (tree or
+                # point), and its target is the target's target
+                target = self.gen_data(dim - 1, data.target)
                 try:
-                    if not self.parallel(source, target):
+                    parallel = self.target_name(Cell(dim - 1, tree)) == target.target
+                    if parallel:
+                        flat = self._flat_source(dim, name).tree
+                        if dim == 2:
+                            parallel = flat.nodes[EMPTY] == target.source
+                        else:
+                            parallel = flat == target.source_tree
+                    if not parallel:
                         report.fail(
                             f"{dim}-generator {name!r}: source composite and "
                             f"target {data.target!r} are not parallel"

@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CoherenceError
-from .polygraph import Cell, MtoPolygraph
-from .trees import Tree, corolla, edge_color, graft, leaf_addresses
+from opetopic.errors import CoherenceError
+from opetopic.polygraph import Cell, MtoPolygraph
+from opetopic.trees import Tree, corolla, edge_color, graft, leaf_addresses
 
 
 @dataclass

@@ -27,7 +27,6 @@ from opetopic.opetope import (
 )
 from opetopic.oset import yoneda
 from opetopic.polygraph import CompositeShape, count, decompose
-from opetopic.randomized import RandomPolygraphConfig, random_cell, random_polygraph
 from opetopic.realization import (
     counit_check,
     realize_opetope,
@@ -43,6 +42,8 @@ from opetopic.trees import (
     leaf_addresses,
     total_graft,
 )
+
+from randomized import RandomPolygraphConfig, random_cell, random_polygraph
 
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_BOUND = 4

@@ -189,6 +189,26 @@ class TestCommands:
         code, out, _ = run(capsys, command, "--expr", "<<" * 64 + "point" + ">>" * 64)
         assert code == 0 and out
 
+    @pytest.mark.parametrize("command", ["target", "realize", "yoneda"])
+    def test_deep_chain_of_definitions_is_an_error_not_a_crash(
+        self, capsys, tmp_path, command
+    ):
+        # each line adds two dimensions; a0..a64 reach 128, a65 is 130
+        lines = ["opetope a0 = point"]
+        lines += [f"opetope a{i} = <<a{i - 1}>>" for i in range(1, 400)]
+        path = tmp_path / "chain.optp"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == "error: line 66, column 15: opetope of dimension 130 is above 129\n"
+
+    @pytest.mark.parametrize(
+        "command", ["target", "realize", "yoneda", "boundary", "identities"]
+    )
+    def test_dimension_at_the_bound_still_works(self, capsys, command):
+        code, out, _ = run(capsys, command, "--expr", "<<" * 64 + "arrow" + ">>" * 64)
+        assert code == 0 and out
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
 

@@ -26,8 +26,9 @@ from opetopic.opetope import (
     point,
 )
 from opetopic.oset import validate_oset
-from opetopic.randomized import random_polygraph
 from opetopic.realization import nerve
+
+from randomized import random_polygraph
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -1,9 +1,18 @@
 import pytest
 
 from opetopic.address import EMPTY
-from opetopic.category import Face, compose, hom, identity, morphism
+from opetopic.category import (
+    Face,
+    compose,
+    faces_of,
+    hom,
+    identity,
+    morphism,
+    slice_classes,
+)
 from opetopic.errors import UnknownNameError
-from opetopic.opetope import arrow, opetopic_integer, point
+from opetopic.formats import print_oset
+from opetopic.opetope import arrow, enumerate_opetopes, opetopic_integer, point
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
 from test_category import members
 
@@ -46,6 +55,44 @@ class TestYoneda:
         top = str(identity(O2))
         for face in [Face(O2), Face(O2, EMPTY)]:
             assert X.face(O2, top, face) == str(morphism(O2, (face,)))
+
+
+def oracle_yoneda(omega, max_dim):
+    """The representable built class by class: names joined from the least
+    word, faces found by composing with a one-face morphism."""
+    X = OpetopicSet(max_dim=max_dim)
+    classes = slice_classes(omega)
+    names = {
+        cls.index: ".".join(str(face) for face in reversed(cls.word)) or "id"
+        for group in classes.values()
+        for cls in group
+    }
+    for dim in sorted(classes):
+        for cls in classes[dim]:
+            name = names[cls.index]
+            X.add_cell(cls.domain, name)
+            for face in faces_of(cls.domain):
+                image = compose(cls, morphism(cls.domain, (face,)))
+                X.set_face(cls.domain, name, face, names[image.index])
+    return X
+
+
+class TestYonedaOracle:
+    def test_prints_match_oracle(self):
+        # every opetope of dims 0-3 at bound 3 and of dims 4-5 at bound 2
+        corpus = [o for dim in range(4) for o in enumerate_opetopes(dim, 3)]
+        corpus += [o for dim in (4, 5) for o in enumerate_opetopes(dim, 2)]
+        assert len(corpus) == 339
+        for omega in corpus:
+            expected = print_oset(oracle_yoneda(omega, omega.dim))
+            assert print_oset(yoneda(omega, omega.dim)) == expected, str(omega)
+
+    def test_class_names_match_words(self):
+        for omega in [arrow(), opetopic_integer(0), O2, opetopic_integer(3)]:
+            for group in slice_classes(omega).values():
+                for cls in group:
+                    word = ".".join(str(face) for face in reversed(cls.word))
+                    assert str(cls) == (word or "id")
 
 
 class TestValidation:

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
+from opetopic import polygraph
 from opetopic.address import EMPTY, Address
-from opetopic.errors import CompositionError
+from opetopic.errors import (
+    AddressError,
+    CoherenceError,
+    CompositionError,
+    Report,
+    UnknownNameError,
+)
 from opetopic.polygraph import (
     Cell,
     CompositeShape,
@@ -17,15 +24,17 @@ from opetopic.polygraph import (
     decompose,
     identity_morphism,
 )
-from opetopic.randomized import random_cell, random_polygraph
 from opetopic.trees import (
     Tree,
+    check_tree,
     corolla,
     edge_color,
     graft,
     leaf_addresses,
     substitute,
 )
+
+from randomized import RandomPolygraphConfig, random_cell, random_polygraph
 
 STAR = Address((EMPTY,))
 
@@ -64,6 +73,130 @@ class TestValidation:
         P.add_generator(2, "m", Tree.of({EMPTY: "f", STAR: "f"}), "g")
         report = P.validate()
         assert any("edge mismatch" in failure for failure in report.failures)
+
+
+def oracle_validate(P):
+    """The validate loop that compares every boundary pair with
+    ``parallel``, flattening the source and the target's corolla."""
+    report = Report()
+    for name in P.generators(1):
+        data = P.gen_data(1, name)
+        for end in (data.source, data.target):
+            if not P.has_generator(0, end):
+                report.fail(f"1-generator {name!r}: unknown endpoint {end!r}")
+    for dim in range(2, P.max_dim + 1):
+        sig = P.stage(dim - 1)
+        for name in P.generators(dim):
+            data = P.gen_data(dim, name)
+            if not P.has_generator(dim - 1, data.target):
+                report.fail(f"{dim}-generator {name!r}: unknown target {data.target!r}")
+                continue
+            tree = data.source_tree
+            try:
+                if tree.is_unit:
+                    P.gen_data(dim - 2, tree.unit_color)
+                else:
+                    for address in tree.node_addresses():
+                        P.gen_data(dim - 1, tree.nodes[address])
+                check_tree(sig, tree)
+            except (CoherenceError, UnknownNameError, AddressError) as error:
+                report.fail(f"{dim}-generator {name!r}: {error}")
+                continue
+            source = Cell(dim - 1, tree)
+            target = P.generator_cell(dim - 1, data.target)
+            try:
+                if not P.parallel(source, target):
+                    report.fail(
+                        f"{dim}-generator {name!r}: source composite and "
+                        f"target {data.target!r} are not parallel"
+                    )
+            except (CoherenceError, AddressError) as error:
+                report.fail(f"{dim}-generator {name!r}: {error}")
+    return report
+
+
+def copy_polygraph(P, retarget=None):
+    """A fresh copy of ``P``; ``retarget`` maps (dim, name) of generators of
+    dimension 2 and up to a replacement target."""
+    retarget = retarget or {}
+    Q = MtoPolygraph()
+    for dim in range(P.max_dim + 1):
+        for name in P.generators(dim):
+            data = P.gen_data(dim, name)
+            if dim == 0:
+                Q.add_point(name)
+            elif dim == 1:
+                Q.add_arrow(name, data.source, data.target)
+            else:
+                target = retarget.get((dim, name), data.target)
+                Q.add_generator(dim, name, data.source_tree, target)
+    return Q
+
+
+def outcome(check, P):
+    try:
+        return check(P).failures
+    except Exception as error:  # both sides must fail the same way
+        return repr(error)
+
+
+def retargeted_copies(rng, P, count):
+    """Copies of ``P`` with one generator's target swapped for another
+    generator of the target's dimension."""
+    swaps = [
+        ((dim, name), other)
+        for dim in range(2, P.max_dim + 1)
+        for name in P.generators(dim)
+        for other in P.generators(dim - 1)
+        if other != P.gen_data(dim, name).target
+    ]
+    for key, other in rng.sample(swaps, min(count, len(swaps))):
+        yield copy_polygraph(P, {key: other})
+
+
+class TestValidateOracle:
+    CONFIG = RandomPolygraphConfig(max_dim=5, max_generators=30)
+
+    def test_same_failures_as_parallel_loop(self):
+        rng = random.Random(5)
+        broken = 0
+        for _ in range(40):
+            P = random_polygraph(rng, self.CONFIG)
+            copies = [(copy_polygraph(P), copy_polygraph(P))]
+            for Q in retargeted_copies(rng, P, 4):
+                copies.append((Q, copy_polygraph(Q)))
+            for left, right in copies:
+                expected = outcome(oracle_validate, left)
+                assert outcome(MtoPolygraph.validate, right) == expected
+                broken += bool(expected)
+        assert broken > 50
+
+    def test_each_generator_flattened_once(self, monkeypatch):
+        flattened = []
+        original = polygraph.flatten
+
+        def counting(sig, tree):
+            flattened.append(tree)
+            return original(sig, tree)
+
+        monkeypatch.setattr(polygraph, "flatten", counting)
+        rng = random.Random(6)
+        for _ in range(20):
+            P = copy_polygraph(random_polygraph(rng, self.CONFIG))
+            flattened.clear()
+            assert P.validate().ok
+            generators = [
+                (dim, name)
+                for dim in range(2, P.max_dim + 1)
+                for name in P.generators(dim)
+            ]
+            assert len(flattened) == len(generators)
+            assert {id(tree) for tree in flattened} == {
+                id(P.gen_data(dim, name).source_tree) for dim, name in generators
+            }
+            for dim, name in generators:
+                P._sub_readdress(dim, name)
+            assert len(flattened) == len(generators)
 
 
 class TestCells:

@@ -4,7 +4,14 @@ import pytest
 
 from opetopic import realization
 from opetopic.address import EMPTY
-from opetopic.category import Face, MorphismClass, compose, hom, slice_classes
+from opetopic.category import (
+    Face,
+    MorphismClass,
+    compose,
+    hom,
+    morphism,
+    slice_classes,
+)
 from opetopic.errors import Report
 from opetopic.formats import print_polygraph
 from opetopic.opetope import (
@@ -16,7 +23,6 @@ from opetopic.opetope import (
 )
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
 from opetopic.polygraph import MtoPolygraph
-from opetopic.randomized import random_polygraph
 from opetopic.realization import (
     boundary_polygraph,
     cells_of_shape,
@@ -30,6 +36,8 @@ from opetopic.realization import (
     unit_check,
 )
 from opetopic.trees import Tree
+
+from randomized import random_polygraph
 
 O0 = opetopic_integer(0)
 O2 = opetopic_integer(2)
@@ -50,30 +58,43 @@ def generator_counts(P):
 # and the boundary glued from the realizations of the proper faces
 
 
+def word_name(cls: MorphismClass) -> str:
+    """A class's name spelled from its least word, not from the table."""
+    return ".".join(str(face) for face in reversed(cls.word)) or "id"
+
+
+def then_face(cls: MorphismClass, face: Face) -> MorphismClass:
+    """Precompose a class with one more face, by composition."""
+    return compose(cls, morphism(cls.domain, (face,)))
+
+
 def direct_realization(omega: Opetope) -> MtoPolygraph:
     """The polygraph freely implementing the face structure of an opetope."""
     P = MtoPolygraph()
     classes = slice_classes(omega)
     for dim in sorted(classes):
         for cls in classes[dim]:
-            name = str(cls)
+            name = word_name(cls)
             if dim == 0:
                 P.add_point(name)
             elif dim == 1:
-                source = str(cls.then_face(Face(cls.domain, EMPTY)))
-                target = str(cls.then_face(Face(cls.domain)))
+                source = word_name(then_face(cls, Face(cls.domain, EMPTY)))
+                target = word_name(then_face(cls, Face(cls.domain)))
                 P.add_arrow(name, source, target)
             else:
                 phi = cls.domain
-                target = cls.then_face(Face(phi))
+                target = then_face(cls, Face(phi))
                 if phi.is_degenerate:
-                    color = target.then_face(Face(target.domain))
-                    tree: Tree = Tree.unit(str(color))
+                    color = then_face(target, Face(target.domain))
+                    tree: Tree = Tree.unit(word_name(color))
                 else:
                     tree = Tree.of(
-                        {p: str(cls.then_face(Face(phi, p))) for p in phi.node_addresses()}
+                        {
+                            p: word_name(then_face(cls, Face(phi, p)))
+                            for p in phi.node_addresses()
+                        }
                     )
-                P.add_generator(dim, name, tree, str(target))
+                P.add_generator(dim, name, tree, word_name(target))
     return P
 
 

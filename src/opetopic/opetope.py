@@ -336,10 +336,11 @@ def iter_opetopes(
 
     The degenerate ones come first; the others are the trees that
     ``trees.grow_trees`` grows from the (n-1)-opetopes with ``max_nodes``
-    as both node and leaf bound.  The grower keeps each tree's target,
-    readdressing and sorted leaves up to date, and they are cached on the
-    instance; the target is looked up by its shallow key, and a tree whose
-    target is not interned is skipped before any opetope is built.
+    as both node and leaf bound.  The grower hands over each tree's sorted
+    leaves and readdressing, grown graft by graft, and its target tree,
+    read off the leaf colors; they are cached on the instance.  The target
+    is looked up by its shallow key, and a tree whose target is not
+    interned is skipped before any opetope is built.
     ``shard = (i, k)`` restricts to every k-th degenerate or root choice,
     for splitting sweeps across processes.
 
@@ -402,7 +403,7 @@ def _keyed_opetopes(n: int, max_nodes: int, shard: tuple[int, int] | None):
         if omega is None:
             omega = Opetope(n, tree)
         if omega._boundary is None:
-            omega._boundary = (target, rho)
+            omega._boundary = (target, dict(zip(leaves, rho)))
         if omega._leaves is None:
             omega._leaves = leaves
         yield omega, key

@@ -206,6 +206,7 @@ def _realize(X: OpetopicSet, names: dict[tuple[Opetope, str], str]) -> MtoPolygr
     for shape in X.support():
         dim = shape.dim
         faces = faces_of(shape)
+        sources = [(face, face.address, face.domain) for face in faces[1:]]
         for cell in X.cells_at(shape):
             name = names[(shape, cell)]
             if dim == 0:
@@ -224,8 +225,8 @@ def _realize(X: OpetopicSet, names: dict[tuple[Opetope, str], str]) -> MtoPolygr
             else:
                 tree = Tree.of(
                     {
-                        face.address: names[(face.domain, X.face(shape, cell, face))]
-                        for face in faces[1:]
+                        address: names[(domain, X.face(shape, cell, face))]
+                        for face, address, domain in sources
                     }
                 )
             P.add_generator(dim, name, tree, target)

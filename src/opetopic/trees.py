@@ -14,7 +14,9 @@ substitution pure address bookkeeping:
   map).  This is the structure map that computes opetope targets and
   polygraph cell sources;
 * ``grow_trees`` grows every tree by grafting corollas at leaves; it
-  enumerates both opetopes and polygraph cells.
+  enumerates both opetopes and polygraph cells.  For opetopes it grows the
+  readdressing alongside, one leaf image per graft, and by leaf
+  globularity reads each flat tree off the leaf colors.
 """
 
 from __future__ import annotations
@@ -313,24 +315,13 @@ def substitute(
             "gluing does not match the inputs of the removed node: "
             f"{sorted(map(str, inverse))} vs {sorted(map(str, slots))}"
         )
-    return _substitute_core(outer, at, inner, inverse)
-
-
-def _substitute_core(
-    outer: Tree,
-    at: Address,
-    inner: Tree,
-    inverse: Mapping[Address, Address],
-) -> tuple[Tree, dict[Address, Address]]:
-    """Substitution with a pre-inverted, pre-validated gluing."""
     moves: dict[Address, Address] = {}
     out: dict[Address, Operation] = {}
     k = len(at)
-    head = tuple(at)
-    for p, op in outer.nodes.items():
-        if len(p) > k and p[:k] == head:
+    for p, op in nodes.items():
+        if len(p) > k and p[:k] == at:
             # the glued leaf's entries are spliced in, not nested
-            q = _trusted(head + inverse[p[k]] + p[k + 1 :])
+            q = _trusted(at + inverse[p[k]] + p[k + 1 :])
             moves[p] = q
             out[q] = op
         elif p != at:
@@ -338,7 +329,7 @@ def _substitute_core(
             out[p] = op
     if not inner.is_unit:
         for v, op in inner.nodes.items():
-            out[_trusted(head + v)] = op
+            out[_trusted(at + v)] = op
     if not out:
         return Tree.unit(inner.unit_color), moves
     return Tree._wrap(out), moves
@@ -402,7 +393,7 @@ def grow_trees(
     max_leaves: int | None = None,
     readdress: bool = False,
 ) -> Iterator[
-    tuple[Tree, Tree | None, dict[Address, Address] | None, tuple[Address, ...]]
+    tuple[Tree, Tree | None, tuple[Address, ...] | None, tuple[Address, ...]]
 ]:
     """The node-map trees with a root from ``roots`` and further nodes from
     ``operations`` (which contains the roots), with at most ``max_nodes``
@@ -411,82 +402,88 @@ def grow_trees(
     Corollas are grafted at leaves in strictly ascending address order,
     which reaches every tree exactly once, root by root in the given order.
     Yields ``(tree, flat, rho, leaves)``: with ``readdress``, ``flatten``'s
-    result tree and readdressing map, kept up to date by one substitution
-    per tree, otherwise ``None, None``; and the tree's leaf addresses in
-    ascending order, as ``leaf_addresses`` gives them.
+    result tree and its readdressing as a tuple aligned with ``leaves``,
+    otherwise ``None, None``; and the tree's leaf addresses in ascending
+    order, as ``leaf_addresses`` gives them.  Only the readdressing is grown:
+    grafting ``op`` at a leaf with image ``a`` gives its new leaves ``a``
+    plus their slot and reroutes each image strictly above ``a`` through
+    ``op``'s gluing, as substituting its source tree at ``a`` would.  By
+    leaf globularity the flat tree is read off the leaf colors.
     """
     if max_nodes < 1:
         return
     # per operation: input slots in ascending order and their colors, and
-    # for readdressing its source tree and the inverted leaf-to-input
-    # gluing; operations are bucketed by (target color, arity) so that the
-    # leaf bound picks buckets
+    # for readdressing the inverted leaf-to-input gluing and its source
+    # tree, the flat tree of its corolla and of any tree left without
+    # leaves by grafting it; operations are bucketed by (target color,
+    # arity) so that the leaf bound picks a prefix
     info = {}
     by_target: dict[Color, list[list[Operation]]] = {}
     for op in operations:
         slots = tuple(sorted(sig.inputs(op)))
         colors = tuple(sig.source_color(op, slot) for slot in slots)
+        info[op] = (slots, colors, None, None)
         if readdress:
             inverse = {slot: leaf for leaf, slot in sig.sub_readdress(op).items()}
-            info[op] = (slots, colors, sig.source_tree(op), inverse)
-        else:
-            info[op] = (slots, colors, None, None)
+            info[op] = (slots, colors, inverse, sig.source_tree(op))
         buckets = by_target.setdefault(sig.target_color(op), [])
         while len(buckets) <= len(slots):
             buckets.append([])
         buckets[len(slots)].append(op)
+    # per leaf color, admissible[color][s] lists the operations of arity
+    # below s by arity; the last entry lists them all
+    width = max(map(len, by_target.values()), default=0) + 1
+    admissible = {
+        color: [tuple(op for ops in buckets[:s] for op in ops) for s in range(width)]
+        for color, buckets in by_target.items()
+    }
 
-    def grow(nodes, leaves, colors, start, flat, rho):
-        # ``leaves`` is sorted and ``colors`` runs alongside it; leaves are
-        # an antichain, so the children of a grafted leaf take its place in
-        # the order, and grafting goes on from there
+    def grow(nodes, leaves, colors, rho, start):
+        # ``leaves`` is sorted and ``colors`` and ``rho`` run alongside it;
+        # leaves are an antichain, so the children of a grafted leaf take
+        # its place in the order, and grafting goes on from there
         budget = max_nodes - len(nodes)
         # adding a node with a inputs leaves at least
         # len(leaves) - 1 + a - (budget - 1) leaves in any completion
-        stop = None
+        cut = -1
         if max_leaves is not None:
-            stop = max_leaves + budget - len(leaves) + 1
+            cut = min(max(max_leaves + budget - len(leaves) + 1, 0), width - 1)
         for i in range(start, len(leaves)):
-            buckets = by_target.get(colors[i])
-            if buckets is None:
+            prefixes = admissible.get(colors[i])
+            if prefixes is None or not (ops := prefixes[cut]):
                 continue
             leaf = leaves[i]
             before, after = leaves[:i], leaves[i + 1 :]
             colors_before, colors_after = colors[:i], colors[i + 1 :]
-            anchor = rho[leaf] if readdress else None
-            for arity_ops in buckets[:stop]:
-                for op in arity_ops:
-                    slots, op_colors, tree, inverse = info[op]
-                    new_nodes = dict(nodes)
-                    new_nodes[leaf] = op
-                    children = tuple([_trusted(leaf + (slot,)) for slot in slots])
-                    new_leaves = before + children + after
-                    new_flat = new_rho = None
-                    if readdress:
-                        new_flat, moves = _substitute_core(flat, anchor, tree, inverse)
-                        new_rho = {
-                            l: moves[node] for l, node in rho.items() if l != leaf
-                        }
-                        for child, slot in zip(children, slots):
-                            new_rho[child] = _trusted(anchor + slot)
-                    if max_leaves is None or len(new_leaves) <= max_leaves:
-                        yield Tree._wrap(new_nodes), new_flat, new_rho, new_leaves
-                    if budget > 1:
-                        yield from grow(
-                            new_nodes,
-                            new_leaves,
-                            colors_before + op_colors + colors_after,
-                            i,
-                            new_flat,
-                            new_rho,
-                        )
+            if readdress:
+                anchor = rho[i]
+                k = len(anchor)
+                # the leaves other than leaf i whose images lie strictly above the anchor
+                above = [j for j, r in enumerate(rho) if r[:k] == anchor and j != i]
+            for op in ops:
+                slots, op_colors, inverse, source = info[op]
+                new_nodes = dict(nodes)
+                new_nodes[leaf] = op
+                new_leaves = before + tuple([_trusted(leaf + (s,)) for s in slots]) + after
+                new_colors = colors_before + op_colors + colors_after
+                new_rho = None
+                if readdress:
+                    new_rho = list(rho)
+                    for j in above:
+                        r = rho[j]
+                        new_rho[j] = _trusted(anchor + inverse[r[k]] + r[k + 1 :])
+                    new_rho[i : i + 1] = [_trusted(anchor + s) for s in slots]
+                    new_rho = tuple(new_rho)
+                if max_leaves is None or len(new_leaves) <= max_leaves:
+                    flat = source
+                    if nodes and new_rho:
+                        # leaf globularity: a leaf's image is decorated by its color
+                        flat = Tree._wrap(dict(zip(new_rho, new_colors)))
+                    yield Tree._wrap(new_nodes), flat, new_rho, new_leaves
+                if budget > 1:
+                    yield from grow(new_nodes, new_leaves, new_colors, new_rho, i)
 
-    for root in roots:
-        slots, colors, tree, _ = info[root]
-        nodes = {EMPTY: root}
-        leaves = tuple([EMPTY.child(slot) for slot in slots])
-        rho = dict(zip(leaves, slots)) if readdress else None
-        if max_leaves is None or len(leaves) <= max_leaves:
-            yield Tree._wrap(nodes), tree, rho, leaves
-        if max_nodes > 1:
-            yield from grow(nodes, leaves, colors, 0, tree, rho)
+    # the unit edge's one leaf, colored by a fresh key, takes the roots
+    root = object()
+    admissible[root] = [tuple(roots)] * width
+    yield from grow({}, (EMPTY,), (root,), (EMPTY,) if readdress else None, 0)

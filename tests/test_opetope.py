@@ -19,7 +19,7 @@ from opetopic.opetope import (
     opetopic_integer,
     point,
 )
-from opetopic.trees import Tree, corolla, edge_color, graft, leaf_addresses
+from opetopic.trees import Tree, corolla, edge_color, flatten, graft, leaf_addresses
 
 STAR = Address((EMPTY,))
 O2 = opetopic_integer(2)
@@ -373,3 +373,32 @@ class TestHashConsing:
         again = list(iter_opetopes(4, 3, intern_results=False))
         assert set(map(id, again)) == set(map(id, canonical))
         assert len(opetope._INTERN) == size
+
+
+class TestGrowerAgainstFlatten:
+    """The grower reads each target off its leaf colors and readdressing,
+    which makes leaf globularity true by construction; ``flatten`` stays
+    the independent oracle for the targets and readdressings it hands
+    over."""
+
+    @staticmethod
+    def check_against_flatten(opetopes) -> int:
+        checked = 0
+        for omega in opetopes:
+            if omega.is_degenerate:
+                continue
+            result = flatten(OPETOPE_SIG, omega.tree)
+            expected = from_tree(result.tree) if omega.dim > 2 else arrow()
+            assert expected is omega.target(), str(omega)
+            assert result.readdress == omega.readdress(), str(omega)
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("dim, bound", [(2, 3), (3, 3), (4, 3), (5, 2), (6, 2)])
+    def test_small_bounds(self, dim, bound):
+        fresh = iter_opetopes(dim, bound, intern_results=False)
+        assert self.check_against_flatten(fresh) > 0
+
+    def test_full_sweep_shard(self):
+        shard = iter_opetopes(4, 4, shard=(5, 64), intern_results=False)
+        assert self.check_against_flatten(shard) > 10_000

@@ -23,7 +23,7 @@ def main() -> None:
         row = [str(n)]
         for m in range(1, args.max_nodes + 1):
             start = time.time()
-            count = sum(1 for _ in iter_opetopes(n, m, intern_results=False))
+            count = sum(1 for _ in iter_opetopes(n, m))
             elapsed = time.time() - start
             cell = f"{count}" if elapsed < 0.1 else f"{count} ({elapsed:.1f}s)"
             row.append(cell)

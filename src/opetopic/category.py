@@ -19,7 +19,6 @@ table, and composition is a lookup in the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 
 from .address import EMPTY, Address
@@ -96,51 +95,45 @@ class RelationInstance:
             )
 
 
-@lru_cache(maxsize=None)
 def relation_instances(omega: Opetope) -> tuple[RelationInstance, ...]:
-    """All relation squares whose outer faces land in ``omega``."""
-    if omega.dim < 2:
-        return ()
-    instances: list[RelationInstance] = []
+    """All relation squares whose outer faces land in ``omega``; built once
+    per opetope and kept on it."""
+    if omega._relations is None:
+        omega._relations = tuple(_squares(omega)) if omega.dim >= 2 else ()
+    return omega._relations
+
+
+def _squares(omega: Opetope):
     target = omega.target()
     if omega.is_degenerate:
-        instances.append(
-            RelationInstance(
-                "degen",
-                (Face(omega), Face(target)),
-                (Face(omega), Face(target, EMPTY)),
-            )
-        )
-        return tuple(instances)
-    instances.append(
-        RelationInstance(
-            "glob1",
+        yield RelationInstance(
+            "degen",
             (Face(omega), Face(target)),
-            (Face(omega, EMPTY), Face(omega.source_at(EMPTY))),
+            (Face(omega), Face(target, EMPTY)),
         )
+        return
+    yield RelationInstance(
+        "glob1",
+        (Face(omega), Face(target)),
+        (Face(omega, EMPTY), Face(omega.source_at(EMPTY))),
     )
     for address in omega.node_addresses():
         if address == EMPTY:
             continue
         p, q = address.parent, address.last
-        instances.append(
-            RelationInstance(
-                "inner",
-                (Face(omega, p), Face(omega.source_at(p), q)),
-                (Face(omega, address), Face(omega.source_at(address))),
-            )
+        yield RelationInstance(
+            "inner",
+            (Face(omega, p), Face(omega.source_at(p), q)),
+            (Face(omega, address), Face(omega.source_at(address))),
         )
     readdress = omega.readdress()
     for leaf in omega.leaf_addresses():
         p, q = leaf.parent, leaf.last
-        instances.append(
-            RelationInstance(
-                "glob2",
-                (Face(omega, p), Face(omega.source_at(p), q)),
-                (Face(omega), Face(target, readdress[leaf])),
-            )
+        yield RelationInstance(
+            "glob2",
+            (Face(omega, p), Face(omega.source_at(p), q)),
+            (Face(omega), Face(target, readdress[leaf])),
         )
-    return tuple(instances)
 
 
 class SliceTable:
@@ -211,9 +204,11 @@ class SliceTable:
         return self.through[self.position[face]]
 
 
-@lru_cache(maxsize=None)
 def slice_table(omega: Opetope) -> SliceTable:
-    return SliceTable(omega)
+    """The slice table of ``omega``, built once and kept on it."""
+    if omega._slices is None:
+        omega._slices = SliceTable(omega)
+    return omega._slices
 
 
 def _least_path(cls: MorphismClass):

@@ -8,17 +8,20 @@ by flattening the tree one dimension down.
 
 Opetopes are hash-consed: the factory functions here return one instance
 per opetope, so equality and hashing are the object defaults, identity.
-An opetope is found in the intern table by a shallow key, its dimension
-and its node map, whose values are interned opetopes one dimension down;
-a degenerate opetope is keyed by its shell, the point and the arrow by
-their dimension.  Computing a key or comparing two node maps therefore
-stops one level down, and targets are computed once per opetope.
+The intern table holds each live opetope weakly, keyed by its tree (the
+point and the arrow by their dimension).  A tree's node decorations are
+interned opetopes one dimension down, so hashing or comparing keys stops
+one level down.  An opetope that nothing else holds leaves the table when
+it dies, and a later build makes a new canonical instance.  What is
+computed about an opetope is kept on it and dies with it: its target and
+readdressing, its leaves, and the faces, relation squares and slice table
+that ``category`` builds.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import itemgetter
+import weakref
+from itertools import islice
 
 from .address import EMPTY, Address
 from .errors import AddressError, CoherenceError, EnumerationLimit, Report
@@ -36,7 +39,10 @@ DEFAULT_ENUMERATION_CAP = 500_000
 class Opetope:
     """An opetope; use the factory functions, not the constructor."""
 
-    __slots__ = ("_dim", "_tree", "_boundary", "_str", "_leaves", "_faces")
+    __slots__ = (
+        "_dim", "_tree", "_boundary", "_str", "_leaves",
+        "_faces", "_relations", "_slices", "__weakref__",
+    )
 
     def __init__(self, dim: int, tree: Tree | None):
         self._dim = dim
@@ -44,7 +50,10 @@ class Opetope:
         self._boundary: tuple["Opetope", dict[Address, Address]] | None = None
         self._str: str | None = None
         self._leaves: tuple[Address, ...] | None = None
-        self._faces: tuple | None = None  # kept by ``category.faces_of``
+        # kept by ``category``: faces_of, relation_instances, slice_table
+        self._faces: tuple | None = None
+        self._relations: tuple | None = None
+        self._slices = None
 
     @property
     def dim(self) -> int:
@@ -146,47 +155,45 @@ class Opetope:
         return f"Opetope({self})"
 
 
-# interned opetopes by shallow key; a key taken by a different opetope
-# (a hash collision) is probed past, one step at a time, so each entry is
-# one opetope and nothing is ever removed
-_INTERN: dict[int, Opetope] = {}
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference to an opetope and its key."""
+
+    __slots__ = ("key",)
 
 
-def _probe(dim: int, tree: Tree | None) -> tuple[Opetope | None, int]:
-    """The interned opetope of dimension ``dim`` with this tree (None below
-    dimension 2), or None; and the key it has or would get."""
-    if tree is None:
-        key = hash((dim, None))
-    elif tree._nodes is None:
-        key = hash((dim, tree._unit))
-    else:
-        key = hash((dim, frozenset(tree._nodes.items())))
-    while (found := _INTERN.get(key)) is not None:
-        other = found._tree
-        if found._dim == dim and (
-            other is None
-            or (other._unit is tree._unit and other._nodes == tree._nodes)
-        ):
-            break
-        key += 1
-    return found, key
+# the live opetopes, weakly, by their tree, or by their dimension for the
+# point and the arrow; an entry leaves the table when its opetope dies
+_INTERN: dict[Tree | int, _Entry] = {}
 
 
-def _intern(candidate: Opetope) -> Opetope:
-    found, key = _probe(candidate._dim, candidate._tree)
-    if found is None:
-        found = _INTERN[key] = candidate
-    return found
+def _forget(entry: _Entry, table: dict = _INTERN) -> None:
+    # a rebuilt twin may have replaced the entry of a dead opetope already
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
-@lru_cache(maxsize=None)
+def _interned(key: Tree | int) -> Opetope | None:
+    entry = _INTERN.get(key)
+    return None if entry is None else entry()
+
+
+def _intern(omega: Opetope) -> Opetope:
+    key = omega._dim if omega._tree is None else omega._tree
+    entry = _INTERN[key] = _Entry(omega, _forget)
+    entry.key = key
+    return omega
+
+
+_POINT = _intern(Opetope(0, None))
+_ARROW = _intern(Opetope(1, None))
+
+
 def point() -> Opetope:
-    return _intern(Opetope(0, None))
+    return _POINT
 
 
-@lru_cache(maxsize=None)
 def arrow() -> Opetope:
-    return _intern(Opetope(1, None))
+    return _ARROW
 
 
 def degenerate(shell: Opetope) -> Opetope:
@@ -205,11 +212,11 @@ def from_tree(tree: Tree, validate: bool = False) -> Opetope:
         dim = dims.pop() + 1
         if dim < 2:
             raise CoherenceError("node decorations must have dimension >= 1")
-    found, key = _probe(dim, tree)
+    found = _interned(tree)
     if found is None:
         if validate:
             check_tree(OPETOPE_SIG, tree)
-        found = _INTERN[key] = Opetope(dim, tree)
+        found = _intern(Opetope(dim, tree))
     return found
 
 
@@ -338,56 +345,41 @@ def iter_opetopes(
     ``trees.grow_trees`` grows from the (n-1)-opetopes with ``max_nodes``
     as both node and leaf bound.  The grower hands over each tree's sorted
     leaves and readdressing, grown graft by graft, and its target tree,
-    read off the leaf colors; they are cached on the instance.  The target
-    is looked up by its shallow key, and a tree whose target is not
-    interned is skipped before any opetope is built.
+    read off the leaf colors; they are cached on the instance.  A tree
+    whose target tree is not that of an allowed (n-1)-opetope is skipped
+    before any opetope is built.
     ``shard = (i, k)`` restricts to every k-th degenerate or root choice,
     for splitting sweeps across processes.
 
-    With ``intern_results`` false, an opetope that is already interned is
-    yielded as the interned instance and any other as a fresh instance
-    that is not stored, so a long sweep does not grow the intern table.
+    Every opetope yielded is the interned instance.  The intern table
+    holds it weakly, so one that the caller drops leaves the table and a
+    long sweep does not grow it.  ``intern_results`` is accepted and
+    ignored.
     """
     if n < 0:
         raise ValueError("dimension must be a natural number")
-    keyed = _keyed_opetopes(n, max_nodes, shard)
-    if not intern_results:
-        return map(itemgetter(0), keyed)
-    return (
-        omega if key is None else _INTERN.setdefault(key, omega)
-        for omega, key in keyed
-    )
-
-
-def _keyed_opetopes(n: int, max_nodes: int, shard: tuple[int, int] | None):
-    """The opetopes of ``iter_opetopes``, the grown ones not interned, each
-    with the intern slot its probe found, or None if interned when built."""
 
     def sharded(index: int) -> bool:
         return shard is None or index % shard[1] == shard[0]
 
-    if n == 0:
+    if n < 2:
         if sharded(0):
-            yield point(), None
-        return
-    if n == 1:
-        if sharded(0):
-            yield arrow(), None
+            yield point() if n == 0 else arrow()
         return
     if n == 2:
         for k in range(max_nodes + 1):
             if sharded(k):
-                yield opetopic_integer(k), None
+                yield opetopic_integer(k)
         return
 
     previous = _enumerated(n - 1, max_nodes, None)
-    allowed = frozenset(previous)
+    allowed = {op._tree: op for op in previous}
     shells = _enumerated(n - 2, max_nodes, None)
     for index, shell in enumerate(shells):
         if sharded(index):
             omega = degenerate(shell)
-            if omega.target() in allowed:
-                yield omega, None
+            if omega.target()._tree in allowed:
+                yield omega
     # root choices are numbered after the degenerate ones, skipping one
     roots = [root for i, root in enumerate(previous, len(shells) + 1) if sharded(i)]
 
@@ -395,42 +387,30 @@ def _keyed_opetopes(n: int, max_nodes: int, shard: tuple[int, int] | None):
         OPETOPE_SIG, previous, roots, max_nodes, max_leaves=max_nodes, readdress=True
     )
     for tree, result, rho, leaves in grown:
-        # a target that is not interned is not among the allowed ones
-        target = _probe(n - 1, result)[0]
-        if target is None or target not in allowed:
+        target = allowed.get(result)
+        if target is None:
             continue
-        omega, key = _probe(n, tree)
+        omega = _interned(tree)
         if omega is None:
-            omega = Opetope(n, tree)
+            omega = _intern(Opetope(n, tree))
         if omega._boundary is None:
             omega._boundary = (target, dict(zip(leaves, rho)))
         if omega._leaves is None:
             omega._leaves = leaves
-        yield omega, key
+        yield omega
 
 
 _ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}
 
 
 def _enumerated(n: int, max_nodes: int, cap: int | None) -> tuple[Opetope, ...]:
-    """The sorted n-opetopes, built and interned once per bound; raises
-    EnumerationLimit past ``cap``, before interning any of them."""
+    """The sorted n-opetopes, built and kept once per bound; raises
+    EnumerationLimit past ``cap``, before keeping any of them."""
     kept = _ENUMERATED.get((n, max_nodes))
     if kept is None:
-        kept, keys = [], []
-        for omega, key in _keyed_opetopes(n, max_nodes, None):
-            kept.append(omega)
-            keys.append(key)
-            if cap is not None and len(kept) > cap:
-                break
-        else:
-            # intern at the slot each probe found, or probe again if another
-            # opetope has taken it since; a None slot means already interned
-            kept = [
-                omega if key is None or _INTERN.setdefault(key, omega) is omega
-                else _intern(omega)
-                for omega, key in zip(kept, keys)
-            ]
+        limit = None if cap is None else cap + 1
+        kept = list(islice(iter_opetopes(n, max_nodes), limit))
+        if cap is None or len(kept) <= cap:
             kept.sort(key=print_key)
             kept = _ENUMERATED[n, max_nodes] = tuple(kept)
     if cap is not None and len(kept) > cap:

@@ -351,12 +351,6 @@ def count(cell: Cell) -> int:
     return cell.tree.size
 
 
-def count_generator(cell: Cell, name: str) -> int:
-    if cell.tree.is_unit:
-        return 0
-    return sum(1 for op in cell.tree.nodes.values() if op == name)
-
-
 @dataclass(frozen=True)
 class IdentityShape:
     generator: str
@@ -463,11 +457,3 @@ class PolygraphMorphism:
             if sorted(images) != sorted(self.target.generators(dim)):
                 return False
         return True
-
-
-def identity_morphism(polygraph: MtoPolygraph) -> PolygraphMorphism:
-    maps = {
-        dim: {name: name for name in polygraph.generators(dim)}
-        for dim in range(polygraph.max_dim + 1)
-    }
-    return PolygraphMorphism(polygraph, polygraph, maps)

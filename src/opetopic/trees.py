@@ -158,10 +158,7 @@ class Tree:
             if self._nodes is None:
                 self._hash = hash(("unit", self._unit))
             else:
-                nodes = self._nodes
-                self._hash = hash(
-                    tuple((a, nodes[a]) for a in self.node_addresses())
-                )
+                self._hash = hash(frozenset(self._nodes.items()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -7,6 +7,7 @@ criteria use fixed seeds so the suite is reproducible.
 
 import itertools
 import json
+import math
 import random
 import time
 from multiprocessing import get_context
@@ -58,7 +59,7 @@ def _sweep_opetopes(args):
     checked = 0
     identity_failures = []
     readdress_failures = []
-    for omega in iter_opetopes(n, SWEEP_BOUND, shard=(shard, shards), intern_results=False):
+    for omega in iter_opetopes(n, SWEEP_BOUND, shard=(shard, shards)):
         checked += 1
         report = check_identities(omega)
         if not report.ok:
@@ -193,6 +194,26 @@ class TestCriterion03GraftingFormulas:
         print(f"criterion 3: PASS - grafting address formulas on {checked} instances")
 
 
+def nth_order(keys: list, rank: int) -> tuple:
+    """The permutation of ``keys`` at ``rank`` in the lexicographic order
+    of ``itertools.permutations(keys)``."""
+    keys, order = list(keys), []
+    for position in range(len(keys), 0, -1):
+        index, rank = divmod(rank, math.factorial(position - 1))
+        order.append(keys.pop(index))
+    return tuple(order)
+
+
+def sampled_orders(rng: random.Random, keys: list) -> list[tuple]:
+    """Every order of ``keys``, or 24 of them sampled by rank.  Sampling
+    reads only the population's length, so this draws the same orders, and
+    leaves ``rng`` in the same state, as sampling the list of all orders."""
+    count = math.factorial(len(keys))
+    if count <= 24:
+        return list(itertools.permutations(keys))
+    return [nth_order(keys, rank) for rank in rng.sample(range(count), 24)]
+
+
 class TestCriterion04OrderIndependence:
     def test_total_grafting_and_composition(self):
         rng = random.Random(4321)
@@ -209,10 +230,7 @@ class TestCriterion04OrderIndependence:
                 options = [op for op in ops if op.target() == color]
                 assignment[leaf] = corolla(rng.choice(options))
             reference = None
-            orders = list(itertools.permutations(assignment))
-            if len(orders) > 24:
-                orders = rng.sample(orders, 24)
-            for order in orders:
+            for order in sampled_orders(rng, list(assignment)):
                 tree = base
                 for leaf in order:
                     tree = graft(OPETOPE_SIG, tree, leaf, assignment[leaf])
@@ -246,10 +264,7 @@ class TestCriterion04OrderIndependence:
                 if not feasible:
                     continue
                 reference = None
-                orders = list(itertools.permutations(assignment))
-                if len(orders) > 24:
-                    orders = rng.sample(orders, 24)
-                for order in orders:
+                for order in sampled_orders(rng, list(assignment)):
                     cell = base
                     for leaf in order:
                         cell = P.compose_at(cell, leaf, assignment[leaf])

@@ -1,10 +1,14 @@
 import copy
+import gc
 import pickle
+import weakref
+from itertools import islice
 
 import pytest
 
 from opetopic import opetope
 from opetopic.address import EMPTY, Address, parse_address
+from opetopic.category import slice_table
 from opetopic.errors import AddressError, CoherenceError, EnumerationLimit
 from opetopic.opetope import (
     OPETOPE_SIG,
@@ -19,6 +23,8 @@ from opetopic.opetope import (
     opetopic_integer,
     point,
 )
+from opetopic.oset import yoneda
+from opetopic.realization import unit_check
 from opetopic.trees import Tree, corolla, edge_color, flatten, graft, leaf_addresses
 
 STAR = Address((EMPTY,))
@@ -244,13 +250,13 @@ class TestEnumerate:
 
     def test_cap_covers_every_dimension_built(self, monkeypatch):
         built = []
-        original = opetope._keyed_opetopes
+        original = opetope.iter_opetopes
 
         def recording(n, *args, **kwargs):
             built.append(n)
             return original(n, *args, **kwargs)
 
-        monkeypatch.setattr(opetope, "_keyed_opetopes", recording)
+        monkeypatch.setattr(opetope, "iter_opetopes", recording)
         with pytest.raises(EnumerationLimit, match="dimension 4"):
             enumerate_opetopes(6, 3, cap=1000)
         assert 5 not in built and 6 not in built
@@ -308,10 +314,14 @@ def with_faces(opetopes):
     return seen
 
 
+def interned(omega):
+    """The instance the intern table holds under this opetope's key."""
+    return opetope._interned(omega.dim if omega._tree is None else omega._tree)
+
+
 def is_interned(omega) -> bool:
     """Whether the intern table holds this very instance under its key."""
-    found, _ = opetope._probe(omega.dim, omega._tree)
-    return found is omega
+    return interned(omega) is omega
 
 
 class TestHashConsing:
@@ -350,7 +360,7 @@ class TestHashConsing:
         enumerate_opetopes(3, 4)
         size = len(opetope._INTERN)
         degenerate_count = grown = 0
-        for omega in iter_opetopes(4, 4, shard=(5, 64), intern_results=False):
+        for omega in iter_opetopes(4, 4, shard=(5, 64)):
             if omega.is_degenerate:
                 degenerate_count += 1
                 continue
@@ -359,20 +369,62 @@ class TestHashConsing:
             assert omega._leaves is not None
             assert omega.leaf_addresses() == leaf_addresses(OPETOPE_SIG, omega.tree)
         assert grown > 10_000
-        # un-interned results are not stored; degenerate ones may be
+        del omega
+        # the yielded opetopes that nothing holds have left the table
         assert len(opetope._INTERN) - size <= degenerate_count
 
     def test_uninterned_results_intern_to_the_enumerated_instances(self):
         enumerate_opetopes(3, 3)
-        fresh = list(iter_opetopes(4, 3, intern_results=False))
+        fresh = list(iter_opetopes(4, 3))
         canonical = enumerate_opetopes(4, 3)
         assert len(fresh) == len(canonical)
-        assert {id(opetope._intern(omega)) for omega in fresh} == set(map(id, canonical))
+        assert {id(interned(omega)) for omega in fresh} == set(map(id, canonical))
         # once interned, the interned instances are what is yielded
         size = len(opetope._INTERN)
-        again = list(iter_opetopes(4, 3, intern_results=False))
+        again = list(iter_opetopes(4, 3))
         assert set(map(id, again)) == set(map(id, canonical))
         assert len(opetope._INTERN) == size
+
+    # the benchmark's sweep still passes intern_results=False, which is now
+    # accepted and ignored; it used to yield instances that were not
+    # interned.  No test enumerates dim 4 at bound 4, so the shard's
+    # opetopes are new to the table whatever ran before.
+    @pytest.mark.parametrize("kwargs", [{"intern_results": False}, {}])
+    @pytest.mark.parametrize("bound, shard, count", [(2, None, 45), (4, (5, 64), 300)])
+    def test_every_yielded_opetope_is_the_canonical_instance(
+        self, kwargs, bound, shard, count
+    ):
+        checked = 0
+        for omega in islice(iter_opetopes(4, bound, shard=shard, **kwargs), count):
+            assert unit_check(yoneda(omega, omega.dim)).ok, str(omega)
+            assert pickle.loads(pickle.dumps(omega)) is omega
+            if not omega.is_degenerate:
+                reversed_nodes = dict(reversed(omega.tree.nodes.items()))
+                assert from_tree(Tree.of(reversed_nodes)) is omega
+            checked += 1
+        assert checked == count
+
+    def test_an_opetope_and_its_caches_die_together(self):
+        # every dim-4, bound-3 opetope may be kept in _ENUMERATED by other
+        # tests; a grown one with four nodes is in no enumeration
+        enumerate_opetopes(3, 4)
+        # an opetope left in a garbage cycle by an earlier test can release
+        # another one collections later, through its intern key; freezing
+        # keeps that garbage out of the count
+        gc.collect()
+        gc.freeze()
+        try:
+            size = len(opetope._INTERN)
+            omega = next(o for o in iter_opetopes(4, 4, shard=(5, 64)) if o.tree.size == 4)
+            assert not any(omega in kept for kept in opetope._ENUMERATED.values())
+            assert slice_table(omega) is omega._slices
+            alive = weakref.ref(omega)
+            del omega
+            gc.collect()
+            assert alive() is None
+            assert len(opetope._INTERN) == size
+        finally:
+            gc.unfreeze()
 
 
 class TestGrowerAgainstFlatten:
@@ -396,9 +448,9 @@ class TestGrowerAgainstFlatten:
 
     @pytest.mark.parametrize("dim, bound", [(2, 3), (3, 3), (4, 3), (5, 2), (6, 2)])
     def test_small_bounds(self, dim, bound):
-        fresh = iter_opetopes(dim, bound, intern_results=False)
+        fresh = iter_opetopes(dim, bound)
         assert self.check_against_flatten(fresh) > 0
 
     def test_full_sweep_shard(self):
-        shard = iter_opetopes(4, 4, shard=(5, 64), intern_results=False)
+        shard = iter_opetopes(4, 4, shard=(5, 64))
         assert self.check_against_flatten(shard) > 10_000

@@ -20,9 +20,7 @@ from opetopic.polygraph import (
     MtoPolygraph,
     PolygraphMorphism,
     count,
-    count_generator,
     decompose,
-    identity_morphism,
 )
 from opetopic.trees import (
     Tree,
@@ -35,6 +33,21 @@ from opetopic.trees import (
 )
 
 from randomized import RandomPolygraphConfig, random_cell, random_polygraph
+
+
+def count_generator(cell: Cell, name: str) -> int:
+    if cell.tree.is_unit:
+        return 0
+    return sum(1 for op in cell.tree.nodes.values() if op == name)
+
+
+def identity_morphism(polygraph: MtoPolygraph) -> PolygraphMorphism:
+    maps = {
+        dim: {name: name for name in polygraph.generators(dim)}
+        for dim in range(polygraph.max_dim + 1)
+    }
+    return PolygraphMorphism(polygraph, polygraph, maps)
+
 
 STAR = Address((EMPTY,))
 

@@ -15,7 +15,9 @@ one level down.  An opetope that nothing else holds leaves the table when
 it dies, and a later build makes a new canonical instance.  What is
 computed about an opetope is kept on it and dies with it: its target and
 readdressing, its leaves, and the faces, relation squares and slice table
-that ``category`` builds.
+that ``category`` builds.  The readdressing is kept as the tuple of leaf
+images aligned with the sorted leaves, as the grower hands it over, and
+``readdress`` builds a fresh dict from the two on each call.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class Opetope:
     def __init__(self, dim: int, tree: Tree | None):
         self._dim = dim
         self._tree = tree
-        self._boundary: tuple["Opetope", dict[Address, Address]] | None = None
+        # the target, and the readdressing as leaf images in ``_leaves`` order
+        self._boundary: tuple["Opetope", tuple[Address, ...]] | None = None
         self._str: str | None = None
         self._leaves: tuple[Address, ...] | None = None
         # kept by ``category``: faces_of, relation_instances, slice_table
@@ -108,21 +111,26 @@ class Opetope:
         return self._flatten()[0]
 
     def readdress(self) -> dict[Address, Address]:
-        """Bijection from leaf addresses onto the target's node addresses."""
+        """Bijection from leaf addresses onto the target's node addresses,
+        as a fresh dict on each call."""
         if self._dim < 2:
             raise AddressError("readdressing needs dimension >= 2")
-        return dict(self._flatten()[1])
+        rho = self._flatten()[1]
+        return dict(zip(self._leaves, rho))
 
-    def _flatten(self) -> tuple["Opetope", dict[Address, Address]]:
+    def _flatten(self) -> tuple["Opetope", tuple[Address, ...]]:
         if self._boundary is None:
             if self._dim == 1:
-                self._boundary = (point(), {})
+                self._boundary = (point(), ())
             else:
                 # flattening arrows gives the corolla on the point, which
                 # is the arrow; the arrow is stored without a tree
                 result = flatten(OPETOPE_SIG, self._tree)
                 target = from_tree(result.tree) if self._dim > 2 else arrow()
-                self._boundary = (target, result.readdress)
+                rho = result.readdress  # keyed by the leaves
+                if self._leaves is None:
+                    self._leaves = tuple(sorted(rho))
+                self._boundary = (target, tuple([rho[leaf] for leaf in self._leaves]))
         return self._boundary
 
     def __reduce__(self):
@@ -289,7 +297,7 @@ def check_identities(omega: Opetope) -> Report:
     if omega.dim < 2:
         report.fail(f"identities need dimension >= 2, got {omega.dim}")
         return report
-    target, readdress = omega._flatten()
+    target, rho = omega._flatten()
     if omega.is_degenerate:
         left = target.source_at(EMPTY)
         right = target.target()
@@ -320,7 +328,7 @@ def check_identities(omega: Opetope) -> Report:
     right = target.target()
     if left != right:
         report.fail(f"globularity (root): t s[[]] = {left} but t t = {right}")
-    for leaf, image in readdress.items():
+    for leaf, image in zip(omega._leaves, rho):
         via_source = source(nodes[leaf[:-1]], leaf[-1])
         via_target = target.tree.nodes[image] if target.dim >= 2 else point()
         if via_source != via_target:
@@ -393,10 +401,10 @@ def iter_opetopes(
         omega = _interned(tree)
         if omega is None:
             omega = _intern(Opetope(n, tree))
-        if omega._boundary is None:
-            omega._boundary = (target, dict(zip(leaves, rho)))
         if omega._leaves is None:
             omega._leaves = leaves
+        if omega._boundary is None:
+            omega._boundary = (target, rho)
         yield omega
 
 

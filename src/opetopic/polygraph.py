@@ -36,7 +36,6 @@ from .trees import (
     flatten,
     graft,
     grow_trees,
-    leaf_addresses,
     total_graft,
 )
 
@@ -132,7 +131,6 @@ class MtoPolygraph:
 
     def __init__(self) -> None:
         self._dims: list[dict[str, Union[None, Gen1, GenN]]] = []
-        self._stages: dict[int, StageSignature] = {}
         self._flat_sources: dict[tuple[int, str], FlattenResult] = {}
 
     # -- construction -------------------------------------------------
@@ -174,16 +172,19 @@ class MtoPolygraph:
         return 0 <= dim < len(self._dims) and name in self._dims[dim]
 
     def gen_data(self, dim: int, name: str):
-        if not self.has_generator(dim, name):
-            raise UnknownNameError(f"no {dim}-generator named {name!r}")
-        return self._dims[dim][name]
+        if dim >= 0:
+            try:
+                return self._dims[dim][name]
+            except (IndexError, KeyError):
+                pass
+        raise UnknownNameError(f"no {dim}-generator named {name!r}")
 
     def stage(self, dim: int) -> StageSignature:
+        """The signature of dimension-``dim`` cells, built on each call:
+        kept here, it would point back and make the polygraph a cycle."""
         if dim < 1:
             raise ValueError("cell signatures start at dimension 1")
-        if dim not in self._stages:
-            self._stages[dim] = StageSignature(self, dim)
-        return self._stages[dim]
+        return StageSignature(self, dim)
 
     def _flat_source(self, dim: int, op: str) -> FlattenResult:
         """The flattened source tree of a generator, computed once."""
@@ -224,10 +225,6 @@ class MtoPolygraph:
             return self.gen_data(1, root).target
         return self.gen_data(cell.dim, root).target
 
-    def leaf_contexts(self, cell: Cell) -> list[Address]:
-        """Leaf addresses; these index the occurrences in the source."""
-        return list(leaf_addresses(self.stage(cell.dim), cell.tree))
-
     def compose_at(self, outer: Cell, leaf: Address, inner: Cell) -> Cell:
         """Placed composition: plug ``inner`` into one occurrence of its
         target inside the source of ``outer``."""
@@ -259,21 +256,6 @@ class MtoPolygraph:
         except GraftError as error:
             raise CompositionError(str(error)) from error
         return Cell(base.dim, tree)
-
-    def parallel(self, left: Union[Cell, str], right: Union[Cell, str]) -> bool:
-        """Same source and same target; 0-cells are all parallel."""
-        if isinstance(left, str) or isinstance(right, str):
-            if isinstance(left, str) and isinstance(right, str):
-                return True
-            raise CompositionError("cannot compare cells of different dimensions")
-        if left.dim != right.dim:
-            raise CompositionError(
-                f"parallel is defined for equidimensional cells, got "
-                f"{left.dim} and {right.dim}"
-            )
-        if self.target_name(left) != self.target_name(right):
-            return False
-        return self.source_cell(left) == self.source_cell(right)
 
     def enumerate_cells(self, dim: int, budget: int) -> list[Cell]:
         """All dimension-``dim`` cells with at most ``budget`` generator
@@ -413,9 +395,6 @@ class PolygraphMorphism:
         if tree.is_unit:
             return Tree.unit(self.apply(dim - 1, tree.unit_color))
         return Tree.of({p: self.apply(dim, op) for p, op in tree.nodes.items()})
-
-    def map_cell(self, cell: Cell) -> Cell:
-        return Cell(cell.dim, self.map_tree(cell.dim, cell.tree))
 
     def validate(self) -> Report:
         report = Report()

@@ -297,16 +297,22 @@ def unit_check(X: OpetopicSet) -> Report:
 
 def counit_check(P: MtoPolygraph) -> Report:
     """Realizing the nerve gives back the polygraph, generator for
-    generator."""
+    generator.  Each generator's shape is read off the nerve's names, and
+    one that the nerve lacks is reported as undefined."""
     report = Report()
     X = nerve(P, max(P.max_dim, 0))
     names = oset_generator_names(X)
     Q = _realize(X, names)
+    shapes = {(shape.dim, cell): shape for shape, cell in names}
     maps: dict[int, dict[str, str]] = {dim: {} for dim in range(Q.max_dim + 1)}
-    memo: dict[tuple[int, str], Opetope] = {}
     for dim in range(P.max_dim + 1):
         for gen in P.generators(dim):
-            shape = shape_opetope(P, dim, gen, memo)
+            shape = shapes.get((dim, gen))
+            if shape is None:
+                report.fail(
+                    f"morphism undefined on {dim}-generator {gen!r}: not in the nerve"
+                )
+                continue
             maps.setdefault(dim, {})[names[(shape, gen)]] = gen
     morphism = PolygraphMorphism(Q, P, maps)
     sub_report = morphism.validate()

@@ -216,6 +216,8 @@ def sampled_orders(rng: random.Random, keys: list) -> list[tuple]:
 
 class TestCriterion04OrderIndependence:
     def test_total_grafting_and_composition(self):
+        from test_polygraph import leaf_contexts
+
         rng = random.Random(4321)
         graft_cases = 0
         ops = enumerate_opetopes(2, 3)
@@ -246,7 +248,7 @@ class TestCriterion04OrderIndependence:
                 base = random_cell(rng, P, dim, 3)
                 if base is None or base.tree.is_unit:
                     continue
-                leaves = P.leaf_contexts(base)
+                leaves = leaf_contexts(P, base)
                 if len(leaves) < 2:
                     continue
                 sig = P.stage(dim)

@@ -10,6 +10,7 @@ from opetopic import opetope
 from opetopic.address import EMPTY, Address, parse_address
 from opetopic.category import slice_table
 from opetopic.errors import AddressError, CoherenceError, EnumerationLimit
+from opetopic.formats import parse_opetope_file
 from opetopic.opetope import (
     OPETOPE_SIG,
     Opetope,
@@ -136,6 +137,31 @@ class TestFaces:
     def test_dimension_drops_by_one(self):
         for omega in enumerate_opetopes(3, 2):
             assert omega.target().dim == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # grown: four nodes, so in no enumeration another test keeps
+            lambda: next(
+                o for o in iter_opetopes(4, 4, shard=(5, 64)) if o.tree.size == 4
+            ),
+            lambda: parse_opetope_file(
+                "opetope w = {[] <- {[] <- arrow, [*] <- arrow}, "
+                "[[]] <- {[] <- arrow, [*] <- arrow}}"
+            )["w"],
+            lambda: degenerate(O2),
+        ],
+        ids=["grown", "parsed", "degenerate"],
+    )
+    def test_readdress_is_a_fresh_dict_on_every_call(self, build):
+        omega = build()
+        first = omega.readdress()
+        second = omega.readdress()
+        assert first == second and first is not second
+        assert first == flatten(OPETOPE_SIG, omega.tree).readdress
+        first.clear()
+        first[EMPTY] = STAR
+        assert omega.readdress() == second
 
 
 class TestIdentities:

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -13,7 +16,7 @@ from opetopic.category import (
     slice_classes,
 )
 from opetopic.errors import Report
-from opetopic.formats import print_polygraph
+from opetopic.formats import parse_polygraph, print_polygraph
 from opetopic.opetope import (
     Opetope,
     arrow,
@@ -389,3 +392,78 @@ class TestUnitCounit:
             assert P.validate().ok
             assert unit_check(yoneda(omega, omega.dim)).ok
             assert counit_check(P).ok
+
+    def test_counit_reports_a_generator_the_nerve_dropped(
+        self, monkeypatch, path_polygraph
+    ):
+        build = realization.nerve
+
+        def nerve_without_m(P, max_dim):
+            X = build(P, max_dim)
+            for cells in X.cells.values():
+                if "m" in cells:
+                    cells.remove("m")
+            return X
+
+        monkeypatch.setattr(realization, "nerve", nerve_without_m)
+        assert counit_check(path_polygraph).failures == [
+            "morphism undefined on 2-generator 'm': not in the nerve",
+            "counit is not a generator-for-generator isomorphism",
+        ]
+
+
+@contextmanager
+def collector_off():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestLifetimes:
+    """A polygraph holds no reference cycle, so it and its flatten memo
+    are freed by reference counting as soon as the last reference goes,
+    with the cyclic collector off."""
+
+    def test_parsed_and_validated_polygraph(self):
+        text = print_polygraph(random_polygraph(random.Random(12)))
+        with collector_off():
+            P = parse_polygraph(text)
+            assert P.validate().ok
+            assert P._flat_sources
+            alive = weakref.ref(P)
+            del P
+            assert alive() is None
+
+    def test_realization_after_validate(self):
+        omega = max(enumerate_opetopes(4, 2), key=lambda o: len(str(o)))
+        with collector_off():
+            P = realize_opetope(omega)
+            assert P.validate().ok
+            alive = weakref.ref(P)
+            del P
+            assert alive() is None
+
+    def test_polygraphs_built_by_the_checks(self, monkeypatch):
+        text = print_polygraph(random_polygraph(random.Random(13)))
+        built = []
+        init = MtoPolygraph.__init__
+
+        def recording_init(self):
+            init(self)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(MtoPolygraph, "__init__", recording_init)
+        with collector_off():
+            P = parse_polygraph(text)
+            assert P.validate().ok
+            X = nerve(P, P.max_dim)
+            assert unit_check(X).ok
+            assert counit_check(P).ok
+            # the parsed one and the realizations inside both checks
+            assert len(built) == 3
+            del P, X
+            assert [ref() for ref in built] == [None] * 3

@@ -12,7 +12,7 @@ empty entries out, e.g. ``[[*][]]``.
 
 Entries are validated at parse time and in public construction
 ``Address(...)``; addresses built from addresses (``child``, ``concat``,
-``parent``, substitution in ``trees``) skip the check via ``_trusted``.
+``parent``, readdressing in ``trees``) skip the check via ``_trusted``.
 """
 
 from __future__ import annotations

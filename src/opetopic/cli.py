@@ -85,10 +85,6 @@ def _load_opetope(args) -> Opetope:
     return env[next(reversed(env))]
 
 
-def _load_polygraph(args) -> MtoPolygraph:
-    return parse_polygraph(_read(args.file))
-
-
 def _opetope_json(omega: Opetope):
     if omega.dim == 0:
         return {"dim": 0, "kind": "point"}
@@ -249,7 +245,7 @@ def cmd_yoneda(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    P = _load_polygraph(args)
+    P = parse_polygraph(_read(args.file))
     report = P.validate()
     if not report.ok:
         print(report, file=sys.stderr)
@@ -277,7 +273,7 @@ def cmd_shape(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    P = _load_polygraph(args)
+    P = parse_polygraph(_read(args.file))
     report = P.validate()
     if not report.ok:
         print(report, file=sys.stderr)
@@ -344,12 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True, with_expr=True):
-        if with_file:
-            p.add_argument("file", nargs="?", help="input file")
-        if with_expr:
-            p.add_argument("--expr", help="inline opetope expression")
-            p.add_argument("--name", help="definition to use from the file")
+    def common(p):
+        p.add_argument("file", nargs="?", help="input file")
+        p.add_argument("--expr", help="inline opetope expression")
+        p.add_argument("--name", help="definition to use from the file")
         p.add_argument("--json", action="store_true", help="structured output")
 
     p = sub.add_parser("validate", help="validate a file of any kind")
@@ -357,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_validate)
 
-    for name, fn, extra in [
-        ("target", cmd_target, None),
-        ("leaves", cmd_leaves, None),
-        ("readdress", cmd_readdress, None),
-        ("identities", cmd_identities, None),
-        ("realize", cmd_realize, None),
-        ("boundary", cmd_boundary, None),
+    for name, fn in [
+        ("target", cmd_target),
+        ("leaves", cmd_leaves),
+        ("readdress", cmd_readdress),
+        ("identities", cmd_identities),
+        ("realize", cmd_realize),
+        ("boundary", cmd_boundary),
     ]:
         p = sub.add_parser(name)
         common(p)
@@ -423,10 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exit_.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except UnknownNameError as error:
+    except (ParseError, UnknownNameError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except OpetopicError as error:

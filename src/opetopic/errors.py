@@ -18,7 +18,7 @@ class AddressError(OpetopicError):
 
 
 class GraftError(OpetopicError):
-    """Illegal grafting or substitution: wrong leaf, color mismatch, bad gluing."""
+    """Illegal grafting or gluing: wrong leaf, color mismatch, bad gluing map."""
 
 
 class CoherenceError(OpetopicError):

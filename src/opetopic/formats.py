@@ -225,12 +225,17 @@ def parse_opetope_file(text: str) -> dict[str, Opetope]:
         keyword = scanner.name()
         if keyword != "opetope":
             raise ParseError(f"expected 'opetope', found {keyword!r}", *scanner.position())
-        name = scanner.name()
-        if name in env:
-            raise ParseError(f"redefinition of {name!r}", *scanner.position())
-        scanner.expect_symbol("=")
-        env[name] = parse_opetope_expr(scanner, env)
+        _define(scanner, env)
     return env
+
+
+def _define(scanner: Scanner, env: dict[str, Opetope]) -> None:
+    """Bind the ``NAME = EXPR`` of an ``opetope`` definition in ``env``."""
+    name = scanner.name()
+    if name in env:
+        raise ParseError(f"redefinition of {name!r}", *scanner.position())
+    scanner.expect_symbol("=")
+    env[name] = parse_opetope_expr(scanner, env)
 
 
 def print_opetope_file(env: dict[str, Opetope]) -> str:
@@ -340,11 +345,7 @@ def parse_oset(text: str) -> OpetopicSet:
     while not scanner.at_end():
         keyword = scanner.name()
         if keyword == "opetope":
-            name = scanner.name()
-            if name in env:
-                raise ParseError(f"redefinition of {name!r}", *scanner.position())
-            scanner.expect_symbol("=")
-            env[name] = parse_opetope_expr(scanner, env)
+            _define(scanner, env)
             continue
         if keyword != "cell":
             raise ParseError(

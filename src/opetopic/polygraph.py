@@ -220,10 +220,7 @@ class MtoPolygraph:
         """The target boundary, always a single generator name."""
         if cell.tree.is_unit:
             return cell.tree.unit_color
-        root = cell.tree.nodes[EMPTY]
-        if cell.dim == 1:
-            return self.gen_data(1, root).target
-        return self.gen_data(cell.dim, root).target
+        return self.gen_data(cell.dim, cell.tree.nodes[EMPTY]).target
 
     def compose_at(self, outer: Cell, leaf: Address, inner: Cell) -> Cell:
         """Placed composition: plug ``inner`` into one occurrence of its

@@ -4,19 +4,20 @@ This is the shared kernel behind opetopes (signature = opetopes one
 dimension down) and polygraph cells (signature = the generator signature of
 a stage).  A tree is either a bare edge carrying a color, or a finite map
 from node addresses to operations.  The map encoding makes grafting and
-substitution pure address bookkeeping:
+readdressing pure address bookkeeping:
 
 * grafting attaches a tree to a leaf, prefixing its addresses by the leaf;
-* substitution replaces one node by a whole tree, rerouting the addresses
-  that passed through the removed node along a gluing bijection;
 * ``flatten`` contracts a tree of operations into a single composite one
   level down, keeping track of where each leaf ends up (the readdressing
-  map).  This is the structure map that computes opetope targets and
-  polygraph cell sources;
+  map).  Only that map is grown: node by node, a leaf's image gives way
+  to the images of the node's children, and the images above it are
+  rerouted through the node's gluing.  The flat tree carries each leaf's
+  color at its image.  This is the structure map that computes opetope
+  targets and polygraph cell sources;
 * ``grow_trees`` grows every tree by grafting corollas at leaves; it
   enumerates both opetopes and polygraph cells.  For opetopes it grows the
-  readdressing alongside, one leaf image per graft, and by leaf
-  globularity reads each flat tree off the leaf colors.
+  readdressing alongside, one graft at a time by the same rerouting rule,
+  and reads each flat tree off the leaf colors.
 """
 
 from __future__ import annotations
@@ -279,59 +280,6 @@ def total_graft(sig: Signature, base: Tree, assignment: Mapping[Address, Tree]) 
     return result
 
 
-def substitute(
-    sig: Signature,
-    outer: Tree,
-    at: Address,
-    inner: Tree,
-    glue: Mapping[Address, Address],
-) -> tuple[Tree, dict[Address, Address]]:
-    """Replace the node of ``outer`` at ``at`` by the whole tree ``inner``.
-
-    ``glue`` matches each leaf address of ``inner`` with an input of the
-    removed operation; nodes of ``outer`` that sat above the removed node
-    through input ``q`` are rerouted through the leaf ``glue^-1(q)``.
-    Returns the new tree and the map sending each surviving node of
-    ``outer`` to its new address.  Substituting a unit splices the removed
-    node out entirely.
-    """
-    if outer.is_unit:
-        raise AddressError("cannot substitute into a unit tree")
-    nodes = outer.nodes
-    if at not in nodes:
-        raise AddressError(f"no node at address {at}")
-    removed = nodes[at]
-    slots = sig.inputs(removed)
-    inverse: dict[Address, Address] = {}
-    for leaf, slot in glue.items():
-        if slot in inverse:
-            raise GraftError(f"gluing is not injective at input {slot}")
-        inverse[slot] = leaf
-    if set(inverse) != set(slots):
-        raise GraftError(
-            "gluing does not match the inputs of the removed node: "
-            f"{sorted(map(str, inverse))} vs {sorted(map(str, slots))}"
-        )
-    moves: dict[Address, Address] = {}
-    out: dict[Address, Operation] = {}
-    k = len(at)
-    for p, op in nodes.items():
-        if len(p) > k and p[:k] == at:
-            # the glued leaf's entries are spliced in, not nested
-            q = _trusted(at + inverse[p[k]] + p[k + 1 :])
-            moves[p] = q
-            out[q] = op
-        elif p != at:
-            moves[p] = p
-            out[p] = op
-    if not inner.is_unit:
-        for v, op in inner.nodes.items():
-            out[_trusted(at + v)] = op
-    if not out:
-        return Tree.unit(inner.unit_color), moves
-    return Tree._wrap(out), moves
-
-
 @dataclass(frozen=True)
 class FlattenResult:
     tree: Tree
@@ -344,11 +292,11 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     The unit on a color becomes the corolla at that color.  Operations
     without a source tree (arrows, 1-generators) have one input each, so
     their trees are chains; this is the base case, and a chain also
-    becomes the corolla on the color of its only leaf.  Otherwise a corolla
-    becomes its operation's source tree, and each further node substitutes
-    its source tree into the partial result at the node its attachment
-    leaf readdresses to.  The returned map is a bijection from the leaves
-    of the input onto the nodes of the result.
+    becomes the corolla on the color of its only leaf.  Otherwise the
+    readdressing, a bijection from the leaves of the input onto the nodes
+    of the result, starts from the root's source tree and grows node by
+    node by the rule of ``grow_trees``; the result carries each leaf's
+    color at its image, or is the last node's unit source tree.
     """
     if tree.is_unit:
         return FlattenResult(corolla(tree.unit_color), {EMPTY: EMPTY})
@@ -356,8 +304,8 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     if EMPTY not in nodes:
         raise CoherenceError("node map does not contain the root address")
     root_op = nodes[EMPTY]
-    result = sig.source_tree(root_op)
-    if result is None:
+    source = sig.source_tree(root_op)
+    if source is None:
         # a chain: the deepest node, the greatest address, holds the leaf
         deepest = max(nodes)
         op = nodes[deepest]
@@ -365,21 +313,44 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
         leaf = deepest.child(slot)
         return FlattenResult(corolla(sig.source_color(op, slot)), {leaf: EMPTY})
     sub = sig.sub_signature()
-    rho = {EMPTY.child(e): e for e in sig.inputs(root_op)}
-    for p, op in sorted(nodes.items(), key=lambda kv: kv[0])[1:]:
+    # leaf to image, and leaf to its color, which decorates the image
+    slots = sig.inputs(root_op)
+    rho = {EMPTY.child(e): e for e in slots}
+    colors = {EMPTY.child(e): source.nodes[e] for e in slots}
+    for p in tree.node_addresses()[1:]:
         if p not in rho:
             raise CoherenceError(f"node at {p} is not attached to a leaf")
         r = rho.pop(p)
-        inner = sig.source_tree(op)
+        op = nodes[p]
+        source = sig.source_tree(op)
         glue = sig.sub_readdress(op)
-        result, moves = substitute(sub, result, r, inner, glue)
-        rho = {leaf: moves[node] for leaf, node in rho.items()}
+        slots = sub.inputs(colors.pop(p))
+        inverse: dict[Address, Address] = {}
+        for leaf, slot in glue.items():
+            if slot in inverse:
+                raise GraftError(f"gluing is not injective at input {slot}")
+            inverse[slot] = leaf
+        if set(inverse) != set(slots):
+            raise GraftError(
+                "gluing does not match the inputs of the removed node: "
+                f"{sorted(map(str, inverse))} vs {sorted(map(str, slots))}"
+            )
+        # the leaf's image gives way to its children's, and the images
+        # strictly above it are rerouted through the inverted gluing
+        k = len(r)
+        for leaf, image in rho.items():
+            if len(image) > k and image[:k] == r:
+                rho[leaf] = _trusted(r + inverse[image[k]] + image[k + 1 :])
         for e in sig.inputs(op):
-            rho[p.child(e)] = r.concat(e)
-    result_nodes = set(result.nodes) if not result.is_unit else set()
-    if set(rho.values()) != result_nodes or len(rho) != len(result_nodes):
+            leaf = p.child(e)
+            rho[leaf] = r.concat(e)
+            colors[leaf] = source.nodes[e]
+    if not rho:
+        return FlattenResult(source, rho)
+    flat = {image: colors[leaf] for leaf, image in rho.items()}
+    if len(flat) != len(rho):
         raise CoherenceError("flatten readdressing failed to be a bijection")
-    return FlattenResult(result, rho)
+    return FlattenResult(Tree._wrap(flat), rho)
 
 
 def grow_trees(
@@ -404,8 +375,8 @@ def grow_trees(
     order, as ``leaf_addresses`` gives them.  Only the readdressing is grown:
     grafting ``op`` at a leaf with image ``a`` gives its new leaves ``a``
     plus their slot and reroutes each image strictly above ``a`` through
-    ``op``'s gluing, as substituting its source tree at ``a`` would.  By
-    leaf globularity the flat tree is read off the leaf colors.
+    ``op``'s gluing, the rule ``flatten`` applies node by node.  By leaf
+    globularity the flat tree is read off the leaf colors.
     """
     if max_nodes < 1:
         return

@@ -1,11 +1,13 @@
 import random
+from typing import Mapping
 
 import pytest
 from hypothesis import strategies as st
 
-from opetopic.address import EMPTY, Address
+from opetopic.address import EMPTY, Address, _trusted
+from opetopic.errors import AddressError, CoherenceError, GraftError
 from opetopic.polygraph import MtoPolygraph
-from opetopic.trees import Signature, Tree
+from opetopic.trees import FlattenResult, Operation, Signature, Tree, corolla
 
 
 def addresses(max_entries: int = 3, max_leaves: int = 8):
@@ -89,3 +91,105 @@ def loop_polygraph():
     P.add_arrow("f", "a", "a")
     P.add_generator(2, "m", Tree.of({EMPTY: "f"}), "f")
     return P
+
+
+# substitution and the flatten built on it: the library grows only the
+# readdressing, and these stay its independent oracle
+
+
+def substitute(
+    sig: Signature,
+    outer: Tree,
+    at: Address,
+    inner: Tree,
+    glue: Mapping[Address, Address],
+) -> tuple[Tree, dict[Address, Address]]:
+    """Replace the node of ``outer`` at ``at`` by the whole tree ``inner``.
+
+    ``glue`` matches each leaf address of ``inner`` with an input of the
+    removed operation; nodes of ``outer`` that sat above the removed node
+    through input ``q`` are rerouted through the leaf ``glue^-1(q)``.
+    Returns the new tree and the map sending each surviving node of
+    ``outer`` to its new address.  Substituting a unit splices the removed
+    node out entirely.
+    """
+    if outer.is_unit:
+        raise AddressError("cannot substitute into a unit tree")
+    nodes = outer.nodes
+    if at not in nodes:
+        raise AddressError(f"no node at address {at}")
+    removed = nodes[at]
+    slots = sig.inputs(removed)
+    inverse: dict[Address, Address] = {}
+    for leaf, slot in glue.items():
+        if slot in inverse:
+            raise GraftError(f"gluing is not injective at input {slot}")
+        inverse[slot] = leaf
+    if set(inverse) != set(slots):
+        raise GraftError(
+            "gluing does not match the inputs of the removed node: "
+            f"{sorted(map(str, inverse))} vs {sorted(map(str, slots))}"
+        )
+    moves: dict[Address, Address] = {}
+    out: dict[Address, Operation] = {}
+    k = len(at)
+    for p, op in nodes.items():
+        if len(p) > k and p[:k] == at:
+            # the glued leaf's entries are spliced in, not nested
+            q = _trusted(at + inverse[p[k]] + p[k + 1 :])
+            moves[p] = q
+            out[q] = op
+        elif p != at:
+            moves[p] = p
+            out[p] = op
+    if not inner.is_unit:
+        for v, op in inner.nodes.items():
+            out[_trusted(at + v)] = op
+    if not out:
+        return Tree.unit(inner.unit_color), moves
+    return Tree._wrap(out), moves
+
+
+
+def flatten(sig: Signature, tree: Tree) -> FlattenResult:
+    """Contract a tree of operations into one composite a level down.
+
+    The unit on a color becomes the corolla at that color.  Operations
+    without a source tree (arrows, 1-generators) have one input each, so
+    their trees are chains; this is the base case, and a chain also
+    becomes the corolla on the color of its only leaf.  Otherwise a corolla
+    becomes its operation's source tree, and each further node substitutes
+    its source tree into the partial result at the node its attachment
+    leaf readdresses to.  The returned map is a bijection from the leaves
+    of the input onto the nodes of the result.
+    """
+    if tree.is_unit:
+        return FlattenResult(corolla(tree.unit_color), {EMPTY: EMPTY})
+    nodes = tree.nodes
+    if EMPTY not in nodes:
+        raise CoherenceError("node map does not contain the root address")
+    root_op = nodes[EMPTY]
+    result = sig.source_tree(root_op)
+    if result is None:
+        # a chain: the deepest node, the greatest address, holds the leaf
+        deepest = max(nodes)
+        op = nodes[deepest]
+        (slot,) = sig.inputs(op)
+        leaf = deepest.child(slot)
+        return FlattenResult(corolla(sig.source_color(op, slot)), {leaf: EMPTY})
+    sub = sig.sub_signature()
+    rho = {EMPTY.child(e): e for e in sig.inputs(root_op)}
+    for p, op in sorted(nodes.items(), key=lambda kv: kv[0])[1:]:
+        if p not in rho:
+            raise CoherenceError(f"node at {p} is not attached to a leaf")
+        r = rho.pop(p)
+        inner = sig.source_tree(op)
+        glue = sig.sub_readdress(op)
+        result, moves = substitute(sub, result, r, inner, glue)
+        rho = {leaf: moves[node] for leaf, node in rho.items()}
+        for e in sig.inputs(op):
+            rho[p.child(e)] = r.concat(e)
+    result_nodes = set(result.nodes) if not result.is_unit else set()
+    if set(rho.values()) != result_nodes or len(rho) != len(result_nodes):
+        raise CoherenceError("flatten readdressing failed to be a bijection")
+    return FlattenResult(result, rho)

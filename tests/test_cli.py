@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ from opetopic.address import parse_address
 from opetopic.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_REFERENCE = Path(__file__).parents[1] / "bench" / "reference"
 
 
 def run(capsys, *argv):
@@ -21,6 +23,15 @@ def run(capsys, *argv):
 
 
 class TestCommands:
+    def test_enumerate_matches_bench_reference(self, capsys):
+        """``enumerate --dim 8 --max-nodes 2`` prints the 14,907 lines
+        whose SHA-256 the benchmark pins."""
+        reference = json.loads((BENCH_REFERENCE / "enumerate.json").read_text())
+        code, out, _ = run(capsys, "enumerate", "--dim", "8", "--max-nodes", "2")
+        assert code == 0
+        assert len(out.splitlines()) == reference["count"] == 14_907
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["sha256"]
+
     def test_target(self, capsys, tmp_path):
         path = tmp_path / "two.optp"
         path.write_text("opetope two = {[] <- arrow, [*] <- arrow}\n")

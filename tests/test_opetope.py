@@ -28,6 +28,8 @@ from opetopic.oset import yoneda
 from opetopic.realization import unit_check
 from opetopic.trees import Tree, corolla, edge_color, flatten, graft, leaf_addresses
 
+from conftest import flatten as oracle_flatten
+
 STAR = Address((EMPTY,))
 O2 = opetopic_integer(2)
 
@@ -455,9 +457,10 @@ class TestHashConsing:
 
 class TestGrowerAgainstFlatten:
     """The grower reads each target off its leaf colors and readdressing,
-    which makes leaf globularity true by construction; ``flatten`` stays
-    the independent oracle for the targets and readdressings it hands
-    over."""
+    which makes leaf globularity true by construction; the substitution
+    flatten stays the independent oracle for the targets and readdressings
+    it hands over, and for the library ``flatten``, which reroutes leaf
+    images by the grower's rule."""
 
     @staticmethod
     def check_against_flatten(opetopes) -> int:
@@ -465,10 +468,11 @@ class TestGrowerAgainstFlatten:
         for omega in opetopes:
             if omega.is_degenerate:
                 continue
-            result = flatten(OPETOPE_SIG, omega.tree)
+            result = oracle_flatten(OPETOPE_SIG, omega.tree)
             expected = from_tree(result.tree) if omega.dim > 2 else arrow()
             assert expected is omega.target(), str(omega)
             assert result.readdress == omega.readdress(), str(omega)
+            assert flatten(OPETOPE_SIG, omega.tree) == result, str(omega)
             checked += 1
         return checked
 

@@ -9,6 +9,7 @@ from opetopic.errors import (
     AddressError,
     CoherenceError,
     CompositionError,
+    GraftError,
     Report,
     UnknownNameError,
 )
@@ -29,9 +30,9 @@ from opetopic.trees import (
     edge_color,
     graft,
     leaf_addresses,
-    substitute,
 )
 
+from conftest import flatten as oracle_flatten, substitute
 from randomized import RandomPolygraphConfig, random_cell, random_polygraph
 
 
@@ -153,10 +154,12 @@ def oracle_validate(P):
     return report
 
 
-def copy_polygraph(P, retarget=None):
-    """A fresh copy of ``P``; ``retarget`` maps (dim, name) of generators of
-    dimension 2 and up to a replacement target."""
+def copy_polygraph(P, retarget=None, resource=None):
+    """A fresh copy of ``P``; ``retarget`` and ``resource`` map (dim, name)
+    of generators of dimension 2 and up to a replacement target and source
+    tree."""
     retarget = retarget or {}
+    resource = resource or {}
     Q = MtoPolygraph()
     for dim in range(P.max_dim + 1):
         for name in P.generators(dim):
@@ -167,7 +170,8 @@ def copy_polygraph(P, retarget=None):
                 Q.add_arrow(name, data.source, data.target)
             else:
                 target = retarget.get((dim, name), data.target)
-                Q.add_generator(dim, name, data.source_tree, target)
+                tree = resource.get((dim, name), data.source_tree)
+                Q.add_generator(dim, name, tree, target)
     return Q
 
 
@@ -235,6 +239,84 @@ class TestValidateOracle:
             for dim, name in generators:
                 P._sub_readdress(dim, name)
             assert len(flattened) == len(generators)
+
+
+def redecorated_copy(rng, P):
+    """A copy of ``P`` with one node of one generator's source tree
+    decorated by another generator of that node's dimension, or None."""
+    nodes = [
+        ((dim, name), address)
+        for dim in range(2, P.max_dim + 1)
+        for name in P.generators(dim)
+        for address in P.gen_data(dim, name).source_tree.node_addresses()
+    ]
+    if not nodes:
+        return None
+    (dim, name), address = rng.choice(nodes)
+    tree = P.gen_data(dim, name).source_tree
+    others = [g for g in P.generators(dim - 1) if g != tree.nodes[address]]
+    if not others:
+        return None
+    changed = dict(tree.nodes)
+    changed[address] = rng.choice(others)
+    return copy_polygraph(P, resource={(dim, name): Tree.of(changed)})
+
+
+class TestFlattenAgainstOracle:
+    """``validate`` reports, or raises, the same with the library
+    ``flatten`` as with the substitution oracle, also where flattening
+    fails."""
+
+    CONFIG = RandomPolygraphConfig(max_dim=5, max_generators=30)
+
+    @staticmethod
+    def outcomes(monkeypatch, Q):
+        # fresh copies: the flatten memo must not carry over
+        actual = outcome(MtoPolygraph.validate, copy_polygraph(Q))
+        with monkeypatch.context() as patched:
+            patched.setattr(polygraph, "flatten", oracle_flatten)
+            expected = outcome(MtoPolygraph.validate, copy_polygraph(Q))
+        return actual, expected
+
+    def test_mutated_polygraphs(self, monkeypatch):
+        rng = random.Random(13)
+        mutated = broken = raised = 0
+        while mutated < 300:
+            P = random_polygraph(rng, self.CONFIG)
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    Q = next(retargeted_copies(rng, P, 1), None)
+                else:
+                    Q = redecorated_copy(rng, P)
+                if Q is None:
+                    continue
+                actual, expected = self.outcomes(monkeypatch, Q)
+                assert actual == expected
+                mutated += 1
+                broken += bool(expected)
+                raised += isinstance(expected, str)
+        assert broken > 100 and raised > 0
+
+    def test_non_parallel_lower_generator(self, monkeypatch):
+        """Y sources a unary composite but targets the binary mu, so W,
+        which plugs Y where X's source holds mu, cannot be flattened."""
+        star = EMPTY.child(EMPTY)
+        P = MtoPolygraph()
+        P.add_point("a")
+        P.add_arrow("f", "a", "a")
+        P.add_generator(2, "mu", Tree.of({EMPTY: "f", star: "f"}), "f")
+        P.add_generator(2, "eps", corolla("f"), "f")
+        P.add_generator(3, "X", corolla("mu"), "mu")
+        P.add_generator(3, "Y", corolla("eps"), "mu")
+        P.add_generator(4, "W", Tree.of({EMPTY: "X", star: "Y"}), "X")
+        source = P.gen_data(4, "W").source_tree
+        with pytest.raises(GraftError, match="gluing does not match") as info:
+            polygraph.flatten(P.stage(3), source)
+        with pytest.raises(GraftError) as oracle_info:
+            oracle_flatten(P.stage(3), source)
+        assert str(info.value) == str(oracle_info.value)
+        actual, expected = self.outcomes(monkeypatch, P)
+        assert actual == expected == repr(info.value)
 
 
 class TestCells:

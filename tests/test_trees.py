@@ -16,11 +16,10 @@ from opetopic.trees import (
     graft,
     grow_trees,
     leaf_addresses,
-    substitute,
     total_graft,
 )
 
-from conftest import ToySignature, random_toy_tree
+from conftest import ToySignature, random_toy_tree, substitute
 
 
 # subtree decomposition: nothing in the library uses it, so it lives here

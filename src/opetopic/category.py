@@ -18,6 +18,7 @@ table, and composition is a lookup in the tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -103,36 +104,46 @@ def relation_instances(omega: Opetope) -> tuple[RelationInstance, ...]:
     return omega._relations
 
 
+def _source_face(omega: Opetope, address: Address) -> Face:
+    """The shared source embedding of ``omega`` at ``address``."""
+    addresses = omega.node_addresses()
+    i = bisect_left(addresses, address)
+    if i == len(addresses) or addresses[i] != address:
+        raise CompositionError(f"{address} is not a node address of {omega}")
+    return faces_of(omega)[i + 1]
+
+
 def _squares(omega: Opetope):
+    # every face is the shared instance from ``faces_of``; a target
+    # embedding is the first face of its codomain
+    faces = faces_of(omega)
     target = omega.target()
     if omega.is_degenerate:
         yield RelationInstance(
             "degen",
-            (Face(omega), Face(target)),
-            (Face(omega), Face(target, EMPTY)),
+            (faces[0], faces_of(target)[0]),
+            (faces[0], _source_face(target, EMPTY)),
         )
         return
     yield RelationInstance(
         "glob1",
-        (Face(omega), Face(target)),
-        (Face(omega, EMPTY), Face(omega.source_at(EMPTY))),
+        (faces[0], faces_of(target)[0]),
+        (faces[1], faces_of(omega.source_at(EMPTY))[0]),
     )
-    for address in omega.node_addresses():
-        if address == EMPTY:
-            continue
+    for address, face in zip(omega.node_addresses()[1:], faces[2:]):
         p, q = address.parent, address.last
         yield RelationInstance(
             "inner",
-            (Face(omega, p), Face(omega.source_at(p), q)),
-            (Face(omega, address), Face(omega.source_at(address))),
+            (_source_face(omega, p), _source_face(omega.source_at(p), q)),
+            (face, faces_of(omega.source_at(address))[0]),
         )
     readdress = omega.readdress()
     for leaf in omega.leaf_addresses():
         p, q = leaf.parent, leaf.last
         yield RelationInstance(
             "glob2",
-            (Face(omega, p), Face(omega.source_at(p), q)),
-            (Face(omega), Face(target, readdress[leaf])),
+            (_source_face(omega, p), _source_face(omega.source_at(p), q)),
+            (faces[0], _source_face(target, readdress[leaf])),
         )
 
 
@@ -187,18 +198,18 @@ class SliceTable:
                 self.lengths.append(length)
                 self.domains.append(self.subtables[k].domains[c])
         self.through = [
-            [number[find(offsets[k] + c)] for c in range(len(table.first))]
+            tuple([number[find(offsets[k] + c)] for c in range(len(table.first))])
             for k, table in enumerate(self.subtables)
         ]
         self.names = ["id"]
-        self.action = [[row[0] for row in self.through]]
+        self.action = [tuple([row[0] for row in self.through])]
         for k, c in self.first[1:]:
             table, through = self.subtables[k], self.through[k]
             face = str(self.faces[k])
             self.names.append(f"{table.names[c]}.{face}" if c else face)
-            self.action.append([through[x] for x in table.action[c]])
+            self.action.append(tuple([through[x] for x in table.action[c]]))
 
-    def lift(self, face: Face) -> list[int]:
+    def lift(self, face: Face) -> tuple[int, ...]:
         """For each class c into the domain of ``face``, the class of
         ``face`` followed by c."""
         return self.through[self.position[face]]

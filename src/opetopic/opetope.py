@@ -292,49 +292,56 @@ def check_identities(omega: Opetope) -> Report:
     source of the node below it.  Globularity relates the root and leaf
     faces to the faces of the target; degenerate opetopes satisfy the loop
     identity instead.  This is the master oracle for flatten.
+
+    It reads cached slots rather than calling accessors per node: a target
+    is slot 0 of ``_boundary`` (``_flatten`` fills it when empty), a source
+    is a node of its tree or the point below an arrow, and opetopes
+    compare with ``is``, since equality is identity.  Of what the grower
+    caches it reads only the target and readdressing under check, and the
+    leaves they are aligned with, and it checks them against the faces of
+    the node decorations; ``tests/test_opetope.py::TestGrowerAgainstFlatten``
+    remains the grower's independent oracle.
     """
     report = Report()
-    if omega.dim < 2:
-        report.fail(f"identities need dimension >= 2, got {omega.dim}")
+    if omega._dim < 2:
+        report.fail(f"identities need dimension >= 2, got {omega._dim}")
         return report
-    target, rho = omega._flatten()
-    if omega.is_degenerate:
-        left = target.source_at(EMPTY)
-        right = target.target()
-        if left != right:
+    target, rho = omega._boundary or omega._flatten()
+    right = (target._boundary or target._flatten())[0]
+    # the target's nodes, or None for the arrow, which has no tree
+    target_nodes = None if target._tree is None else target._tree._nodes
+    nodes = omega._tree._nodes
+    if nodes is None:
+        left = _POINT if target_nodes is None else target_nodes[EMPTY]
+        if left is not right:
             report.fail(f"degeneracy: s[[]] t = {left} but t t = {right}")
         return report
-    # sources of a decoration: its node decorations, or the point below an
+    # the sources of a decoration are its nodes, or the point below an
     # arrow, which has no tree; parent addresses are tuple slices, valid as
     # dict keys
-    below_arrow = point()
-
-    def source(op, slot):
-        tree = op._tree
-        return below_arrow if tree is None else tree._nodes[slot]
-
-    nodes = omega.tree.nodes
     for address, op in nodes.items():
         if not address:
             continue
-        above = op.target()
-        below = source(nodes[address[:-1]], address[-1])
-        if above != below:
+        above = (op._boundary or op._flatten())[0]
+        parent = nodes[address[:-1]]._tree
+        source = _POINT if parent is None else parent._nodes[address[-1]]
+        if above is not source:
             report.fail(
                 f"inner edge {address}: t s[{address}] = {above} "
-                f"but s[{address[-1]}] s[{Address(address[:-1])}] = {below}"
+                f"but s[{address[-1]}] s[{Address(address[:-1])}] = {source}"
             )
-    left = nodes[EMPTY].target()
-    right = target.target()
-    if left != right:
+    root = nodes[EMPTY]
+    left = (root._boundary or root._flatten())[0]
+    if left is not right:
         report.fail(f"globularity (root): t s[[]] = {left} but t t = {right}")
     for leaf, image in zip(omega._leaves, rho):
-        via_source = source(nodes[leaf[:-1]], leaf[-1])
-        via_target = target.tree.nodes[image] if target.dim >= 2 else point()
-        if via_source != via_target:
+        parent = nodes[leaf[:-1]]._tree
+        source = _POINT if parent is None else parent._nodes[leaf[-1]]
+        via_target = _POINT if target_nodes is None else target_nodes[image]
+        if source is not via_target:
             report.fail(
                 f"globularity (leaf {leaf}): s[{leaf[-1]}] "
-                f"s[{Address(leaf[:-1])}] = {via_source} "
+                f"s[{Address(leaf[:-1])}] = {source} "
                 f"but s[{image}] t = {via_target}"
             )
     return report

@@ -338,9 +338,15 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
         # the leaf's image gives way to its children's, and the images
         # strictly above it are rerouted through the inverted gluing
         k = len(r)
-        for leaf, image in rho.items():
-            if len(image) > k and image[:k] == r:
-                rho[leaf] = _trusted(r + inverse[image[k]] + image[k + 1 :])
+        try:
+            for leaf, image in rho.items():
+                if len(image) > k and image[:k] == r:
+                    rho[leaf] = _trusted(r + inverse[image[k]] + image[k + 1 :])
+        except KeyError:
+            raise GraftError(
+                f"cannot reroute image {image} through the node at {p}: "
+                f"its gluing has no input {image[k]}"
+            ) from None
         for e in sig.inputs(op):
             leaf = p.child(e)
             rho[leaf] = r.concat(e)

@@ -15,6 +15,7 @@ from opetopic.category import (
 )
 from opetopic.errors import CompositionError
 from opetopic.opetope import (
+    Opetope,
     arrow,
     enumerate_opetopes,
     opetopic_integer,
@@ -109,6 +110,22 @@ class TestRelationInstances:
         for omega in enumerate_opetopes(3, 3):
             for instance in relation_instances(omega):
                 assert instance.left[1].domain == instance.right[1].domain
+
+    def test_squares_use_the_shared_faces(self):
+        for omega in enumerate_opetopes(3, 3):
+            for instance in relation_instances(omega):
+                for face in instance.left + instance.right:
+                    assert any(face is shared for shared in faces_of(face.codomain))
+
+    def test_readdressing_off_the_target_is_a_composition_error(self):
+        # a private twin, unknown to the intern table, whose one leaf is
+        # sent to an address that its target lacks
+        omega = opetopic_integer(1)
+        twin = Opetope(2, omega.tree)
+        twin._leaves = omega.leaf_addresses()
+        twin._boundary = (omega.target(), (STAR,))
+        with pytest.raises(CompositionError, match=r"\[\*\] is not a node address of arrow"):
+            relation_instances(twin)
 
 
 class TestEquality:

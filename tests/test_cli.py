@@ -90,6 +90,26 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 1 and "ghost" in out
 
+    def test_validate_reports_an_unreroutable_image(self, capsys, tmp_path):
+        """X's source tree sets a node on a slot that eps lacks, so
+        flattening W reroutes an image through an input that Y's gluing
+        does not have: a ``GraftError``, not a bare ``KeyError``."""
+        path = tmp_path / "reroute.poly"
+        path.write_text(
+            "gen 0 a\n"
+            "gen 1 f : a -> a\n"
+            "gen 2 eps : {[] <- f} -> f\n"
+            "gen 3 X : {[] <- eps, [[*]] <- eps} -> eps\n"
+            "gen 3 Y : {[] <- eps} -> eps\n"
+            "gen 4 W : {[] <- X, [*] <- Y} -> X\n"
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: cannot reroute image [[*]] through the node at [*]: "
+            "its gluing has no input [*]\n"
+        )
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.optp"
         path.write_text("opetope x = {[] <- }\n")

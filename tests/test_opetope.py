@@ -31,7 +31,22 @@ from opetopic.trees import Tree, corolla, edge_color, flatten, graft, leaf_addre
 from conftest import flatten as oracle_flatten
 
 STAR = Address((EMPTY,))
-O2 = opetopic_integer(2)
+O1, O2, O3 = (opetopic_integer(k) for k in (1, 2, 3))
+A = from_tree(corolla(O2))
+
+
+def corrupted(omega: Opetope, tree=None, target=None, rho=None) -> Opetope:
+    """A private twin of ``omega``, built with the constructor so that the
+    intern table never sees it, whose tree, cached target or readdressing
+    is replaced; what is not replaced is ``omega``'s own."""
+    known_target, known_rho = omega._flatten()
+    twin = Opetope(omega.dim, omega.tree if tree is None else tree)
+    twin._leaves = omega.leaf_addresses()
+    twin._boundary = (
+        known_target if target is None else target,
+        known_rho if rho is None else rho,
+    )
+    return twin
 
 
 def rebuild_from_corollas(omega: Opetope) -> Opetope:
@@ -176,6 +191,58 @@ class TestIdentities:
     def test_enumerated_four_dimensional(self):
         for omega in enumerate_opetopes(4, 2):
             assert check_identities(omega).ok
+
+    def test_below_dimension_two(self):
+        assert check_identities(point()).failures == [
+            "identities need dimension >= 2, got 0"
+        ]
+
+    def test_degeneracy_failure(self):
+        omega = degenerate(O2)
+        B = node_map({EMPTY: O1, STAR: O2})
+        assert check_identities(corrupted(omega, target=B)).failures == [
+            "degeneracy: s[[]] t = {[] <- arrow} "
+            "but t t = {[] <- arrow, [*] <- arrow}"
+        ]
+        assert opetope._interned(omega.tree) is omega
+        assert check_identities(omega).ok
+
+    def test_root_globularity_failure(self):
+        # the target keeps its nodes, so only its own target is wrong
+        omega = from_tree(corolla(A))
+        target = corrupted(A, target=O3)
+        assert check_identities(corrupted(omega, target=target)).failures == [
+            "globularity (root): t s[[]] = {[] <- arrow, [*] <- arrow} "
+            "but t t = {[] <- arrow, [*] <- arrow, [**] <- arrow}"
+        ]
+        assert opetope._interned(omega.tree) is omega
+        assert check_identities(omega).ok and A.target() is O2
+
+    def test_leaf_globularity_failure(self):
+        # swapping the images of leaves of different colors
+        omega = from_tree(corolla(node_map({EMPTY: O1, STAR: degenerate(point())})))
+        rho = omega._flatten()[1]
+        assert check_identities(corrupted(omega, rho=rho[::-1])).failures == [
+            "globularity (leaf [*]): s[[]] s[[]] = {[] <- arrow} "
+            "but s[[*]] t = <<point>>",
+            "globularity (leaf [[*]]): s[[*]] s[[]] = <<point>> "
+            "but s[[]] t = {[] <- arrow}",
+        ]
+        assert opetope._interned(omega.tree) is omega
+        assert check_identities(omega).ok
+
+    def test_inner_edge_failure_comes_before_root_globularity(self):
+        omega = node_map({EMPTY: A, STAR: A})
+        tree = Tree.of({EMPTY: A, STAR: corrupted(A, target=O3)})
+        target = corrupted(omega.target(), target=O3)
+        assert check_identities(corrupted(omega, tree, target)).failures == [
+            "inner edge [*]: t s[[*]] = {[] <- arrow, [*] <- arrow, [**] <- arrow} "
+            "but s[[]] s[[]] = {[] <- arrow, [*] <- arrow}",
+            "globularity (root): t s[[]] = {[] <- arrow, [*] <- arrow} "
+            "but t t = {[] <- arrow, [*] <- arrow, [**] <- arrow}",
+        ]
+        assert opetope._interned(omega.tree) is omega
+        assert check_identities(omega).ok
 
     def test_readdress_is_bijective(self):
         for omega in enumerate_opetopes(3, 3):

@@ -19,6 +19,12 @@ dimension 0 and may rely on opetope definitions earlier in the file::
     cell NAME : EXPR { t <- NAME, s ADDRESS <- NAME, ... }
 
 ``#`` starts a comment; printing is canonical and idempotent.
+
+A ``gen`` or ``cell`` line head, a binding ``ADDRESS <-``, the separator
+after a bound value, the start of an expression and a face entry are each
+read with one match of a pattern; where it fails, the token methods of
+``Scanner`` read on from the same position and report every error.
+Each distinct ``{…}`` or ``<<…>>`` expression is parsed once per text.
 """
 
 from __future__ import annotations
@@ -39,10 +45,20 @@ from .trees import Tree
 # into one
 _SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
 _SKIP_RE = re.compile(_SKIP)
-_NAME = re.compile(_SKIP + r"([A-Za-z_][A-Za-z0-9_.\[\]*@]*)")
+_WORD = r"[A-Za-z_][A-Za-z0-9_.\[\]*@]*"
+_NAME = re.compile(f"{_SKIP}({_WORD})")
 _NUMBER = re.compile(_SKIP + r"([0-9]+)")
 # the longest run of address characters: a key into the address memo
-_ADDRESS_RUN = re.compile(_SKIP + r"(\[[\[\]*]*)")
+_RUN = r"(\[[\[\]*]*)"
+_ADDRESS_RUN = re.compile(_SKIP + _RUN)
+# one pattern per production; a fast path takes only memoized address runs
+_GEN = re.compile(f"{_SKIP}gen(?![A-Za-z0-9_.\\[\\]*@]){_SKIP}([0-9]+){_SKIP}({_WORD})")
+_CELL = re.compile(f"{_SKIP}cell(?![A-Za-z0-9_.\\[\\]*@]){_SKIP}({_WORD}){_SKIP}:")
+_BINDING = re.compile(f"{_SKIP}{_RUN}{_SKIP}<-")
+_SEPARATOR = re.compile(_SKIP + "([,}])")
+_EXPR_START = re.compile(f"{_SKIP}(?:(<<|{{)|({_WORD}))")
+_FACE = re.compile(f"{_SKIP}(?:(t)|s{_SKIP}{_RUN}){_SKIP}<-{_SKIP}({_WORD}){_SKIP}([,}}])")
+_BRACKET = re.compile(r"(\{|<<)|(\}|>>)|#[^\n]*")
 
 
 @functools.cache
@@ -56,10 +72,13 @@ class Scanner:
 
     Every read skips whitespace and ``#`` comments first.  A name, an ASCII
     number or a symbol is read with one precompiled regular-expression
-    match.  Addresses are read by ``address.read_address`` through one
-    intern table per text, so equal addresses in one text are one object,
-    and memoized by their source text; ``parse_oset`` memoizes cell shapes
-    the same way.
+    match; the parsers try a whole production's pattern before these.
+    Addresses are read by ``address.read_address`` through one intern
+    table per text, so equal addresses in one text are one object, and
+    memoized by their source text.  ``spans`` maps the text of each
+    ``{…}`` and ``<<…>>`` expression parsed to its opetope and nesting
+    depth: such a parse reads nothing past its closing symbol and names
+    are never redefined, so a text reads the same wherever it recurs.
     """
 
     def __init__(self, text: str):
@@ -67,6 +86,23 @@ class Scanner:
         self.pos = 0
         self._addresses: dict[str, Address] = {}
         self._interned: dict[tuple[int, ...], Address] = {}
+        self.spans: dict[str, tuple[Opetope, int]] = {}
+        self._closes: dict[int, int] = {}
+
+    def span_end(self, start: int) -> int | None:
+        """The end of the bracket balancing the one at ``start``, or None;
+        the table is filled an outermost span at a time, past comments."""
+        closes = self._closes
+        if start not in closes:
+            opens = []
+            for bracket in _BRACKET.finditer(self.text, start):
+                if bracket[1]:
+                    opens.append(bracket.start())
+                elif bracket[2]:
+                    closes[opens.pop()] = bracket.end()
+                    if not opens:
+                        break
+        return closes.get(start)
 
     def _skip(self) -> None:
         self.pos = _SKIP_RE.match(self.text, self.pos).end()
@@ -146,9 +182,15 @@ class _Block:
         self._next()
 
     def _next(self) -> None:
-        self.start = self.scanner.pos
-        self.address = self.scanner.address()
-        self.scanner.expect_symbol("<-")
+        scanner = self.scanner
+        self.start = scanner.pos
+        match = _BINDING.match(scanner.text, scanner.pos)
+        address = None if match is None else scanner._addresses.get(match[1])
+        if address is None:
+            self.address = scanner.address()
+            scanner.expect_symbol("<-")
+        else:
+            self.address, scanner.pos = address, match.end()
 
     def bind(self, value) -> bool:
         """Bind the pending address; True once the block has closed."""
@@ -161,10 +203,13 @@ class _Block:
                 *scanner.position(),
             )
         self.bindings[address], self.starts[address] = value, self.start
-        if scanner.try_symbol(","):
+        match = _SEPARATOR.match(scanner.text, scanner.pos)
+        if match is None:
+            raise scanner.error("'}'")
+        scanner.pos = match.end()
+        if match[1] == ",":
             self._next()
             return False
-        scanner.expect_symbol("}")
         return True
 
 
@@ -180,35 +225,51 @@ MAX_DIM = 2 * MAX_NESTING + 1
 
 def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
     """One opetope expression, read with an explicit stack of the enclosing
-    ``<<`` (None) and ``{`` blocks, innermost last."""
-    pending: list[_Block | None] = []
+    ``<<`` (None) and ``{`` blocks, innermost last, each with the offset of
+    its opening symbol and the deepest nesting bound in it.  A memoized
+    span is taken whole where it nests within ``MAX_NESTING``, else parsed."""
+    text, spans = scanner.text, scanner.spans
+    pending: list[list] = []
     start = scanner.pos
     while True:
         if len(pending) > MAX_NESTING:
             message = f"opetope expression nested more than {MAX_NESTING} deep"
             raise ParseError(message, *scanner.position())
-        if scanner.try_symbol("<<"):
-            pending.append(None)
-            continue
-        if scanner.try_symbol("{"):
-            pending.append(_Block(scanner))
-            continue
-        word = scanner.name()
-        if word in ("point", "arrow"):
-            value = point() if word == "point" else arrow()
-        elif word in env:
-            value = env[word]
+        match = _EXPR_START.match(text, scanner.pos)
+        if match is None:
+            raise scanner.error("a name")
+        scanner.pos = match.end()
+        if match[1] is not None:
+            opened = match.start(1)
+            end = scanner.span_end(opened)
+            known = spans.get(text[opened:end])
+            if known is None or len(pending) + known[1] > MAX_NESTING:
+                block = _Block(scanner) if match[1] == "{" else None
+                pending.append([block, opened, 0])
+                continue
+            value, depth = known
+            scanner.pos = end
         else:
-            raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
+            word, depth = match[2], 0
+            if word in ("point", "arrow"):
+                value = point() if word == "point" else arrow()
+            elif word in env:
+                value = env[word]
+            else:
+                raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
         while pending:
-            if pending[-1] is None:
+            block, opened, deepest = frame = pending[-1]
+            frame[2] = max(deepest, depth)
+            if block is None:
                 scanner.expect_symbol(">>")
                 value = degenerate(value)
-            elif pending[-1].bind(value):
-                value = node_map(pending[-1].bindings)
+            elif block.bind(value):
+                value = node_map(block.bindings)
             else:
                 break
             pending.pop()
+            depth = frame[2] + 1
+            spans[text[opened : scanner.pos]] = value, depth
         else:
             if value.dim > MAX_DIM:
                 scanner.pos = start
@@ -263,11 +324,14 @@ def parse_polygraph(text: str) -> MtoPolygraph:
     scanner = Scanner(text)
     P = MtoPolygraph()
     while not scanner.at_end():
-        keyword = scanner.name()
-        if keyword != "gen":
-            raise ParseError(f"expected 'gen', found {keyword!r}", *scanner.position())
-        dim = scanner.number()
-        name = scanner.name()
+        match = _GEN.match(text, scanner.pos)
+        if match is not None:
+            dim, name, scanner.pos = int(match[1]), match[2], match.end()
+        else:
+            keyword = scanner.name()
+            if keyword != "gen":
+                raise ParseError(f"expected 'gen', found {keyword!r}", *scanner.position())
+            dim, name = scanner.number(), scanner.name()
         if dim == 0:
             P.add_point(name)
             continue
@@ -306,83 +370,36 @@ def print_polygraph(P: MtoPolygraph) -> str:
 # -- opetopic-set files ---------------------------------------------------
 
 
-_BRACKET = re.compile(r"[{}]|<<|>>")
-
-
-def _shape(
-    scanner: Scanner, env: dict[str, Opetope], memo: dict[str, Opetope]
-) -> Opetope:
-    """A cell's shape, parsed once per text.  A ``{``- or ``<<``-expression
-    ends at its closing symbol, so wherever its exact text recurs it reads
-    the same (names are never redefined).  ``memo`` maps the spans parsed;
-    a lookup tries the span to the bracket balancing the first one."""
-    scanner._skip()
-    text, start = scanner.text, scanner.pos
-    if text.startswith(("{", "<<"), start):
-        depth = 0
-        for bracket in _BRACKET.finditer(text, start):
-            depth += 1 if bracket.group() in ("{", "<<") else -1
-            if depth == 0:
-                break
-        known = memo.get(text[start : bracket.end()])
-        if known is not None:
-            scanner.pos = bracket.end()
-            return known
-    shape = parse_opetope_expr(scanner, env)
-    memo[text[start : scanner.pos]] = shape
-    return shape
-
-
 def parse_oset(text: str) -> OpetopicSet:
-    """An opetopic-set file.  Each distinct shape text is parsed once, and
-    the faces assigned are the shared ones of ``faces_of``."""
+    """An opetopic-set file, assigning the shared faces of ``faces_of``."""
     scanner = Scanner(text)
     env: dict[str, Opetope] = {}
-    shapes: dict[str, Opetope] = {}
     tables: dict[Opetope, dict[Address | None, Face]] = {}
     entries: list[tuple[Opetope, str, dict[Face, str]]] = []
     max_dim = 0
     while not scanner.at_end():
-        keyword = scanner.name()
-        if keyword == "opetope":
-            _define(scanner, env)
-            continue
-        if keyword != "cell":
-            raise ParseError(
-                f"expected 'cell' or 'opetope', found {keyword!r}", *scanner.position()
-            )
-        name = scanner.name()
-        scanner.expect_symbol(":")
-        shape = _shape(scanner, env, shapes)
+        match = _CELL.match(text, scanner.pos)
+        if match is not None:
+            name, scanner.pos = match[1], match.end()
+        else:
+            keyword = scanner.name()
+            if keyword == "opetope":
+                _define(scanner, env)
+                continue
+            if keyword != "cell":
+                message = f"expected 'cell' or 'opetope', found {keyword!r}"
+                raise ParseError(message, *scanner.position())
+            name = scanner.name()
+            scanner.expect_symbol(":")
+        shape = parse_opetope_expr(scanner, env)
         max_dim = max(max_dim, shape.dim)
         faces = tables.get(shape)
         if faces is None:
             faces = tables[shape] = {face.address: face for face in faces_of(shape)}
         assignments: dict[Face, str] = {}
         if scanner.try_symbol("{"):
-            while True:
-                if scanner.try_symbol("t"):
-                    address = None
-                elif scanner.try_symbol("s"):
-                    address = scanner.address()
-                else:
-                    raise scanner.error("'t' or 's'")
-                try:
-                    # a face the shape lacks fails Face's own check
-                    face = faces.get(address) or Face(shape, address)
-                except CompositionError as error:
-                    raise ParseError(str(error), *scanner.position())
-                scanner.expect_symbol("<-")
-                value = scanner.name()
-                if face in assignments:
-                    raise ParseError(
-                        f"face {face} assigned twice", *scanner.position()
-                    )
-                assignments[face] = value
-                if scanner.try_symbol(","):
-                    continue
-                scanner.expect_symbol("}")
-                break
+            while not _face_entry(scanner, shape, faces, assignments):
+                pass
         if len(assignments) < len(faces):
             missing = ", ".join(
                 str(face) for face in faces.values() if face not in assignments
@@ -398,6 +415,37 @@ def parse_oset(text: str) -> OpetopicSet:
         for face, value in assignments.items():
             X.set_face(shape, name, face, value)
     return X
+
+
+def _face_entry(scanner: Scanner, shape: Opetope, faces: dict, assignments: dict) -> bool:
+    """Assign one entry of a face block; True once the block has closed."""
+    match = _FACE.match(scanner.text, scanner.pos)
+    # ``t`` looks up None, and a run not in the address memo a str: no face
+    run = match and match[2]
+    face = match and faces.get(run and scanner._addresses.get(run, run))
+    if face and face not in assignments:
+        assignments[face], scanner.pos = match[3], match.end()
+        return match[4] == "}"
+    if scanner.try_symbol("t"):
+        address = None
+    elif scanner.try_symbol("s"):
+        address = scanner.address()
+    else:
+        raise scanner.error("'t' or 's'")
+    try:
+        # a face the shape lacks fails Face's own check
+        face = faces.get(address) or Face(shape, address)
+    except CompositionError as error:
+        raise ParseError(str(error), *scanner.position())
+    scanner.expect_symbol("<-")
+    value = scanner.name()
+    if face in assignments:
+        raise ParseError(f"face {face} assigned twice", *scanner.position())
+    assignments[face] = value
+    if scanner.try_symbol(","):
+        return False
+    scanner.expect_symbol("}")
+    return True
 
 
 def print_oset(X: OpetopicSet) -> str:

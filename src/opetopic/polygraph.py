@@ -317,7 +317,7 @@ class MtoPolygraph:
                             f"{dim}-generator {name!r}: source composite and "
                             f"target {data.target!r} are not parallel"
                         )
-                except (CoherenceError, AddressError) as error:
+                except (CoherenceError, AddressError, GraftError) as error:
                     report.fail(f"{dim}-generator {name!r}: {error}")
         return report
 

@@ -103,6 +103,7 @@ def substitute(
     at: Address,
     inner: Tree,
     glue: Mapping[Address, Address],
+    node: Address | None = None,
 ) -> tuple[Tree, dict[Address, Address]]:
     """Replace the node of ``outer`` at ``at`` by the whole tree ``inner``.
 
@@ -111,7 +112,9 @@ def substitute(
     through input ``q`` are rerouted through the leaf ``glue^-1(q)``.
     Returns the new tree and the map sending each surviving node of
     ``outer`` to its new address.  Substituting a unit splices the removed
-    node out entirely.
+    node out entirely.  A node sitting above an input that ``glue`` lacks
+    is a ``GraftError``, whose message names the removed node by ``node``
+    (``at`` if not given).
     """
     if outer.is_unit:
         raise AddressError("cannot substitute into a unit tree")
@@ -135,6 +138,11 @@ def substitute(
     k = len(at)
     for p, op in nodes.items():
         if len(p) > k and p[:k] == at:
+            if p[k] not in inverse:
+                raise GraftError(
+                    f"cannot reroute image {p} through the node at "
+                    f"{at if node is None else node}: its gluing has no input {p[k]}"
+                )
             # the glued leaf's entries are spliced in, not nested
             q = _trusted(at + inverse[p[k]] + p[k + 1 :])
             moves[p] = q
@@ -185,7 +193,7 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
         r = rho.pop(p)
         inner = sig.source_tree(op)
         glue = sig.sub_readdress(op)
-        result, moves = substitute(sub, result, r, inner, glue)
+        result, moves = substitute(sub, result, r, inner, glue, node=p)
         rho = {leaf: moves[node] for leaf, node in rho.items()}
         for e in sig.inputs(op):
             rho[p.child(e)] = r.concat(e)

@@ -93,7 +93,8 @@ class TestCommands:
     def test_validate_reports_an_unreroutable_image(self, capsys, tmp_path):
         """X's source tree sets a node on a slot that eps lacks, so
         flattening W reroutes an image through an input that Y's gluing
-        does not have: a ``GraftError``, not a bare ``KeyError``."""
+        does not have: a ``GraftError``, not a bare ``KeyError``, reported
+        along with the failure found before it."""
         path = tmp_path / "reroute.poly"
         path.write_text(
             "gen 0 a\n"
@@ -103,12 +104,17 @@ class TestCommands:
             "gen 3 Y : {[] <- eps} -> eps\n"
             "gen 4 W : {[] <- X, [*] <- Y} -> X\n"
         )
-        code, out, err = run(capsys, "validate", str(path))
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: cannot reroute image [[*]] through the node at [*]: "
-            "its gluing has no input [*]\n"
+        report = (
+            "3-generator 'X': node at [[*]] sits on [*], not an input of the "
+            "node at []\n"
+            "4-generator 'W': cannot reroute image [[*]] through the node at "
+            "[*]: its gluing has no input [*]\n"
         )
+        # validate prints its report; nerve and roundtrip refuse with it
+        assert run(capsys, "validate", str(path)) == (1, report, "")
+        assert run(capsys, "nerve", str(path)) == (1, "", report)
+        code, _, err = run(capsys, "roundtrip", str(path))
+        assert (code, err) == (1, report)
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.optp"

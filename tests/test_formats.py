@@ -93,6 +93,20 @@ class TestOpetopeExpressions:
         with pytest.raises(CoherenceError):
             expr("{[] <- {[] <- {[] <- arrow, [*] <- arrow}}, [[]] <- {[] <- {[] <- arrow}}}")
 
+    def test_nesting_bound_holds_for_a_repeated_subexpression(self):
+        """A subexpression parsed once at a shallow depth is as deep where
+        it recurs under 60 more blocks."""
+        inner = "{[] <- " * 10 + "arrow" + "}" * 10
+        text = (
+            f"opetope a = {inner}\n"
+            "opetope b = " + "{[] <- " * 60 + inner + "}" * 60 + "\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_opetope_file(text)
+        assert str(info.value) == (
+            "line 2, column 468: opetope expression nested more than 64 deep"
+        )
+
 
 class TestOpetopeFiles:
     def test_definitions_see_earlier_names(self):
@@ -244,7 +258,10 @@ class TestParseErrors:
 # separators that may stand wherever a canonical print has a space
 SEPARATORS = st.lists(
     st.sampled_from(
-        [" ", "   ", "\t", "\n", "\u00a0", " # <- [*] }\n", "\n# gen 0 x\n\n"]
+        [
+            " ", "   ", "\t", "\n", "\u00a0", " # <- [*] }\n", "\n# gen 0 x\n\n",
+            " # { << >> {\n",
+        ]
     ),
     min_size=1,
     max_size=6,

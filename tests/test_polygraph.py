@@ -280,7 +280,7 @@ class TestFlattenAgainstOracle:
 
     def test_mutated_polygraphs(self, monkeypatch):
         rng = random.Random(13)
-        mutated = broken = raised = 0
+        mutated = broken = unflattened = 0
         while mutated < 300:
             P = random_polygraph(rng, self.CONFIG)
             for _ in range(4):
@@ -294,8 +294,9 @@ class TestFlattenAgainstOracle:
                 assert actual == expected
                 mutated += 1
                 broken += bool(expected)
-                raised += isinstance(expected, str)
-        assert broken > 100 and raised > 0
+                # validate reports a source it cannot flatten
+                unflattened += any("gluing" in failure for failure in expected)
+        assert broken > 100 and unflattened > 0
 
     def test_non_parallel_lower_generator(self, monkeypatch):
         """Y sources a unary composite but targets the binary mu, so W,
@@ -316,7 +317,31 @@ class TestFlattenAgainstOracle:
             oracle_flatten(P.stage(3), source)
         assert str(info.value) == str(oracle_info.value)
         actual, expected = self.outcomes(monkeypatch, P)
-        assert actual == expected == repr(info.value)
+        assert actual == expected
+        assert expected[-1] == f"4-generator 'W': {info.value}"
+
+    def test_unreroutable_image(self):
+        """X's source sets a node on an input that eps lacks, so flattening
+        W reroutes an image through an input of Y's gluing that is not
+        there: the library and the oracle raise the same ``GraftError``."""
+        P = MtoPolygraph()
+        P.add_point("a")
+        P.add_arrow("f", "a", "a")
+        P.add_generator(2, "eps", corolla("f"), "f")
+        star = EMPTY.child(EMPTY)
+        P.add_generator(3, "X", Tree.of({EMPTY: "eps", Address((star,)): "eps"}), "eps")
+        P.add_generator(3, "Y", corolla("eps"), "eps")
+        P.add_generator(4, "W", Tree.of({EMPTY: "X", star: "Y"}), "X")
+        source = P.gen_data(4, "W").source_tree
+        message = (
+            "cannot reroute image [[*]] through the node at [*]: "
+            "its gluing has no input [*]"
+        )
+        with pytest.raises(GraftError) as info:
+            polygraph.flatten(P.stage(3), source)
+        with pytest.raises(GraftError) as oracle_info:
+            oracle_flatten(P.stage(3), source)
+        assert str(info.value) == str(oracle_info.value) == message
 
 
 class TestCells:

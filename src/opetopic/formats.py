@@ -23,8 +23,9 @@ dimension 0 and may rely on opetope definitions earlier in the file::
 A ``gen`` or ``cell`` line head, a binding ``ADDRESS <-``, the separator
 after a bound value, the start of an expression and a face entry are each
 read with one match of a pattern; where it fails, the token methods of
-``Scanner`` read on from the same position and report every error.
-Each distinct ``{…}`` or ``<<…>>`` expression is parsed once per text.
+``Scanner`` read on from the same position and report every error.  A
+``{…}`` or ``<<…>>`` expression, or a subexpression, whose text was read
+as a whole expression earlier in the text is not parsed again.
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ class Scanner:
     match; the parsers try a whole production's pattern before these.
     Addresses are read by ``address.read_address`` through one intern
     table per text, so equal addresses in one text are one object, and
-    memoized by their source text.  ``spans`` maps the text of each
-    ``{…}`` and ``<<…>>`` expression parsed to its opetope and nesting
-    depth: such a parse reads nothing past its closing symbol and names
-    are never redefined, so a text reads the same wherever it recurs.
+    memoized by their source text.  ``spans`` maps the text of each whole
+    ``{…}`` or ``<<…>>`` expression parsed (one copy each) to its opetope
+    and nesting depth, and every subexpression is looked up there too: such
+    a parse reads nothing past its closing symbol and names are never
+    redefined, so a text reads the same wherever it recurs.
     """
 
     def __init__(self, text: str):
@@ -87,7 +89,7 @@ class Scanner:
         self._addresses: dict[str, Address] = {}
         self._interned: dict[tuple[int, ...], Address] = {}
         self.spans: dict[str, tuple[Opetope, int]] = {}
-        self._closes: dict[int, int] = {}
+        self._closes: dict[int, int | None] = {}
 
     def span_end(self, start: int) -> int | None:
         """The end of the bracket balancing the one at ``start``, or None;
@@ -102,7 +104,8 @@ class Scanner:
                     closes[opens.pop()] = bracket.end()
                     if not opens:
                         break
-        return closes.get(start)
+            closes.update(dict.fromkeys(opens))
+        return closes[start]
 
     def _skip(self) -> None:
         self.pos = _SKIP_RE.match(self.text, self.pos).end()
@@ -225,12 +228,10 @@ MAX_DIM = 2 * MAX_NESTING + 1
 
 def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
     """One opetope expression, read with an explicit stack of the enclosing
-    ``<<`` (None) and ``{`` blocks, innermost last, each with the offset of
-    its opening symbol and the deepest nesting bound in it.  A memoized
-    span is taken whole where it nests within ``MAX_NESTING``, else parsed."""
+    ``<<`` (None) and ``{`` blocks, innermost last."""
     text, spans = scanner.text, scanner.spans
-    pending: list[list] = []
-    start = scanner.pos
+    pending: list[_Block | None] = []
+    start, first, deepest = scanner.pos, None, 0
     while True:
         if len(pending) > MAX_NESTING:
             message = f"opetope expression nested more than {MAX_NESTING} deep"
@@ -242,15 +243,18 @@ def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
         if match[1] is not None:
             opened = match.start(1)
             end = scanner.span_end(opened)
-            known = spans.get(text[opened:end])
+            known = spans.get(text[opened:end]) if end else None
             if known is None or len(pending) + known[1] > MAX_NESTING:
-                block = _Block(scanner) if match[1] == "{" else None
-                pending.append([block, opened, 0])
+                if not pending:
+                    first = opened
+                pending.append(_Block(scanner) if match[1] == "{" else None)
+                deepest = max(deepest, len(pending))
                 continue
             value, depth = known
+            deepest = max(deepest, len(pending) + depth)
             scanner.pos = end
         else:
-            word, depth = match[2], 0
+            word = match[2]
             if word in ("point", "arrow"):
                 value = point() if word == "point" else arrow()
             elif word in env:
@@ -258,23 +262,21 @@ def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
             else:
                 raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
         while pending:
-            block, opened, deepest = frame = pending[-1]
-            frame[2] = max(deepest, depth)
-            if block is None:
+            if pending[-1] is None:
                 scanner.expect_symbol(">>")
                 value = degenerate(value)
-            elif block.bind(value):
-                value = node_map(block.bindings)
+            elif pending[-1].bind(value):
+                value = node_map(pending[-1].bindings)
             else:
                 break
             pending.pop()
-            depth = frame[2] + 1
-            spans[text[opened : scanner.pos]] = value, depth
         else:
             if value.dim > MAX_DIM:
                 scanner.pos = start
                 message = f"opetope of dimension {value.dim} is above {MAX_DIM}"
                 raise ParseError(message, *scanner.position())
+            if first is not None:
+                spans[text[first : scanner.pos]] = value, deepest
             return value
 
 

@@ -107,6 +107,19 @@ class TestOpetopeExpressions:
             "line 2, column 468: opetope expression nested more than 64 deep"
         )
 
+    def test_memo_keeps_one_text_per_whole_expression(self):
+        """The span memo keeps whole expressions only, so a deep expression
+        is kept once, not once per level of nesting."""
+        inner = "{[] <- " * 10 + "arrow" + "}" * 10
+        outer = "{[] <- " + inner + "}"
+        scanner = Scanner(f"{inner}\n{outer}\n{outer}")
+        first = parse_opetope_expr(scanner, {})
+        second = parse_opetope_expr(scanner, {})
+        assert parse_opetope_expr(scanner, {}) is second
+        assert second.source_at(second.node_addresses()[0]) is first
+        assert list(scanner.spans) == [inner, outer]
+        assert [depth for _, depth in scanner.spans.values()] == [10, 11]
+
 
 class TestOpetopeFiles:
     def test_definitions_see_earlier_names(self):

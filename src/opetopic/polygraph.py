@@ -35,7 +35,6 @@ from .trees import (
     edge_color,
     flatten,
     graft,
-    grow_trees,
     total_graft,
 )
 
@@ -253,18 +252,6 @@ class MtoPolygraph:
         except GraftError as error:
             raise CompositionError(str(error)) from error
         return Cell(base.dim, tree)
-
-    def enumerate_cells(self, dim: int, budget: int) -> list[Cell]:
-        """All dimension-``dim`` cells with at most ``budget`` generator
-        occurrences: identities first, then composites in growth order."""
-        cells = [
-            Cell(dim, Tree.unit(name)) for name in self.generators(dim - 1)
-        ]
-        gens = self.generators(dim)
-        if gens:
-            grown = grow_trees(self.stage(dim), gens, gens, budget)
-            cells.extend(Cell(dim, tree) for tree, _, _, _ in grown)
-        return cells
 
     # -- validation ---------------------------------------------------
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .address import EMPTY
 from .category import Word, faces_of, slice_classes
 from .errors import CoherenceError, Report
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
 from .oset import OpetopicSet, yoneda
-from .polygraph import Cell, MtoPolygraph, PolygraphMorphism
-from .trees import Tree
+from .polygraph import Cell, MtoPolygraph, PolygraphMorphism, print_cell_tree
+from .trees import Tree, corolla, grow_trees
 
 
 def realize_opetope(omega: Opetope) -> MtoPolygraph:
@@ -47,31 +48,35 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
     most ``budget`` occurrences and v a parallel n-generator; sources and
     targets are the projections.  Since parallel generators coincide here,
     v is determined by u, and generators are named ``x<dim>_<index>`` in a
-    deterministic order.
+    deterministic order.  The cells u are grown with at most ``budget``
+    leaves, which is safe: a cell's flat source has one node per leaf and a
+    generator's source tree at most ``budget`` nodes, so no other u has a v.
     """
     P = MtoPolygraph()
     P.add_point("o")
     if max_dim >= 1:
         P.add_arrow("x1_0", "o", "o")
     for dim in range(2, max_dim + 1):
+        chains = dim == 2  # 1-cells: no readdressing, and a point as source
         lookup: dict[tuple, str] = {}
         for name in P.generators(dim - 1):
             data = P.gen_data(dim - 1, name)
-            if dim - 1 == 1:
-                key = (data.source, data.target)
-            else:
-                key = (Cell(dim - 2, data.source_tree), data.target)
-            lookup[key] = name
-        new_gens = []
-        for u in P.enumerate_cells(dim - 1, budget):
-            key = (P.source_cell(u), P.target_name(u))
-            v = lookup.get(key)
-            if v is None:
-                continue
-            new_gens.append((u, v))
-        new_gens.sort(key=lambda uv: (uv[0].tree.size, str(uv[0]), uv[1]))
-        for i, (u, v) in enumerate(new_gens):
-            P.add_generator(dim, f"x{dim}_{i}", u.tree, v)
+            lookup[(data.source if chains else data.source_tree, data.target)] = name
+        sig, gens = P.stage(dim - 1), P.generators(dim - 1)
+        grown = grow_trees(
+            sig, gens, gens, budget, max_leaves=budget, readdress=not chains
+        )
+        # identities are looked up by their corolla, grown cells by flat source
+        cells = [(Tree.unit(v), corolla(v), v) for v in P.generators(dim - 2)]
+        cells += [(t, flat, sig.target_color(t.nodes[EMPTY])) for t, flat, *_ in grown]
+        found = []
+        for tree, flat, target in cells:
+            source = P.source_cell(Cell(1, tree)) if chains else flat
+            v = lookup.get((source, target))
+            if v is not None:
+                found.append((tree.size, print_cell_tree(tree), v, tree))
+        for i, (_, _, v, tree) in enumerate(sorted(found)):
+            P.add_generator(dim, f"x{dim}_{i}", tree, v)
     return P
 
 

@@ -15,9 +15,10 @@ readdressing pure address bookkeeping:
   color at its image.  This is the structure map that computes opetope
   targets and polygraph cell sources;
 * ``grow_trees`` grows every tree by grafting corollas at leaves; it
-  enumerates both opetopes and polygraph cells.  For opetopes it grows the
-  readdressing alongside, one graft at a time by the same rerouting rule,
-  and reads each flat tree off the leaf colors.
+  builds both opetopes and the cells of the terminal polygraph.  Above
+  the arrow level, where trees are chains, it grows the readdressing
+  alongside, one graft at a time by the same rerouting rule, and reads
+  each flat tree off the leaf colors.
 """
 
 from __future__ import annotations

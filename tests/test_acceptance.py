@@ -342,7 +342,7 @@ class TestCriterion07ShapeTerminal:
             if dim >= 1:
                 for shape, name in images.items():
                     data = P.gen_data(dim, name)
-                    target_name = data.target if dim >= 2 else data.target
+                    target_name = data.target
                     target_dim = dim - 1
                     assert shape_opetope(P, target_dim, target_name) == shape.target()
                     if dim >= 2 and not data.source_tree.is_unit:

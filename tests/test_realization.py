@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ from opetopic.opetope import (
     point,
 )
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
-from opetopic.polygraph import MtoPolygraph
+from opetopic.polygraph import Cell, MtoPolygraph
 from opetopic.realization import (
     boundary_polygraph,
     cells_of_shape,
@@ -41,6 +42,7 @@ from opetopic.realization import (
 from opetopic.trees import Tree
 
 from randomized import random_polygraph
+from test_polygraph import enumerate_cells
 
 O0 = opetopic_integer(0)
 O2 = opetopic_integer(2)
@@ -215,6 +217,36 @@ class TestRealizeOpetope:
             assert boundary_colimit_check(omega).ok
 
 
+def oracle_terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
+    """The terminal polygraph by enumerate-then-flatten: every cell of at
+    most ``budget`` occurrences, with no leaf bound, is flattened by
+    ``source_cell`` and kept when a generator is parallel to it."""
+    P = MtoPolygraph()
+    P.add_point("o")
+    if max_dim >= 1:
+        P.add_arrow("x1_0", "o", "o")
+    for dim in range(2, max_dim + 1):
+        lookup: dict[tuple, str] = {}
+        for name in P.generators(dim - 1):
+            data = P.gen_data(dim - 1, name)
+            if dim - 1 == 1:
+                key = (data.source, data.target)
+            else:
+                key = (Cell(dim - 2, data.source_tree), data.target)
+            lookup[key] = name
+        new_gens = []
+        for u in enumerate_cells(P, dim - 1, budget):
+            key = (P.source_cell(u), P.target_name(u))
+            v = lookup.get(key)
+            if v is None:
+                continue
+            new_gens.append((u, v))
+        new_gens.sort(key=lambda uv: (uv[0].tree.size, str(uv[0]), uv[1]))
+        for i, (u, v) in enumerate(new_gens):
+            P.add_generator(dim, f"x{dim}_{i}", u.tree, v)
+    return P
+
+
 class TestTerminal:
     def test_dimension_one(self):
         P = terminal_polygraph(1, 3)
@@ -225,8 +257,24 @@ class TestTerminal:
         assert generator_counts(P) == [1, 1, 4]
         assert P.validate().ok
 
-    def test_parallel_generators_coincide(self):
-        P = terminal_polygraph(3, 2)
+    @pytest.mark.parametrize(
+        "max_dim, budget", [(1, 3), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (5, 2)]
+    )
+    def test_matches_enumerate_then_flatten_oracle(self, max_dim, budget):
+        assert print_polygraph(terminal_polygraph(max_dim, budget)) == print_polygraph(
+            oracle_terminal_polygraph(max_dim, budget)
+        )
+
+    def test_print_digest_at_dim_four_bound_three(self):
+        # computed once with the enumerate-then-flatten construction
+        text = print_polygraph(terminal_polygraph(4, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "536e84a7d09baca3768483962c1448fed08723e534d883ccc07392c277c388e0"
+        )
+
+    @pytest.mark.parametrize("max_dim, budget", [(3, 2), (4, 3)])
+    def test_parallel_generators_coincide(self, max_dim, budget):
+        P = terminal_polygraph(max_dim, budget)
         for dim in range(1, P.max_dim + 1):
             seen = {}
             for name in P.generators(dim):
@@ -238,13 +286,14 @@ class TestTerminal:
                 assert key not in seen
                 seen[key] = name
 
-    def test_bijection_with_enumeration(self):
-        P = terminal_polygraph(3, 2)
-        for dim in range(4):
+    @pytest.mark.parametrize("max_dim, budget", [(3, 2), (4, 3)])
+    def test_bijection_with_enumeration(self, max_dim, budget):
+        P = terminal_polygraph(max_dim, budget)
+        for dim in range(max_dim + 1):
             shapes = sorted(
                 str(shape_opetope(P, dim, name)) for name in P.generators(dim)
             )
-            expected = sorted(str(omega) for omega in enumerate_opetopes(dim, 2))
+            expected = sorted(str(omega) for omega in enumerate_opetopes(dim, budget))
             assert shapes == expected
 
 

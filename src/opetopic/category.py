@@ -19,7 +19,7 @@ table, and composition is a lookup in the tables.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .address import EMPTY, Address
@@ -30,14 +30,10 @@ from .opetope import Opetope
 
 @dataclass(frozen=True, slots=True)
 class Face:
-    """A single face embedding into ``codomain``; address None means target.
-
-    ``faces_of`` shares one instance per face of an opetope, so lookups
-    keyed by faces mostly hit on identity; the hash is computed once."""
+    """A single face embedding into ``codomain``; address None means target."""
 
     codomain: Opetope
     address: Address | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.address is None:
@@ -47,11 +43,6 @@ class Face:
             raise CompositionError(
                 f"{self.address} is not a node address of {self.codomain}"
             )
-        # by address alone, which unlike the codomain's identity survives pickling
-        object.__setattr__(self, "_hash", hash(self.address))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def is_target(self) -> bool:

@@ -224,10 +224,8 @@ def cmd_boundary(args) -> int:
 def _oset_json(X) -> dict:
     return {
         str(shape): {
-            name: {
-                str(face): X.face(shape, name, face) for face in faces_of(shape)
-            }
-            for name in X.cells_at(shape)
+            name: dict(zip(map(str, faces_of(shape)), values))
+            for name, values in X.cells[shape].items()
         }
         for shape in X.support()
     }

@@ -20,7 +20,7 @@ dimension 0 and may rely on opetope definitions earlier in the file::
 
 ``#`` starts a comment; printing is canonical and idempotent.
 
-A ``gen`` or ``cell`` line head, a binding ``ADDRESS <-``, the separator
+A ``gen`` line head, a binding ``ADDRESS <-``, the separator
 after a bound value, the start of an expression and a face entry are each
 read with one match of a pattern; where it fails, the token methods of
 ``Scanner`` read on from the same position and report every error.  A
@@ -54,7 +54,6 @@ _RUN = r"(\[[\[\]*]*)"
 _ADDRESS_RUN = re.compile(_SKIP + _RUN)
 # one pattern per production; a fast path takes only memoized address runs
 _GEN = re.compile(f"{_SKIP}gen(?![A-Za-z0-9_.\\[\\]*@]){_SKIP}([0-9]+){_SKIP}({_WORD})")
-_CELL = re.compile(f"{_SKIP}cell(?![A-Za-z0-9_.\\[\\]*@]){_SKIP}({_WORD}){_SKIP}:")
 _BINDING = re.compile(f"{_SKIP}{_RUN}{_SKIP}<-")
 _SEPARATOR = re.compile(_SKIP + "([,}])")
 _EXPR_START = re.compile(f"{_SKIP}(?:(<<|{{)|({_WORD}))")
@@ -373,60 +372,54 @@ def print_polygraph(P: MtoPolygraph) -> str:
 
 
 def parse_oset(text: str) -> OpetopicSet:
-    """An opetopic-set file, assigning the shared faces of ``faces_of``."""
+    """An opetopic-set file; each cell's faces are put in ``faces_of`` order."""
     scanner = Scanner(text)
     env: dict[str, Opetope] = {}
-    tables: dict[Opetope, dict[Address | None, Face]] = {}
-    entries: list[tuple[Opetope, str, dict[Face, str]]] = []
+    tables: dict[Opetope, dict[Address | None, int]] = {}
+    entries: list[tuple[Opetope, str, list]] = []
     max_dim = 0
     while not scanner.at_end():
-        match = _CELL.match(text, scanner.pos)
-        if match is not None:
-            name, scanner.pos = match[1], match.end()
-        else:
-            keyword = scanner.name()
-            if keyword == "opetope":
-                _define(scanner, env)
-                continue
-            if keyword != "cell":
-                message = f"expected 'cell' or 'opetope', found {keyword!r}"
-                raise ParseError(message, *scanner.position())
-            name = scanner.name()
-            scanner.expect_symbol(":")
+        keyword = scanner.name()
+        if keyword == "opetope":
+            _define(scanner, env)
+            continue
+        if keyword != "cell":
+            message = f"expected 'cell' or 'opetope', found {keyword!r}"
+            raise ParseError(message, *scanner.position())
+        name = scanner.name()
+        scanner.expect_symbol(":")
         shape = parse_opetope_expr(scanner, env)
         max_dim = max(max_dim, shape.dim)
-        faces = tables.get(shape)
-        if faces is None:
-            faces = tables[shape] = {face.address: face for face in faces_of(shape)}
-        assignments: dict[Face, str] = {}
+        if shape not in tables:
+            tables[shape] = {face.address: k for k, face in enumerate(faces_of(shape))}
+        positions = tables[shape]
+        values: list[str | None] = [None] * len(positions)
         if scanner.try_symbol("{"):
-            while not _face_entry(scanner, shape, faces, assignments):
+            while not _face_entry(scanner, shape, positions, values):
                 pass
-        if len(assignments) < len(faces):
+        if None in values:
             missing = ", ".join(
-                str(face) for face in faces.values() if face not in assignments
+                str(face) for face, value in zip(faces_of(shape), values) if value is None
             )
             raise ParseError(
                 f"cell {name!r} at {shape}: missing faces: {missing}",
                 *scanner.position(),
             )
-        entries.append((shape, name, assignments))
+        entries.append((shape, name, values))
     X = OpetopicSet(max_dim=max_dim)
-    for shape, name, assignments in entries:
-        X.add_cell(shape, name)
-        for face, value in assignments.items():
-            X.set_face(shape, name, face, value)
+    for shape, name, values in entries:
+        X.add_cell(shape, name, values)
     return X
 
 
-def _face_entry(scanner: Scanner, shape: Opetope, faces: dict, assignments: dict) -> bool:
+def _face_entry(scanner: Scanner, shape: Opetope, positions: dict, values: list) -> bool:
     """Assign one entry of a face block; True once the block has closed."""
     match = _FACE.match(scanner.text, scanner.pos)
     # ``t`` looks up None, and a run not in the address memo a str: no face
     run = match and match[2]
-    face = match and faces.get(run and scanner._addresses.get(run, run))
-    if face and face not in assignments:
-        assignments[face], scanner.pos = match[3], match.end()
+    k = match and positions.get(run and scanner._addresses.get(run, run))
+    if k is not None and values[k] is None:
+        values[k], scanner.pos = match[3], match.end()
         return match[4] == "}"
     if scanner.try_symbol("t"):
         address = None
@@ -434,16 +427,17 @@ def _face_entry(scanner: Scanner, shape: Opetope, faces: dict, assignments: dict
         address = scanner.address()
     else:
         raise scanner.error("'t' or 's'")
-    try:
-        # a face the shape lacks fails Face's own check
-        face = faces.get(address) or Face(shape, address)
-    except CompositionError as error:
-        raise ParseError(str(error), *scanner.position())
+    k = positions.get(address)
+    if k is None:
+        try:
+            Face(shape, address)  # a face the shape lacks fails Face's own check
+        except CompositionError as error:
+            raise ParseError(str(error), *scanner.position())
     scanner.expect_symbol("<-")
     value = scanner.name()
-    if face in assignments:
-        raise ParseError(f"face {face} assigned twice", *scanner.position())
-    assignments[face] = value
+    if values[k] is not None:
+        raise ParseError(f"face {faces_of(shape)[k]} assigned twice", *scanner.position())
+    values[k] = value
     if scanner.try_symbol(","):
         return False
     scanner.expect_symbol("}")
@@ -453,13 +447,12 @@ def _face_entry(scanner: Scanner, shape: Opetope, faces: dict, assignments: dict
 def print_oset(X: OpetopicSet) -> str:
     lines = []
     for shape in X.support():
-        for name in X.cells_at(shape):
+        faces = faces_of(shape)
+        labels = ["t" if face.is_target else f"s {face.address}" for face in faces]
+        for name, values in X.cells[shape].items():
             if shape.dim == 0:
                 lines.append(f"cell {name} : {shape}")
                 continue
-            parts = []
-            for face in faces_of(shape):
-                label = "t" if face.is_target else f"s {face.address}"
-                parts.append(f"{label} <- {X.face(shape, name, face)}")
-            lines.append(f"cell {name} : {shape} {{ " + ", ".join(parts) + " }")
+            parts = ", ".join(f"{label} <- {value}" for label, value in zip(labels, values))
+            lines.append(f"cell {name} : {shape} {{ {parts} }}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -2,27 +2,29 @@
 
 An opetopic set is given by cell sets indexed by opetope shapes together
 with an assignment, for every cell and every generating face embedding
-into its shape, of a cell of the face's shape.  Functoriality is not free:
-it holds exactly when the four relation squares commute on every cell,
-which is what ``validate_oset`` checks.
+into its shape, of a cell of the face's shape.  Each cell keeps these as
+one tuple of cell names in ``faces_of`` order, target first.
+Functoriality is not free: it holds exactly when the four relation squares
+commute on every cell, which is what ``validate_oset`` checks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .category import Face, MorphismClass, faces_of, relation_instances, slice_table
-from .errors import Report, UnknownNameError
+from .errors import OpetopicError, Report, UnknownNameError
 from .opetope import Opetope, print_key
 
 
 @dataclass
 class OpetopicSet:
-    """Cell sets per opetope plus generating-face actions."""
+    """Cell sets per opetope: ``cells[shape][name]`` is the cell's faces,
+    the image of each face of ``faces_of(shape)`` in turn."""
 
     max_dim: int
-    cells: dict[Opetope, list[str]] = field(default_factory=dict)
-    faces: dict[tuple[Opetope, str, Face], str] = field(default_factory=dict)
+    cells: dict[Opetope, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     def support(self) -> list[Opetope]:
         return sorted((o for o in self.cells if self.cells[o]), key=print_key)
@@ -30,22 +32,24 @@ class OpetopicSet:
     def cells_at(self, shape: Opetope) -> list[str]:
         return list(self.cells.get(shape, ()))
 
-    def add_cell(self, shape: Opetope, name: str) -> None:
-        bucket = self.cells.setdefault(shape, [])
+    def add_cell(self, shape: Opetope, name: str, faces: Sequence[str] = ()) -> None:
+        expected = len(faces_of(shape))
+        if len(faces) != expected:
+            raise OpetopicError(
+                f"cell {name!r} at {shape}: {len(faces)} faces given, "
+                f"its shape has {expected}"
+            )
+        bucket = self.cells.setdefault(shape, {})
         if name in bucket:
             raise UnknownNameError(f"duplicate cell {name!r} at shape {shape}")
-        bucket.append(name)
-
-    def set_face(self, shape: Opetope, name: str, face: Face, value: str) -> None:
-        self.faces[(shape, name, face)] = value
+        bucket[name] = tuple(faces)
 
     def face(self, shape: Opetope, name: str, face: Face) -> str:
-        try:
-            return self.faces[(shape, name, face)]
-        except KeyError:
-            raise UnknownNameError(
-                f"cell {name!r} at {shape} has no assigned face {face}"
-            )
+        """The cell that ``face``, a face of ``shape``, gives cell ``name``."""
+        faces = self.cells.get(shape, {}).get(name)
+        if faces is None:
+            raise UnknownNameError(f"no cell {name!r} at shape {shape}")
+        return faces[faces_of(shape).index(face)]
 
     def apply(self, cls: MorphismClass, name: str) -> str:
         """Contravariant action of a whole morphism class on a cell.
@@ -62,17 +66,20 @@ class OpetopicSet:
         return current
 
 
+def _position(faces: tuple[Face, ...], side: tuple[Face, Face]):
+    """A square's side as (shape, position of outer face, of inner face)."""
+    outer, inner = side
+    below = inner.codomain  # the domain of ``outer``, without computing it
+    return below, faces.index(outer), faces_of(below).index(inner)
+
+
 def validate_oset(X: OpetopicSet) -> Report:
     """Face-closure of the support plus every relation square on every cell."""
     report = Report()
     for shape in X.support():
-        for name in X.cells_at(shape):
-            for face in faces_of(shape):
-                try:
-                    value = X.face(shape, name, face)
-                except UnknownNameError as error:
-                    report.fail(str(error))
-                    continue
+        faces = faces_of(shape)
+        for name, values in X.cells[shape].items():
+            for face, value in zip(faces, values):
                 if value not in X.cells.get(face.domain, ()):
                     report.fail(
                         f"cell {name!r} at {shape}: face {face} maps to "
@@ -81,19 +88,15 @@ def validate_oset(X: OpetopicSet) -> Report:
     if not report.ok:
         return report
     for shape in X.support():
-        squares = relation_instances(shape)
-        for name in X.cells_at(shape):
-            for square in squares:
-                left = X.face(
-                    square.left[1].codomain,
-                    X.face(shape, name, square.left[0]),
-                    square.left[1],
-                )
-                right = X.face(
-                    square.right[1].codomain,
-                    X.face(shape, name, square.right[0]),
-                    square.right[1],
-                )
+        faces = faces_of(shape)
+        squares = [
+            (square, _position(faces, square.left), _position(faces, square.right))
+            for square in relation_instances(shape)
+        ]
+        for name, values in X.cells[shape].items():
+            for square, (d1, k1, m1), (d2, k2, m2) in squares:
+                left = X.cells[d1][values[k1]][m1]
+                right = X.cells[d2][values[k2]][m2]
                 if left != right:
                     report.fail(
                         f"cell {name!r} at {shape}: relation {square.kind} "
@@ -118,8 +121,5 @@ def yoneda(omega: Opetope, max_dim: int) -> OpetopicSet:
     table = slice_table(omega)
     names, domains = table.names, table.domains
     for i in sorted(range(len(domains)), key=lambda i: domains[i].dim):
-        domain, name = domains[i], names[i]
-        X.add_cell(domain, name)
-        for face, j in zip(faces_of(domain), table.action[i]):
-            X.set_face(domain, name, face, names[j])
+        X.add_cell(domains[i], names[i], [names[j] for j in table.action[i]])
     return X

@@ -13,6 +13,7 @@ invert each other on finite instances.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .address import EMPTY
@@ -176,27 +177,30 @@ def cells_of_shape(P: MtoPolygraph, omega: Opetope) -> list[str]:
 
 
 def oset_generator_names(X: OpetopicSet) -> dict[tuple[Opetope, str], str]:
-    """Deterministic generator names for the realization of an opetopic set.
+    """Deterministic generator names for the realization of an opetopic set,
+    distinct within each dimension.
 
     Cell names are kept verbatim unless two shapes of the same dimension
-    share one, in which case the shape's index disambiguates.
+    share one, in which case the shape's index disambiguates; a name so
+    made that is another cell's verbatim name gets ``@`` appended until
+    it is free.
     """
     by_dim: dict[int, list[tuple[Opetope, str]]] = {}
     for shape in X.support():
-        for name in X.cells_at(shape):
-            by_dim.setdefault(shape.dim, []).append((shape, name))
+        by_dim.setdefault(shape.dim, []).extend((shape, name) for name in X.cells[shape])
     out: dict[tuple[Opetope, str], str] = {}
-    for dim, entries in by_dim.items():
-        counts: dict[str, int] = {}
-        for _, name in entries:
-            counts[name] = counts.get(name, 0) + 1
+    for entries in by_dim.values():
+        counts = Counter(name for _, name in entries)
         shapes = sorted({shape for shape, _ in entries}, key=print_key)
         shape_index = {shape: i for i, shape in enumerate(shapes)}
         for shape, name in entries:
-            if counts[name] == 1:
-                out[(shape, name)] = name
-            else:
-                out[(shape, name)] = f"{name}@{shape_index[shape]}"
+            unique = name
+            if counts[name] > 1:
+                # ``NAME@INDEX`` ends in a digit: only a verbatim name can be it
+                unique = f"{name}@{shape_index[shape]}"
+                while counts[unique] == 1:
+                    unique += "@"
+            out[(shape, name)] = unique
     return out
 
 
@@ -210,30 +214,23 @@ def _realize(X: OpetopicSet, names: dict[tuple[Opetope, str], str]) -> MtoPolygr
     P = MtoPolygraph()
     for shape in X.support():
         dim = shape.dim
-        faces = faces_of(shape)
-        sources = [(face, face.address, face.domain) for face in faces[1:]]
-        for cell in X.cells_at(shape):
+        sources = [(face.address, face.domain) for face in faces_of(shape)[1:]]
+        for cell, values in X.cells[shape].items():
             name = names[(shape, cell)]
             if dim == 0:
                 P.add_point(name)
                 continue
-            target_cell = X.face(shape, cell, faces[0])
-            target = names[(shape.target(), target_cell)]
+            target = names[(shape.target(), values[0])]
             if dim == 1:
-                source_cell = X.face(shape, cell, faces[1])
-                P.add_arrow(name, names[(point(), source_cell)], target)
+                P.add_arrow(name, names[(point(), values[1])], target)
                 continue
             if shape.is_degenerate:
                 below = shape.target()
-                color_cell = X.face(below, target_cell, faces_of(below)[0])
-                tree: Tree = Tree.unit(names[(below.target(), color_cell)])
+                color = X.cells[below][values[0]][0]
+                tree: Tree = Tree.unit(names[(below.target(), color)])
             else:
-                tree = Tree.of(
-                    {
-                        address: names[(domain, X.face(shape, cell, face))]
-                        for face, address, domain in sources
-                    }
-                )
+                pairs = zip(sources, values[1:])
+                tree = Tree.of({a: names[(d, v)] for (a, d), v in pairs})
             P.add_generator(dim, name, tree, target)
     return P
 
@@ -242,20 +239,10 @@ def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
     """Generators collected by shape, with faces read off the presentation."""
     X = OpetopicSet(max_dim=max_dim)
     memo: dict[tuple[int, str], Opetope] = {}
-    shapes: dict[tuple[int, str], Opetope] = {}
     for dim in range(min(P.max_dim, max_dim) + 1):
         for name in P.generators(dim):
             shape = shape_opetope(P, dim, name, memo)
-            shapes[(dim, name)] = shape
-            X.add_cell(shape, name)
-    for (dim, name), shape in shapes.items():
-        for face in faces_of(shape):
-            X.set_face(
-                shape,
-                name,
-                face,
-                fold_faces(P, dim, name, (face,)),
-            )
+            X.add_cell(shape, name, [fold_faces(P, dim, name, (f,)) for f in faces_of(shape)])
     return X
 
 
@@ -264,37 +251,33 @@ def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
 
 def unit_check(X: OpetopicSet) -> Report:
     """Cells correspond to same-shape generators of the realization,
-    compatibly with every generating face."""
+    compatibly with every generating face: the realization's nerve is
+    compared with X, cell for cell."""
     report = Report()
     names = oset_generator_names(X)
     P = _realize(X, names)
-    memo: dict[tuple[int, str], Opetope] = {}
-    # the generators grouped by shape, in one pass over the shared memo
-    by_shape: dict[Opetope, list[str]] = {}
-    for dim in range(P.max_dim + 1):
-        for gen in P.generators(dim):
-            by_shape.setdefault(shape_opetope(P, dim, gen, memo), []).append(gen)
+    Y = nerve(P, max(P.max_dim, 0))
+    shapes = {(shape.dim, gen): shape for shape, gens in Y.cells.items() for gen in gens}
     for shape in X.support():
-        cells = X.cells_at(shape)
+        faces = faces_of(shape)
         image = []
-        for cell in cells:
+        for cell, values in X.cells[shape].items():
             gen = names[(shape, cell)]
-            gen_shape = shape_opetope(P, shape.dim, gen, memo)
+            gen_shape = shapes[(shape.dim, gen)]
             if gen_shape != shape:
                 report.fail(
                     f"cell {cell!r} at {shape}: generator has shape {gen_shape}"
                 )
                 continue
             image.append(gen)
-            for face in faces_of(shape):
-                expected = names[(face.domain, X.face(shape, cell, face))]
-                actual = fold_faces(P, shape.dim, gen, (face,))
+            for face, value, actual in zip(faces, values, Y.cells[shape][gen]):
+                expected = names[(face.domain, value)]
                 if expected != actual:
                     report.fail(
                         f"cell {cell!r} at {shape}: face {face} gives "
                         f"{actual!r}, expected {expected!r}"
                     )
-        generators = sorted(by_shape.get(shape, ()))
+        generators = sorted(Y.cells_at(shape))
         if sorted(image) != generators:
             report.fail(f"shape {shape}: cells {sorted(image)} vs generators {generators}")
     return report

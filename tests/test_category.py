@@ -72,7 +72,7 @@ class TestFaces:
                 assert {new: 1}[old] == 1
 
     def test_faces_of_different_opetopes_differ(self):
-        # the hash reads the address alone; equality reads the codomain too
+        # equal addresses into different codomains are different faces
         assert Face(arrow(), EMPTY) != Face(opetopic_integer(1), EMPTY)
         assert Face(arrow()) != Face(opetopic_integer(0))
 

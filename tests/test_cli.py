@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from opetopic import cli
 from opetopic.address import parse_address
 from opetopic.cli import main
+from test_realization import COLLIDING_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_REFERENCE = Path(__file__).parents[1] / "bench" / "reference"
@@ -154,6 +155,17 @@ class TestCommands:
         assert code == 1
         assert out.startswith("gen 0 a")
         assert "not parallel" in err
+
+    def test_roundtrip_with_a_cell_named_like_a_disambiguated_one(
+        self, capsys, tmp_path
+    ):
+        # ``c`` at two shapes would be ``c@0`` and ``c@1``, but ``c@0`` is taken
+        path = tmp_path / "names.oset"
+        path.write_text(COLLIDING_NAMES)
+        assert run(capsys, "validate", str(path)) == (0, "pass\n", "")
+        code, out, err = run(capsys, "roundtrip", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == COLLIDING_NAMES.splitlines()[2:]
 
     def test_identities_json(self, capsys):
         code, out, _ = run(

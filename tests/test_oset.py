@@ -10,7 +10,7 @@ from opetopic.category import (
     morphism,
     slice_classes,
 )
-from opetopic.errors import UnknownNameError
+from opetopic.errors import OpetopicError, UnknownNameError
 from opetopic.formats import print_oset
 from opetopic.opetope import arrow, enumerate_opetopes, opetopic_integer, point
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
@@ -69,11 +69,11 @@ def oracle_yoneda(omega, max_dim):
     }
     for dim in sorted(classes):
         for cls in classes[dim]:
-            name = names[cls.index]
-            X.add_cell(cls.domain, name)
-            for face in faces_of(cls.domain):
-                image = compose(cls, morphism(cls.domain, (face,)))
-                X.set_face(cls.domain, name, face, names[image.index])
+            images = [
+                compose(cls, morphism(cls.domain, (face,)))
+                for face in faces_of(cls.domain)
+            ]
+            X.add_cell(cls.domain, names[cls.index], [names[i.index] for i in images])
     return X
 
 
@@ -102,9 +102,7 @@ class TestValidation:
     def test_missing_face_cell_reported(self):
         X = OpetopicSet(max_dim=1)
         X.add_cell(point(), "p")
-        X.add_cell(arrow(), "f")
-        X.set_face(arrow(), "f", Face(arrow()), "p")
-        X.set_face(arrow(), "f", Face(arrow(), EMPTY), "ghost")
+        X.add_cell(arrow(), "f", ("p", "ghost"))
         report = validate_oset(X)
         assert not report.ok
         assert any("ghost" in failure for failure in report.failures)
@@ -115,15 +113,9 @@ class TestValidation:
         X = OpetopicSet(max_dim=2)
         for name in ("x", "y"):
             X.add_cell(point(), name)
-        X.add_cell(arrow(), "f")
-        X.set_face(arrow(), "f", Face(arrow()), "x")
-        X.set_face(arrow(), "f", Face(arrow(), EMPTY), "y")
-        X.add_cell(arrow(), "g")
-        X.set_face(arrow(), "g", Face(arrow()), "y")
-        X.set_face(arrow(), "g", Face(arrow(), EMPTY), "x")
-        X.add_cell(O1, "c")
-        X.set_face(O1, "c", Face(O1), "f")
-        X.set_face(O1, "c", Face(O1, EMPTY), "g")
+        X.add_cell(arrow(), "f", ("x", "y"))
+        X.add_cell(arrow(), "g", ("y", "x"))
+        X.add_cell(O1, "c", ("f", "g"))
         report = validate_oset(X)
         assert not report.ok
         assert any("glob1" in failure for failure in report.failures)
@@ -133,12 +125,8 @@ class TestValidation:
         for name in ("x", "y"):
             X.add_cell(point(), name)
         for name in ("f", "g"):
-            X.add_cell(arrow(), name)
-            X.set_face(arrow(), name, Face(arrow()), "y")
-            X.set_face(arrow(), name, Face(arrow(), EMPTY), "x")
-        X.add_cell(O1, "c")
-        X.set_face(O1, "c", Face(O1), "f")
-        X.set_face(O1, "c", Face(O1, EMPTY), "g")
+            X.add_cell(arrow(), name, ("y", "x"))
+        X.add_cell(O1, "c", ("f", "g"))
         assert validate_oset(X).ok
 
 
@@ -175,3 +163,39 @@ class TestApply:
             assert X.apply(composite, top) == X.apply(
                 inner, X.apply(outer, top)
             )
+
+
+class TestFaceStore:
+    def test_cell_keeps_its_faces_in_faces_of_order(self):
+        X = yoneda(O2, 2)
+        top = str(identity(O2))
+        expected = tuple(X.face(O2, top, face) for face in faces_of(O2))
+        assert X.cells[O2][top] == expected == ("t", "s[]", "s[*]")
+
+    @pytest.mark.parametrize("faces", [(), ("x",), ("x", "y", "z")])
+    def test_add_cell_rejects_a_tuple_of_the_wrong_length(self, faces):
+        X = OpetopicSet(max_dim=1)
+        with pytest.raises(OpetopicError) as info:
+            X.add_cell(arrow(), "f", faces)
+        message = str(info.value)
+        assert "'f'" in message and "arrow" in message
+        assert f"{len(faces)} faces given" in message and "has 2" in message
+        assert X.cells_at(arrow()) == []
+
+    def test_add_cell_of_a_point_takes_no_faces(self):
+        X = OpetopicSet(max_dim=0)
+        with pytest.raises(OpetopicError, match="1 faces given, its shape has 0"):
+            X.add_cell(point(), "p", ("q",))
+
+    def test_face_of_an_unknown_cell_or_shape(self):
+        X = yoneda(O2, 2)
+        with pytest.raises(UnknownNameError, match="no cell 'nope'"):
+            X.face(O2, "nope", Face(O2))
+        with pytest.raises(UnknownNameError, match="no cell 'id'"):
+            X.face(opetopic_integer(3), "id", Face(opetopic_integer(3)))
+
+    def test_apply_on_an_unknown_shape(self):
+        X = yoneda(O2, 2)
+        omega = opetopic_integer(3)
+        with pytest.raises(UnknownNameError, match="no cell 'id'"):
+            X.apply(identity(omega), "id")

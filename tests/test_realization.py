@@ -17,7 +17,7 @@ from opetopic.category import (
     slice_classes,
 )
 from opetopic.errors import Report
-from opetopic.formats import parse_polygraph, print_polygraph
+from opetopic.formats import parse_oset, parse_polygraph, print_polygraph
 from opetopic.opetope import (
     Opetope,
     arrow,
@@ -32,6 +32,7 @@ from opetopic.realization import (
     cells_of_shape,
     counit_check,
     nerve,
+    oset_generator_names,
     realize_opetope,
     realize_oset,
     shape_of,
@@ -361,6 +362,29 @@ class TestRealizeOSet:
             )
             assert len(P.generators(dim)) == expected
 
+    def test_generator_names_are_distinct_in_each_dimension(self):
+        # ``c`` is shared by two shapes, and a cell is literally named ``c@0``
+        X = parse_oset(COLLIDING_NAMES)
+        assert validate_oset(X).ok
+        names = oset_generator_names(X)
+        top = sorted(name for (shape, _), name in names.items() if shape.dim == 2)
+        assert top == ["c@0", "c@0@", "c@1"]
+        assert names[(opetopic_integer(1), "c@0")] == "c@0"
+        assert names[(opetopic_integer(1), "c")] == "c@0@"
+        assert names[(O2, "c")] == "c@1"
+        P = realize_oset(X)
+        assert P.validate().ok and len(P.generators(2)) == 3
+        assert unit_check(X).ok
+
+
+COLLIDING_NAMES = """\
+cell p : point
+cell f : arrow { t <- p, s [] <- p }
+cell c : {[] <- arrow} { t <- f, s [] <- f }
+cell c@0 : {[] <- arrow} { t <- f, s [] <- f }
+cell c : {[] <- arrow, [*] <- arrow} { t <- f, s [] <- f, s [*] <- f }
+"""
+
 
 class TestNerve:
     def test_realized_arrow(self):
@@ -450,8 +474,7 @@ class TestUnitCounit:
         def nerve_without_m(P, max_dim):
             X = build(P, max_dim)
             for cells in X.cells.values():
-                if "m" in cells:
-                    cells.remove("m")
+                cells.pop("m", None)
             return X
 
         monkeypatch.setattr(realization, "nerve", nerve_without_m)

@@ -376,8 +376,7 @@ def parse_oset(text: str) -> OpetopicSet:
     scanner = Scanner(text)
     env: dict[str, Opetope] = {}
     tables: dict[Opetope, dict[Address | None, int]] = {}
-    entries: list[tuple[Opetope, str, list]] = []
-    max_dim = 0
+    X = OpetopicSet(max_dim=0)
     while not scanner.at_end():
         keyword = scanner.name()
         if keyword == "opetope":
@@ -386,10 +385,14 @@ def parse_oset(text: str) -> OpetopicSet:
         if keyword != "cell":
             message = f"expected 'cell' or 'opetope', found {keyword!r}"
             raise ParseError(message, *scanner.position())
-        name = scanner.name()
+        start, name = scanner.pos, scanner.name()
         scanner.expect_symbol(":")
         shape = parse_opetope_expr(scanner, env)
-        max_dim = max(max_dim, shape.dim)
+        if name in X.cells.get(shape, ()):
+            scanner.pos = start
+            message = f"duplicate cell {name!r} at shape {shape}"
+            raise ParseError(message, *scanner.position())
+        X.max_dim = max(X.max_dim, shape.dim)
         if shape not in tables:
             tables[shape] = {face.address: k for k, face in enumerate(faces_of(shape))}
         positions = tables[shape]
@@ -405,9 +408,6 @@ def parse_oset(text: str) -> OpetopicSet:
                 f"cell {name!r} at {shape}: missing faces: {missing}",
                 *scanner.position(),
             )
-        entries.append((shape, name, values))
-    X = OpetopicSet(max_dim=max_dim)
-    for shape, name, values in entries:
         X.add_cell(shape, name, values)
     return X
 

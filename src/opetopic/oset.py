@@ -10,6 +10,7 @@ commute on every cell, which is what ``validate_oset`` checks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ class OpetopicSet:
         faces = self.cells.get(shape, {}).get(name)
         if faces is None:
             raise UnknownNameError(f"no cell {name!r} at shape {shape}")
-        return faces[faces_of(shape).index(face)]
+        return faces[_index(face)]
 
     def apply(self, cls: MorphismClass, name: str) -> str:
         """Contravariant action of a whole morphism class on a cell.
@@ -66,11 +67,17 @@ class OpetopicSet:
         return current
 
 
-def _position(faces: tuple[Face, ...], side: tuple[Face, Face]):
-    """A square's side as (shape, position of outer face, of inner face)."""
+def _index(face: Face) -> int:
+    """The position of ``face`` in ``faces_of`` of its codomain."""
+    addresses = face.codomain.node_addresses()
+    return 0 if face.address is None else bisect_left(addresses, face.address) + 1
+
+
+def _position(side: tuple[Face, Face]):
+    """A square's side as (shape, position of outer face, of inner face);
+    the inner face's codomain is the outer face's domain, not computed."""
     outer, inner = side
-    below = inner.codomain  # the domain of ``outer``, without computing it
-    return below, faces.index(outer), faces_of(below).index(inner)
+    return inner.codomain, _index(outer), _index(inner)
 
 
 def validate_oset(X: OpetopicSet) -> Report:
@@ -88,9 +95,8 @@ def validate_oset(X: OpetopicSet) -> Report:
     if not report.ok:
         return report
     for shape in X.support():
-        faces = faces_of(shape)
         squares = [
-            (square, _position(faces, square.left), _position(faces, square.right))
+            (square, _position(square.left), _position(square.right))
             for square in relation_instances(shape)
         ]
         for name, values in X.cells[shape].items():

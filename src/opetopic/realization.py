@@ -1,14 +1,15 @@
 """The bridge between opetopes, opetopic sets, and many-to-one polygraphs.
 
 Realizing an opetopic set produces the polygraph with one generator per
-cell: the target of a generator is the cell's target face, and its source
-tree redecorates the tree of the cell's shape with the cell's source
-faces.  An opetope is realized as its representable, whose j-cells are
-the morphism classes from j-opetopes into it.  In the other direction the
-nerve of a polygraph collects its generators by shape, where the shape of
-a generator replaces every generator in its source tree by its shape,
-recursively.  The unit and counit checks verify that the two directions
-invert each other on finite instances.
+cell, named after the cell: the target of a generator is the cell's
+target face, and its source tree redecorates the tree of the cell's shape
+with the cell's source faces.  Cells are renamed first only where two
+shapes of a dimension share a name.  An opetope is realized as its
+representable, whose j-cells are the morphism classes from j-opetopes
+into it.  In the other direction the nerve of a polygraph collects its
+generators by shape, where the shape of a generator replaces every
+generator in its source tree by its shape, recursively.  The unit and
+counit checks verify on finite instances that the two are mutually inverse.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .address import EMPTY
 from .category import Word, faces_of, slice_classes
 from .errors import CoherenceError, Report
-from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
+from .opetope import Opetope, arrow, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
 from .polygraph import Cell, MtoPolygraph, PolygraphMorphism, print_cell_tree
 from .trees import Tree, corolla, grow_trees
@@ -176,73 +177,85 @@ def cells_of_shape(P: MtoPolygraph, omega: Opetope) -> list[str]:
 # -- realization of opetopic sets and the nerve -------------------------
 
 
-def oset_generator_names(X: OpetopicSet) -> dict[tuple[Opetope, str], str]:
-    """Deterministic generator names for the realization of an opetopic set,
-    distinct within each dimension.
+def distinct_names(X: OpetopicSet) -> OpetopicSet:
+    """X itself when no two shapes of a dimension share a cell name, else
+    a copy renamed so that names are distinct within each dimension.
 
-    Cell names are kept verbatim unless two shapes of the same dimension
-    share one, in which case the shape's index disambiguates; a name so
-    made that is another cell's verbatim name gets ``@`` appended until
-    it is free.
+    A shared name becomes ``NAME@INDEX``, by the shape's print-key index
+    in its dimension; a name so made that is another cell's verbatim name
+    gets ``@`` appended until it is free.  Face values are renamed to match.
     """
-    by_dim: dict[int, list[tuple[Opetope, str]]] = {}
-    for shape in X.support():
-        by_dim.setdefault(shape.dim, []).extend((shape, name) for name in X.cells[shape])
-    out: dict[tuple[Opetope, str], str] = {}
-    for entries in by_dim.values():
-        counts = Counter(name for _, name in entries)
-        shapes = sorted({shape for shape, _ in entries}, key=print_key)
-        shape_index = {shape: i for i, shape in enumerate(shapes)}
-        for shape, name in entries:
+    names: dict[int, set[str]] = {}
+    for shape, cells in X.cells.items():
+        names.setdefault(shape.dim, set()).update(cells)
+    if sum(map(len, X.cells.values())) == sum(map(len, names.values())):
+        return X
+    support = X.support()
+    counts = Counter((shape.dim, name) for shape in support for name in X.cells[shape])
+    index: dict[int, int] = {}
+    renamed: dict[tuple[Opetope, str], str] = {}
+    for shape in support:
+        i = index[shape.dim] = index.get(shape.dim, -1) + 1
+        for name in X.cells[shape]:
             unique = name
-            if counts[name] > 1:
+            if counts[(shape.dim, name)] > 1:
                 # ``NAME@INDEX`` ends in a digit: only a verbatim name can be it
-                unique = f"{name}@{shape_index[shape]}"
-                while counts[unique] == 1:
+                unique = f"{name}@{i}"
+                while counts[(shape.dim, unique)] == 1:
                     unique += "@"
-            out[(shape, name)] = unique
-    return out
+            renamed[(shape, name)] = unique
+    Y = OpetopicSet(max_dim=X.max_dim)
+    for shape in support:
+        domains = [face.domain for face in faces_of(shape)]
+        for name, values in X.cells[shape].items():
+            faces = [renamed[(d, v)] for d, v in zip(domains, values)]
+            Y.add_cell(shape, renamed[(shape, name)], faces)
+    return Y
 
 
 def realize_oset(X: OpetopicSet) -> MtoPolygraph:
-    """One generator per cell; boundaries are read off the face actions."""
-    return _realize(X, oset_generator_names(X))
+    """One generator per cell, named after it unless names collide."""
+    return _realize(distinct_names(X))
 
 
-def _realize(X: OpetopicSet, names: dict[tuple[Opetope, str], str]) -> MtoPolygraph:
-    """``realize_oset`` with the generator names already computed."""
+def _realize(X: OpetopicSet) -> MtoPolygraph:
+    """``realize_oset`` of a set whose names are distinct in each dimension:
+    each generator is named after its cell and read off its face tuple."""
     P = MtoPolygraph()
     for shape in X.support():
-        dim = shape.dim
-        sources = [(face.address, face.domain) for face in faces_of(shape)[1:]]
-        for cell, values in X.cells[shape].items():
-            name = names[(shape, cell)]
-            if dim == 0:
+        dim, cells = shape.dim, X.cells[shape]
+        if dim == 0:
+            for name in cells:
                 P.add_point(name)
-                continue
-            target = names[(shape.target(), values[0])]
-            if dim == 1:
-                P.add_arrow(name, names[(point(), values[1])], target)
-                continue
-            if shape.is_degenerate:
-                below = shape.target()
-                color = X.cells[below][values[0]][0]
-                tree: Tree = Tree.unit(names[(below.target(), color)])
-            else:
-                pairs = zip(sources, values[1:])
-                tree = Tree.of({a: names[(d, v)] for (a, d), v in pairs})
-            P.add_generator(dim, name, tree, target)
+        elif dim == 1:
+            for name, (target, source) in cells.items():
+                P.add_arrow(name, source, target)
+        elif shape.is_degenerate:
+            below = X.cells[shape.target()]
+            for name, (target,) in cells.items():
+                P.add_generator(dim, name, Tree.unit(below[target][0]), target)
+        else:
+            addresses = shape.node_addresses()
+            for name, (target, *sources) in cells.items():
+                P.add_generator(dim, name, Tree._wrap(dict(zip(addresses, sources))), target)
     return P
 
 
 def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
-    """Generators collected by shape, with faces read off the presentation."""
+    """Generators collected by shape; each generator's faces are its
+    target, then its source decorations in the shape's address order."""
     X = OpetopicSet(max_dim=max_dim)
     memo: dict[tuple[int, str], Opetope] = {}
     for dim in range(min(P.max_dim, max_dim) + 1):
         for name in P.generators(dim):
             shape = shape_opetope(P, dim, name, memo)
-            X.add_cell(shape, name, [fold_faces(P, dim, name, (f,)) for f in faces_of(shape)])
+            data, faces = P.gen_data(dim, name), ()
+            if dim == 1:
+                faces = (data.target, data.source)
+            elif dim:
+                tree = data.source_tree
+                faces = (data.target, *map(tree.decoration, shape.node_addresses()))
+            X.add_cell(shape, name, faces)
     return X
 
 
@@ -254,57 +267,47 @@ def unit_check(X: OpetopicSet) -> Report:
     compatibly with every generating face: the realization's nerve is
     compared with X, cell for cell."""
     report = Report()
-    names = oset_generator_names(X)
-    P = _realize(X, names)
+    named = distinct_names(X)
+    P = _realize(named)
     Y = nerve(P, max(P.max_dim, 0))
-    shapes = {(shape.dim, gen): shape for shape, gens in Y.cells.items() for gen in gens}
-    for shape in X.support():
-        faces = faces_of(shape)
-        image = []
-        for cell, values in X.cells[shape].items():
-            gen = names[(shape, cell)]
-            gen_shape = shapes[(shape.dim, gen)]
-            if gen_shape != shape:
-                report.fail(
-                    f"cell {cell!r} at {shape}: generator has shape {gen_shape}"
-                )
-                continue
-            image.append(gen)
-            for face, value, actual in zip(faces, values, Y.cells[shape][gen]):
-                expected = names[(face.domain, value)]
-                if expected != actual:
-                    report.fail(
-                        f"cell {cell!r} at {shape}: face {face} gives "
-                        f"{actual!r}, expected {expected!r}"
-                    )
-        generators = sorted(Y.cells_at(shape))
-        if sorted(image) != generators:
-            report.fail(f"shape {shape}: cells {sorted(image)} vs generators {generators}")
+    for shape in named.support():
+        found = Y.cells.get(shape, {})
+        for cell, (gen, values) in zip(X.cells[shape], named.cells[shape].items()):
+            actual = found.get(gen)
+            if actual is None:
+                gen_shape = shape_opetope(P, shape.dim, gen)
+                report.fail(f"cell {cell!r} at {shape}: generator has shape {gen_shape}")
+            elif actual != values:
+                for face, value, got in zip(faces_of(shape), values, actual):
+                    if value != got:
+                        report.fail(
+                            f"cell {cell!r} at {shape}: face {face} gives "
+                            f"{got!r}, expected {value!r}"
+                        )
+        image = [gen for gen in named.cells[shape] if gen in found]
+        if len(image) != len(found):
+            report.fail(f"shape {shape}: cells {sorted(image)} vs generators {sorted(found)}")
     return report
 
 
 def counit_check(P: MtoPolygraph) -> Report:
     """Realizing the nerve gives back the polygraph, generator for
-    generator.  Each generator's shape is read off the nerve's names, and
-    one that the nerve lacks is reported as undefined."""
+    generator.  The nerve's cells are named after the generators, so each
+    generator found in it maps to itself; one that the nerve lacks is
+    reported as undefined."""
     report = Report()
-    X = nerve(P, max(P.max_dim, 0))
-    names = oset_generator_names(X)
-    Q = _realize(X, names)
-    shapes = {(shape.dim, cell): shape for shape, cell in names}
-    maps: dict[int, dict[str, str]] = {dim: {} for dim in range(Q.max_dim + 1)}
+    Q = _realize(nerve(P, max(P.max_dim, 0)))
+    maps: dict[int, dict[str, str]] = {dim: {} for dim in range(P.max_dim + 1)}
     for dim in range(P.max_dim + 1):
         for gen in P.generators(dim):
-            shape = shapes.get((dim, gen))
-            if shape is None:
+            if Q.has_generator(dim, gen):
+                maps[dim][gen] = gen
+            else:
                 report.fail(
                     f"morphism undefined on {dim}-generator {gen!r}: not in the nerve"
                 )
-                continue
-            maps.setdefault(dim, {})[names[(shape, gen)]] = gen
     morphism = PolygraphMorphism(Q, P, maps)
-    sub_report = morphism.validate()
-    report.failures.extend(sub_report.failures)
+    report.failures.extend(morphism.validate().failures)
     if not morphism.is_isomorphism():
         report.fail("counit is not a generator-for-generator isomorphism")
     return report

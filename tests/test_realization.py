@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -12,18 +13,20 @@ from opetopic.category import (
     Face,
     MorphismClass,
     compose,
+    faces_of,
     hom,
     morphism,
     slice_classes,
 )
 from opetopic.errors import Report
-from opetopic.formats import parse_oset, parse_polygraph, print_polygraph
+from opetopic.formats import parse_oset, parse_polygraph, print_oset, print_polygraph
 from opetopic.opetope import (
     Opetope,
     arrow,
     enumerate_opetopes,
     opetopic_integer,
     point,
+    print_key,
 )
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
 from opetopic.polygraph import Cell, MtoPolygraph
@@ -31,8 +34,8 @@ from opetopic.realization import (
     boundary_polygraph,
     cells_of_shape,
     counit_check,
+    distinct_names,
     nerve,
-    oset_generator_names,
     realize_opetope,
     realize_oset,
     shape_of,
@@ -366,7 +369,12 @@ class TestRealizeOSet:
         # ``c`` is shared by two shapes, and a cell is literally named ``c@0``
         X = parse_oset(COLLIDING_NAMES)
         assert validate_oset(X).ok
-        names = oset_generator_names(X)
+        Y = distinct_names(X)
+        names = {
+            (shape, cell): name
+            for shape in X.support()
+            for cell, name in zip(X.cells[shape], Y.cells[shape])
+        }
         top = sorted(name for (shape, _), name in names.items() if shape.dim == 2)
         assert top == ["c@0", "c@0@", "c@1"]
         assert names[(opetopic_integer(1), "c@0")] == "c@0"
@@ -376,6 +384,12 @@ class TestRealizeOSet:
         assert P.validate().ok and len(P.generators(2)) == 3
         assert unit_check(X).ok
 
+    def test_distinct_names_keep_the_set_itself(self):
+        X = yoneda(O2, 2)
+        assert distinct_names(X) is X
+        Y = nerve(realize_opetope(O2), 2)
+        assert distinct_names(Y) is Y
+
 
 COLLIDING_NAMES = """\
 cell p : point
@@ -384,6 +398,137 @@ cell c : {[] <- arrow} { t <- f, s [] <- f }
 cell c@0 : {[] <- arrow} { t <- f, s [] <- f }
 cell c : {[] <- arrow, [*] <- arrow} { t <- f, s [] <- f, s [*] <- f }
 """
+
+
+# -- oracle: the realization through a (shape, cell) -> generator-name map
+# that every face value is looked up in
+
+
+def oracle_generator_names(X: OpetopicSet) -> dict[tuple[Opetope, str], str]:
+    """Deterministic generator names for the realization of an opetopic set,
+    distinct within each dimension.
+
+    Cell names are kept verbatim unless two shapes of the same dimension
+    share one, in which case the shape's index disambiguates; a name so
+    made that is another cell's verbatim name gets ``@`` appended until
+    it is free.
+    """
+    by_dim: dict[int, list[tuple[Opetope, str]]] = {}
+    for shape in X.support():
+        by_dim.setdefault(shape.dim, []).extend((shape, name) for name in X.cells[shape])
+    out: dict[tuple[Opetope, str], str] = {}
+    for entries in by_dim.values():
+        counts = Counter(name for _, name in entries)
+        shapes = sorted({shape for shape, _ in entries}, key=print_key)
+        shape_index = {shape: i for i, shape in enumerate(shapes)}
+        for shape, name in entries:
+            unique = name
+            if counts[name] > 1:
+                # ``NAME@INDEX`` ends in a digit: only a verbatim name can be it
+                unique = f"{name}@{shape_index[shape]}"
+                while counts[unique] == 1:
+                    unique += "@"
+            out[(shape, name)] = unique
+    return out
+
+
+def oracle_realize_oset(X: OpetopicSet) -> MtoPolygraph:
+    """One generator per cell, named by ``oracle_generator_names``."""
+    names = oracle_generator_names(X)
+    P = MtoPolygraph()
+    for shape in X.support():
+        dim = shape.dim
+        sources = [(face.address, face.domain) for face in faces_of(shape)[1:]]
+        for cell, values in X.cells[shape].items():
+            name = names[(shape, cell)]
+            if dim == 0:
+                P.add_point(name)
+                continue
+            target = names[(shape.target(), values[0])]
+            if dim == 1:
+                P.add_arrow(name, names[(point(), values[1])], target)
+                continue
+            if shape.is_degenerate:
+                below = shape.target()
+                color = X.cells[below][values[0]][0]
+                tree: Tree = Tree.unit(names[(below.target(), color)])
+            else:
+                pairs = zip(sources, values[1:])
+                tree = Tree.of({a: names[(d, v)] for (a, d), v in pairs})
+            P.add_generator(dim, name, tree, target)
+    return P
+
+
+def renamed_nerve(rng: random.Random) -> OpetopicSet:
+    """A random nerve with every cell renamed to one of three names (more
+    where a shape has more cells), which makes names collide across shapes
+    and meet their own ``@`` suffixes."""
+    P = random_polygraph(rng)
+    X = nerve(P, max(P.max_dim, 0))
+    renamed = {}
+    for shape in X.support():
+        cells = X.cells[shape]
+        pool = ["c"] + [f"c@{i}" for i in range(max(2, len(cells) - 1))]
+        for cell, name in zip(cells, rng.sample(pool, len(cells))):
+            renamed[(shape, cell)] = name
+    Y = OpetopicSet(max_dim=X.max_dim)
+    for shape in X.support():
+        domains = [face.domain for face in faces_of(shape)]
+        for cell, values in X.cells[shape].items():
+            faces = [renamed[(d, v)] for d, v in zip(domains, values)]
+            Y.add_cell(shape, renamed[(shape, cell)], faces)
+    return Y
+
+
+class TestNamedOracle:
+    """``realize_oset`` names each generator after its cell and renames only
+    on a collision; it must print exactly as the named oracle does."""
+
+    def check(self, X: OpetopicSet) -> None:
+        assert validate_oset(X).ok
+        expected = print_polygraph(oracle_realize_oset(X))
+        assert print_polygraph(realize_oset(X)) == expected
+        assert unit_check(X).ok
+
+    def test_representables(self):
+        for dim in range(5):
+            for omega in enumerate_opetopes(dim, 2):
+                self.check(yoneda(omega, omega.dim))
+
+    def test_random_nerves(self):
+        rng = random.Random(1806)
+        for _ in range(20):
+            P = random_polygraph(rng)
+            self.check(nerve(P, max(P.max_dim, 0)))
+
+    def test_colliding_names(self):
+        self.check(parse_oset(COLLIDING_NAMES))
+
+    def test_nerves_renamed_to_three_names(self):
+        rng = random.Random(8645)
+        suffixed = 0
+        for _ in range(20):
+            X = renamed_nerve(rng)
+            self.check(X)
+            P = realize_oset(X)
+            suffixed += sum(
+                name.endswith("@")
+                for dim in range(P.max_dim + 1)
+                for name in P.generators(dim)
+            )
+        assert suffixed  # the ``@`` rule was exercised
+
+    def test_print_digest_of_realizations_and_nerves(self):
+        # computed with the name-map realization of ``oracle_realize_oset``
+        digest = hashlib.sha256()
+        for dim in range(5):
+            for omega in enumerate_opetopes(dim, 2):
+                P = realize_opetope(omega)
+                digest.update(print_polygraph(P).encode())
+                digest.update(print_oset(nerve(P, max(P.max_dim, 0))).encode())
+        assert digest.hexdigest() == (
+            "532f3dfeb92fc5d2253e8c8a468493134aec15b3320b5f1a0673551f932b9fec"
+        )
 
 
 class TestNerve:
@@ -449,8 +594,8 @@ class TestUnitCounit:
         X = nerve(path_polygraph, 2)
         realize = realization._realize
 
-        def realize_with_extra(X, names):
-            P = realize(X, names)
+        def realize_with_extra(X):
+            P = realize(X)
             add_extra(P)
             return P
 

@@ -19,30 +19,26 @@ table, and composition is a lookup in the tables.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .address import EMPTY, Address
-from .errors import CompositionError, OpetopicError
+from .errors import CompositionError, OpetopicError, Value
 
 from .opetope import Opetope
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
+class Face(Value):
     """A single face embedding into ``codomain``; address None means target."""
 
-    codomain: Opetope
-    address: Address | None = None
+    __slots__ = ("codomain", "address")
 
-    def __post_init__(self) -> None:
-        if self.address is None:
-            if self.codomain.dim < 1:
+    def __init__(self, codomain: Opetope, address: Address | None = None):
+        if address is None:
+            if codomain.dim < 1:
                 raise CompositionError("the point has no target embedding")
-        elif self.address not in self.codomain.node_addresses():
-            raise CompositionError(
-                f"{self.address} is not a node address of {self.codomain}"
-            )
+        elif address not in codomain.node_addresses():
+            raise CompositionError(f"{address} is not a node address of {codomain}")
+        self.codomain, self.address = codomain, address
 
     @property
     def is_target(self) -> bool:
@@ -71,20 +67,18 @@ def faces_of(omega: Opetope) -> tuple[Face, ...]:
     return faces
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(Value):
     """One commuting square: two equal two-step words into the same opetope."""
 
-    kind: str
-    left: tuple[Face, Face]
-    right: tuple[Face, Face]
+    __slots__ = ("kind", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.left[1].domain != self.right[1].domain:
+    def __init__(self, kind: str, left: tuple[Face, Face], right: tuple[Face, Face]):
+        if left[1].domain != right[1].domain:
             raise OpetopicError(
-                f"relation {self.kind} of {self.left[0].codomain} has unequal "
+                f"relation {kind} of {left[0].codomain} has unequal "
                 f"domains; the face identities are broken"
             )
+        self.kind, self.left, self.right = kind, left, right
 
 
 def relation_instances(omega: Opetope) -> tuple[RelationInstance, ...]:
@@ -222,13 +216,14 @@ def _least_path(cls: MorphismClass):
         table = table.subtables[k]
 
 
-@dataclass(frozen=True)
-class MorphismClass:
+class MorphismClass(Value):
     """A morphism of the category: a class in the slice table of its
     codomain, carried by its index there."""
 
-    codomain: Opetope
-    index: int
+    __slots__ = ("codomain", "index")
+
+    def __init__(self, codomain: Opetope, index: int):
+        self.codomain, self.index = codomain, index
 
     @property
     def domain(self) -> Opetope:

@@ -1,4 +1,4 @@
-"""Exception types and validation reports shared across the package.
+"""Exception types, validation reports and the base of the package's records.
 
 Construction functions raise; validators collect failures into a Report so
 callers can see every violation at once.
@@ -6,7 +6,7 @@ callers can see every violation at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class OpetopicError(Exception):
@@ -48,11 +48,36 @@ class ParseError(OpetopicError):
         super().__init__(message)
 
 
-@dataclass
-class Report:
+class Value:
+    """Equality within one class, hashing and a ``Name(field=value, ...)`` repr
+    over ``__slots__``, for records that are immutable by convention."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Report(Value):
     """Accumulated validation failures; empty means the check passed."""
 
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("failures",)
+    __hash__ = None
+
+    def __init__(self, failures: list[str] | None = None):
+        self.failures = [] if failures is None else failures
 
     def fail(self, message: str) -> None:
         self.failures.append(message)

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .category import Face, MorphismClass, faces_of, relation_instances, slice_table
-from .errors import OpetopicError, Report, UnknownNameError
+from .errors import CompositionError, OpetopicError, Report, UnknownNameError, Value
 from .opetope import Opetope, print_key
 
 
-@dataclass
-class OpetopicSet:
+class OpetopicSet(Value):
     """Cell sets per opetope: ``cells[shape][name]`` is the cell's faces,
     the image of each face of ``faces_of(shape)`` in turn."""
 
-    max_dim: int
-    cells: dict[Opetope, dict[str, tuple[str, ...]]] = field(default_factory=dict)
+    __slots__ = ("max_dim", "cells")
+    __hash__ = None
+
+    def __init__(
+        self, max_dim: int, cells: dict[Opetope, dict[str, tuple[str, ...]]] | None = None
+    ):
+        self.max_dim, self.cells = max_dim, {} if cells is None else cells
 
     def support(self) -> list[Opetope]:
         return sorted((o for o in self.cells if self.cells[o]), key=print_key)
@@ -50,6 +53,8 @@ class OpetopicSet:
         faces = self.cells.get(shape, {}).get(name)
         if faces is None:
             raise UnknownNameError(f"no cell {name!r} at shape {shape}")
+        if face.codomain is not shape:
+            raise CompositionError(f"face {face} of {face.codomain} is not a face of {shape}")
         return faces[_index(face)]
 
     def apply(self, cls: MorphismClass, name: str) -> str:

@@ -14,7 +14,6 @@ computes opetope targets; partial composition is grafting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .address import EMPTY, Address
@@ -25,6 +24,7 @@ from .errors import (
     GraftError,
     Report,
     UnknownNameError,
+    Value,
 )
 from .trees import (
     FlattenResult,
@@ -39,28 +39,31 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class Gen1:
+class Gen1(Value):
     """A 1-generator: an arrow between two 0-generators."""
 
-    source: str
-    target: str
+    __slots__ = ("source", "target")
+
+    def __init__(self, source: str, target: str):
+        self.source, self.target = source, target
 
 
-@dataclass(frozen=True)
-class GenN:
+class GenN(Value):
     """An n-generator, n >= 2: a source composition tree and a target name."""
 
-    source_tree: Tree
-    target: str
+    __slots__ = ("source_tree", "target")
+
+    def __init__(self, source_tree: Tree, target: str):
+        self.source_tree, self.target = source_tree, target
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Value):
     """A many-to-one cell: its dimension and its composition tree."""
 
-    dim: int
-    tree: Tree
+    __slots__ = ("dim", "tree")
+
+    def __init__(self, dim: int, tree: Tree):
+        self.dim, self.tree = dim, tree
 
     @property
     def is_identity(self) -> bool:
@@ -317,21 +320,25 @@ def count(cell: Cell) -> int:
     return cell.tree.size
 
 
-@dataclass(frozen=True)
-class IdentityShape:
-    generator: str
+class IdentityShape(Value):
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: str):
+        self.generator = generator
 
 
-@dataclass(frozen=True)
-class GeneratorShape:
-    generator: str
+class GeneratorShape(Value):
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: str):
+        self.generator = generator
 
 
-@dataclass(frozen=True)
-class CompositeShape:
-    rest: Cell
-    leaf: Address
-    generator: str
+class CompositeShape(Value):
+    __slots__ = ("rest", "leaf", "generator")
+
+    def __init__(self, rest: Cell, leaf: Address, generator: str):
+        self.rest, self.leaf, self.generator = rest, leaf, generator
 
 
 Decomposition = Union[IdentityShape, GeneratorShape, CompositeShape]
@@ -360,13 +367,15 @@ def decompose(cell: Cell) -> Decomposition:
     raise CoherenceError("tree with several nodes has no childless node")
 
 
-@dataclass(frozen=True)
-class PolygraphMorphism:
+class PolygraphMorphism(Value):
     """Dimension-indexed generator maps preserving boundaries."""
 
-    source: MtoPolygraph
-    target: MtoPolygraph
-    maps: dict[int, dict[str, str]]
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(
+        self, source: MtoPolygraph, target: MtoPolygraph, maps: dict[int, dict[str, str]]
+    ):
+        self.source, self.target, self.maps = source, target, maps
 
     def apply(self, dim: int, name: str) -> str:
         try:

@@ -15,11 +15,10 @@ counit checks verify on finite instances that the two are mutually inverse.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .address import EMPTY
 from .category import Word, faces_of, slice_classes
-from .errors import CoherenceError, Report
+from .errors import CoherenceError, Report, Value
 from .opetope import Opetope, arrow, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
 from .polygraph import Cell, MtoPolygraph, PolygraphMorphism, print_cell_tree
@@ -85,13 +84,14 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
 # -- the shape of a generator ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapeResult:
+class ShapeResult(Value):
     """The opetope shape of a generator with the induced morphism from its
     realization, which sends the top generator to the generator itself."""
 
-    shape: Opetope
-    induced: PolygraphMorphism
+    __slots__ = ("shape", "induced")
+
+    def __init__(self, shape: Opetope, induced: PolygraphMorphism):
+        self.shape, self.induced = shape, induced
 
 
 def shape_opetope(

@@ -24,7 +24,6 @@ readdressing pure address bookkeeping:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .address import EMPTY, Address, _trusted
@@ -33,6 +32,7 @@ from .errors import (
     CoherenceError,
     GraftError,
     OpetopicError,
+    Value,
 )
 
 Color = Hashable
@@ -281,10 +281,11 @@ def total_graft(sig: Signature, base: Tree, assignment: Mapping[Address, Tree]) 
     return result
 
 
-@dataclass(frozen=True)
-class FlattenResult:
-    tree: Tree
-    readdress: dict[Address, Address]
+class FlattenResult(Value):
+    __slots__ = ("tree", "readdress")
+
+    def __init__(self, tree: Tree, readdress: dict[Address, Address]):
+        self.tree, self.readdress = tree, readdress
 
 
 def flatten(sig: Signature, tree: Tree) -> FlattenResult:

@@ -5,6 +5,7 @@ import pytest
 from opetopic.address import EMPTY, Address, parse_address
 from opetopic.category import (
     Face,
+    RelationInstance,
     compose,
     faces_of,
     hom,
@@ -13,7 +14,7 @@ from opetopic.category import (
     relation_instances,
     slice_classes,
 )
-from opetopic.errors import CompositionError
+from opetopic.errors import CompositionError, OpetopicError
 from opetopic.opetope import (
     Opetope,
     arrow,
@@ -71,6 +72,23 @@ class TestFaces:
                 assert new is not old and hash(new) == hash(old)
                 assert {new: 1}[old] == 1
 
+    @pytest.mark.parametrize(
+        "codomain, address, message",
+        [
+            (point(), None, "the point has no target embedding"),
+            (arrow(), STAR, "[*] is not a node address of arrow"),
+            (
+                opetopic_integer(2),
+                parse_address("[**]"),
+                "[**] is not a node address of {[] <- arrow, [*] <- arrow}",
+            ),
+        ],
+    )
+    def test_face_rejects_what_its_codomain_lacks(self, codomain, address, message):
+        with pytest.raises(CompositionError) as info:
+            Face(codomain, address)
+        assert str(info.value) == message
+
     def test_faces_of_different_opetopes_differ(self):
         # equal addresses into different codomains are different faces
         assert Face(arrow(), EMPTY) != Face(opetopic_integer(1), EMPTY)
@@ -116,6 +134,16 @@ class TestRelationInstances:
             for instance in relation_instances(omega):
                 for face in instance.left + instance.right:
                     assert any(face is shared for shared in faces_of(face.codomain))
+
+    def test_sides_with_unequal_domains_are_rejected(self):
+        omega = opetopic_integer(2)
+        left = (Face(omega), Face(arrow()))
+        right = (Face(omega, EMPTY), Face(omega))
+        with pytest.raises(OpetopicError) as info:
+            RelationInstance("glob1", left, right)
+        assert str(info.value) == (
+            f"relation glob1 of {omega} has unequal domains; the face identities are broken"
+        )
 
     def test_readdressing_off_the_target_is_a_composition_error(self):
         # a private twin, unknown to the intern table, whose one leaf is

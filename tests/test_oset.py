@@ -10,7 +10,7 @@ from opetopic.category import (
     morphism,
     slice_classes,
 )
-from opetopic.errors import OpetopicError, UnknownNameError
+from opetopic.errors import CompositionError, OpetopicError, UnknownNameError
 from opetopic.formats import print_oset
 from opetopic.opetope import arrow, enumerate_opetopes, opetopic_integer, point
 from opetopic.oset import OpetopicSet, validate_oset, yoneda
@@ -193,6 +193,14 @@ class TestFaceStore:
             X.face(O2, "nope", Face(O2))
         with pytest.raises(UnknownNameError, match="no cell 'id'"):
             X.face(opetopic_integer(3), "id", Face(opetopic_integer(3)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_face_of_another_opetope_is_rejected(self, k):
+        X = yoneda(O2, 2)
+        face = faces_of(opetopic_integer(3))[k]
+        with pytest.raises(CompositionError) as info:
+            X.face(O2, str(identity(O2)), face)
+        assert str(info.value) == f"face {face} of {face.codomain} is not a face of {O2}"
 
     def test_apply_on_an_unknown_shape(self):
         X = yoneda(O2, 2)

@@ -149,14 +149,17 @@ class Opetope:
                 self._str = "point"
             elif self._dim == 1:
                 self._str = "arrow"
-            elif self.is_degenerate:
-                self._str = f"<<{self.shell}>>"
+            elif self._tree._nodes is None:
+                shell = self._tree._unit
+                self._str = f"<<{shell._str or shell}>>"
             else:
-                bindings = ", ".join(
-                    f"{address} <- {self._tree.nodes[address]}"
-                    for address in self._tree.node_addresses()
-                )
-                self._str = "{" + bindings + "}"
+                nodes = self._tree._nodes
+                parts = ["{"]
+                for address in self._tree.node_addresses():
+                    op = nodes[address]
+                    parts += (str(address), " <- ", op._str or str(op), ", ")
+                parts[-1] = "}"
+                self._str = "".join(parts)
         return self._str
 
     def __repr__(self) -> str:
@@ -358,11 +361,13 @@ def iter_opetopes(
 
     The degenerate ones come first; the others are the trees that
     ``trees.grow_trees`` grows from the (n-1)-opetopes with ``max_nodes``
-    as both node and leaf bound.  The grower hands over each tree's sorted
-    leaves and readdressing, grown graft by graft, and its target tree,
-    read off the leaf colors; they are cached on the instance.  A tree
-    whose target tree is not that of an allowed (n-1)-opetope is skipped
-    before any opetope is built.
+    as both node and leaf bound, sharing the address tables of every
+    grower of this dimension and bound.  The grower hands over each tree's
+    sorted leaves and readdressing, grown graft by graft, and its target
+    tree, read off the leaf colors; an opetope built here keeps them, and
+    one already interned keeps what it has.  A tree whose target tree is
+    not that of an allowed (n-1)-opetope is skipped before any opetope is
+    built.
     ``shard = (i, k)`` restricts to every k-th degenerate or root choice,
     for splitting sweeps across processes.
 
@@ -399,20 +404,31 @@ def iter_opetopes(
     roots = [root for i, root in enumerate(previous, len(shells) + 1) if sharded(i)]
 
     grown = grow_trees(
-        OPETOPE_SIG, previous, roots, max_nodes, max_leaves=max_nodes, readdress=True
+        OPETOPE_SIG,
+        previous,
+        roots,
+        max_nodes,
+        max_leaves=max_nodes,
+        readdress=True,
+        tables=_ADDRESSES.setdefault((n, max_nodes), ({}, {})),
     )
     for tree, result, rho, leaves in grown:
         target = allowed.get(result)
         if target is None:
             continue
-        omega = _interned(tree)
+        entry = _INTERN.get(tree)
+        omega = None if entry is None else entry()
         if omega is None:
             omega = _intern(Opetope(n, tree))
-        if omega._leaves is None:
             omega._leaves = leaves
-        if omega._boundary is None:
             omega._boundary = (target, rho)
         yield omega
+
+
+# the grower's address tables (see ``trees.grow_trees``) per dimension and
+# bound, shared by every grower of that dimension and bound, so the
+# opetopes they build share their leaf addresses and readdressings
+_ADDRESSES: dict[tuple[int, int], tuple[dict, dict]] = {}
 
 
 _ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}

@@ -368,6 +368,7 @@ def grow_trees(
     max_nodes: int,
     max_leaves: int | None = None,
     readdress: bool = False,
+    tables: tuple[dict, dict] | None = None,
 ) -> Iterator[
     tuple[Tree, Tree | None, tuple[Address, ...] | None, tuple[Address, ...]]
 ]:
@@ -385,9 +386,18 @@ def grow_trees(
     plus their slot and reroutes each image strictly above ``a`` through
     ``op``'s gluing, the rule ``flatten`` applies node by node.  By leaf
     globularity the flat tree is read off the leaf colors.
+
+    A graft's new leaves ``leaf + (slot,)`` and images ``anchor + slot``
+    depend only on that address and the operation's sorted input slots,
+    so each tuple of them is built once and kept in ``tables``, a pair of
+    dicts ``{leaf: {slots: new leaves}}`` and ``{anchor: {slots: new
+    images}}``, one entry per pair some graft met.  Growers handed the
+    same pair share their address objects; without one a grower keeps
+    its own.  A finished or closed grower leaves no reference cycle.
     """
     if max_nodes < 1:
         return
+    children_of, images_of = ({}, {}) if tables is None else tables
     # per operation: input slots in ascending order and their colors, and
     # for readdressing the inverted leaf-to-input gluing and its source
     # tree, the flat tree of its corolla and of any tree left without
@@ -414,7 +424,10 @@ def grow_trees(
         for color, buckets in by_target.items()
     }
 
-    def grow(nodes, leaves, colors, rho, start):
+    # ``grow`` is handed itself: a closure over its own name would make
+    # every grower a reference cycle, keeping ``info`` and ``admissible``
+    # alive until a cyclic collection
+    def grow(grow, nodes, leaves, colors, rho, start):
         # ``leaves`` is sorted and ``colors`` and ``rho`` run alongside it;
         # leaves are an antichain, so the children of a grafted leaf take
         # its place in the order, and grafting goes on from there
@@ -431,16 +444,20 @@ def grow_trees(
             leaf = leaves[i]
             before, after = leaves[:i], leaves[i + 1 :]
             colors_before, colors_after = colors[:i], colors[i + 1 :]
+            children = children_of.setdefault(leaf, {})
             if readdress:
                 anchor = rho[i]
                 k = len(anchor)
                 # the leaves other than leaf i whose images lie strictly above the anchor
                 above = [j for j, r in enumerate(rho) if r[:k] == anchor and j != i]
+                images = images_of.setdefault(anchor, {})
             for op in ops:
                 slots, op_colors, inverse, source = info[op]
-                new_nodes = dict(nodes)
-                new_nodes[leaf] = op
-                new_leaves = before + tuple([_trusted(leaf + (s,)) for s in slots]) + after
+                new_nodes = {**nodes, leaf: op}
+                new = children.get(slots)
+                if new is None:
+                    new = children[slots] = tuple([_trusted(leaf + (s,)) for s in slots])
+                new_leaves = before + new + after
                 new_colors = colors_before + op_colors + colors_after
                 new_rho = None
                 if readdress:
@@ -448,7 +465,10 @@ def grow_trees(
                     for j in above:
                         r = rho[j]
                         new_rho[j] = _trusted(anchor + inverse[r[k]] + r[k + 1 :])
-                    new_rho[i : i + 1] = [_trusted(anchor + s) for s in slots]
+                    new = images.get(slots)
+                    if new is None:
+                        new = images[slots] = tuple([_trusted(anchor + s) for s in slots])
+                    new_rho[i : i + 1] = new
                     new_rho = tuple(new_rho)
                 if max_leaves is None or len(new_leaves) <= max_leaves:
                     flat = source
@@ -457,9 +477,9 @@ def grow_trees(
                         flat = Tree._wrap(dict(zip(new_rho, new_colors)))
                     yield Tree._wrap(new_nodes), flat, new_rho, new_leaves
                 if budget > 1:
-                    yield from grow(new_nodes, new_leaves, new_colors, new_rho, i)
+                    yield from grow(grow, new_nodes, new_leaves, new_colors, new_rho, i)
 
     # the unit edge's one leaf, colored by a fresh key, takes the roots
     root = object()
     admissible[root] = [tuple(roots)] * width
-    yield from grow({}, (EMPTY,), (root,), (EMPTY,) if readdress else None, 0)
+    yield from grow(grow, {}, (EMPTY,), (root,), (EMPTY,) if readdress else None, 0)

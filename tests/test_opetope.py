@@ -23,10 +23,19 @@ from opetopic.opetope import (
     node_map,
     opetopic_integer,
     point,
+    print_key,
 )
 from opetopic.oset import yoneda
 from opetopic.realization import unit_check
-from opetopic.trees import Tree, corolla, edge_color, flatten, graft, leaf_addresses
+from opetopic.trees import (
+    Tree,
+    corolla,
+    edge_color,
+    flatten,
+    graft,
+    grow_trees,
+    leaf_addresses,
+)
 
 from conftest import flatten as oracle_flatten
 
@@ -551,3 +560,66 @@ class TestGrowerAgainstFlatten:
     def test_full_sweep_shard(self):
         shard = iter_opetopes(4, 4, shard=(5, 64))
         assert self.check_against_flatten(shard) > 10_000
+
+    def test_shards_in_reverse_then_with_warm_tables(self):
+        # the address tables of (4, 3) live across calls: every pass over
+        # the shards, the first in whatever state earlier calls left them
+        # and the second with them warm, gives the whole enumeration
+        expected = enumerate_opetopes(4, 3)
+        previous = enumerate_opetopes(3, 3)
+        for _ in range(2):
+            got = []
+            for i in reversed(range(8)):
+                got += iter_opetopes(4, 3, shard=(i, 8))
+                tables = opetope._ADDRESSES[4, 3]
+                # the grower's own results, through the same tables
+                grown = grow_trees(
+                    OPETOPE_SIG,
+                    previous,
+                    previous[i::8],
+                    3,
+                    max_leaves=3,
+                    readdress=True,
+                    tables=tables,
+                )
+                for tree, flat, rho, leaves in grown:
+                    result = oracle_flatten(OPETOPE_SIG, tree)
+                    assert leaves == tuple(sorted(result.readdress)), str(tree)
+                    assert rho == tuple(map(result.readdress.get, leaves)), str(tree)
+                    assert flat == result.tree, str(tree)
+            assert sorted(got, key=print_key) == expected
+            assert self.check_against_flatten(got) > 0
+            for omega in got:
+                if not omega.is_degenerate:
+                    assert omega._leaves == leaf_addresses(OPETOPE_SIG, omega.tree)
+            children_of, images_of = tables
+            for leaf, by_slots in children_of.items():
+                for slots, children in by_slots.items():
+                    assert children == tuple(leaf.child(slot) for slot in slots)
+            for anchor, by_slots in images_of.items():
+                for slots, images in by_slots.items():
+                    assert images == tuple(anchor.concat(slot) for slot in slots)
+
+
+class TestGrowerLifetime:
+    """A grower is freed by reference counting, whether it ran to the end
+    or was closed early: it leaves nothing for the cyclic collector."""
+
+    @pytest.mark.parametrize("taken", [None, 5])
+    def test_a_grower_leaves_no_cycle(self, taken):
+        enumerate_opetopes(3, 3)
+        # garbage that earlier tests left can release more of it
+        # collections later; freezing keeps it out of the count
+        gc.collect()
+        gc.freeze()
+        gc.disable()
+        try:
+            opetopes = iter_opetopes(4, 3, shard=(1, 8))
+            for _ in islice(opetopes, taken):
+                pass
+            opetopes.close()
+            del opetopes, _
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+            gc.unfreeze()

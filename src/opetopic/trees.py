@@ -444,18 +444,27 @@ def grow_trees(
             leaf = leaves[i]
             before, after = leaves[:i], leaves[i + 1 :]
             colors_before, colors_after = colors[:i], colors[i + 1 :]
-            children = children_of.setdefault(leaf, {})
+            # the tables are read by subscript, which makes no call on a
+            # hit; a miss, which raises, comes once per entry
+            try:
+                children = children_of[leaf]
+            except KeyError:
+                children = children_of[leaf] = {}
             if readdress:
                 anchor = rho[i]
                 k = len(anchor)
                 # the leaves other than leaf i whose images lie strictly above the anchor
                 above = [j for j, r in enumerate(rho) if r[:k] == anchor and j != i]
-                images = images_of.setdefault(anchor, {})
+                try:
+                    images = images_of[anchor]
+                except KeyError:
+                    images = images_of[anchor] = {}
             for op in ops:
                 slots, op_colors, inverse, source = info[op]
                 new_nodes = {**nodes, leaf: op}
-                new = children.get(slots)
-                if new is None:
+                try:
+                    new = children[slots]
+                except KeyError:
                     new = children[slots] = tuple([_trusted(leaf + (s,)) for s in slots])
                 new_leaves = before + new + after
                 new_colors = colors_before + op_colors + colors_after
@@ -465,8 +474,9 @@ def grow_trees(
                     for j in above:
                         r = rho[j]
                         new_rho[j] = _trusted(anchor + inverse[r[k]] + r[k + 1 :])
-                    new = images.get(slots)
-                    if new is None:
+                    try:
+                        new = images[slots]
+                    except KeyError:
                         new = images[slots] = tuple([_trusted(anchor + s) for s in slots])
                     new_rho[i : i + 1] = new
                     new_rho = tuple(new_rho)

@@ -96,6 +96,7 @@ class Address(tuple):
 _trusted = partial(tuple.__new__, Address)
 
 EMPTY = Address()
+MAX_ADDRESS_DEPTH = 10_000  # hashing recurses in C as deep as this, unchecked
 
 
 def compare(p: Address, q: Address) -> int:
@@ -122,7 +123,7 @@ def read_address(
 ) -> tuple[Address, int]:
     """Read the address that opens at ``text[index]``; return it and the
     index just past it.  ``error(index, expected)`` builds the exception
-    for malformed text.  Iterative, so nesting depth is unbounded.
+    for malformed text or nesting past ``MAX_ADDRESS_DEPTH``.  Iterative.
 
     Each address is built bottom-up and looked up in ``interned`` by the
     identities of its entries, so equal addresses read through one table
@@ -151,6 +152,8 @@ def read_address(
             open_entries[-1].append(EMPTY)
             index += 1
         elif char == "[":
+            if len(open_entries) == MAX_ADDRESS_DEPTH:
+                raise error(index, f"an address nested at most {MAX_ADDRESS_DEPTH} deep")
             open_entries.append([])
             index += 1
         else:

@@ -121,7 +121,7 @@ def _polygraph_json(P: MtoPolygraph):
                     entry["source"] = {"identity": data.source_tree.unit_color}
                 else:
                     entry["source"] = {
-                        str(p): op for p, op in sorted(data.source_tree.nodes.items())
+                        str(p): op for p, op in data.source_tree.nodes.items()
                     }
                 entry["target"] = data.target
             out.append(entry)
@@ -415,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exit_.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, UnknownNameError) as error:
+    except (ParseError, UnknownNameError, RecursionError) as error:
+        # a RecursionError: sorting a cell tree whose addresses nest deep alike
         print(f"error: {error}", file=sys.stderr)
         return 2
     except OpetopicError as error:

@@ -33,6 +33,7 @@ from .trees import (
     check_tree,
     flatten,
     grow_trees,
+    leaf_addresses,
 )
 
 DEFAULT_ENUMERATION_CAP = 500_000
@@ -91,8 +92,6 @@ class Opetope:
         if self._dim < 2:
             raise AddressError("leaf addresses need dimension >= 2")
         if self._leaves is None:
-            from .trees import leaf_addresses
-
             self._leaves = leaf_addresses(OPETOPE_SIG, self._tree)
         return self._leaves
 
@@ -153,10 +152,8 @@ class Opetope:
                 shell = self._tree._unit
                 self._str = f"<<{shell._str or shell}>>"
             else:
-                nodes = self._tree._nodes
                 parts = ["{"]
-                for address in self._tree.node_addresses():
-                    op = nodes[address]
+                for address, op in self._tree._nodes.items():
                     parts += (str(address), " <- ", op._str or str(op), ", ")
                 parts[-1] = "}"
                 self._str = "".join(parts)
@@ -232,10 +229,13 @@ def from_tree(tree: Tree, validate: bool = False) -> Opetope:
 
 
 def node_map(bindings: dict[Address, Opetope]) -> Opetope:
-    """Validated opetope from explicit node bindings (must include the root)."""
+    """Validated opetope from explicit node bindings (must include the root),
+    checked before ``Tree.of`` sorts them, since deep orphans overflow a sort."""
     if not bindings:
         raise CoherenceError("a node map must be non-empty; use degenerate() instead")
-    return from_tree(Tree.of(bindings), validate=True)
+    if EMPTY in bindings:
+        check_tree(OPETOPE_SIG, Tree._wrap(bindings))
+    return from_tree(Tree.of(bindings))
 
 
 def opetopic_integer(k: int) -> Opetope:
@@ -249,7 +249,7 @@ def opetopic_integer(k: int) -> Opetope:
     for _ in range(k):
         bindings[address] = arrow()
         address = address.child(EMPTY)
-    return from_tree(Tree.of(bindings))
+    return from_tree(Tree._wrap(bindings))
 
 
 class OpetopeSignature(Signature):
@@ -409,7 +409,6 @@ def iter_opetopes(
         roots,
         max_nodes,
         max_leaves=max_nodes,
-        readdress=True,
         tables=_ADDRESSES.setdefault((n, max_nodes), ({}, {})),
     )
     for tree, result, rho, leaves in grown:

@@ -76,9 +76,7 @@ class Cell(Value):
 def print_cell_tree(tree: Tree) -> str:
     if tree.is_unit:
         return f"id({tree.unit_color})"
-    bindings = ", ".join(
-        f"{address} <- {tree.nodes[address]}" for address in tree.node_addresses()
-    )
+    bindings = ", ".join(f"{address} <- {op}" for address, op in tree.nodes.items())
     return "{" + bindings + "}"
 
 
@@ -347,24 +345,18 @@ Decomposition = Union[IdentityShape, GeneratorShape, CompositeShape]
 def decompose(cell: Cell) -> Decomposition:
     """Peel one generator off a cell, or report it an identity/generator.
 
-    The removed occurrence is the greatest childless node in address
-    order, a fixed convention; recomposing with ``compose_at`` restores
-    the cell exactly.
+    The removed occurrence is the last node in address order, a fixed
+    convention; it is childless, since a child sorts after its parent.
+    Recomposing with ``compose_at`` restores the cell exactly.
     """
     if cell.tree.is_unit:
         return IdentityShape(cell.tree.unit_color)
     nodes = cell.tree.nodes
     if len(nodes) == 1:
         return GeneratorShape(nodes[EMPTY])
-    for address in sorted(nodes, reverse=True):
-        if not any(
-            address.is_prefix_of(other) and other != address for other in nodes
-        ):
-            rest = {p: op for p, op in nodes.items() if p != address}
-            return CompositeShape(
-                Cell(cell.dim, Tree.of(rest)), address, nodes[address]
-            )
-    raise CoherenceError("tree with several nodes has no childless node")
+    rest = dict(nodes)
+    address, generator = rest.popitem()
+    return CompositeShape(Cell(cell.dim, Tree._wrap(rest)), address, generator)
 
 
 class PolygraphMorphism(Value):
@@ -387,7 +379,7 @@ class PolygraphMorphism(Value):
         """Relabel decorations; addresses carry over unchanged."""
         if tree.is_unit:
             return Tree.unit(self.apply(dim - 1, tree.unit_color))
-        return Tree.of({p: self.apply(dim, op) for p, op in tree.nodes.items()})
+        return Tree._wrap({p: self.apply(dim, op) for p, op in tree.nodes.items()})
 
     def validate(self) -> Report:
         report = Report()

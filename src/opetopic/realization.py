@@ -58,15 +58,13 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
     if max_dim >= 1:
         P.add_arrow("x1_0", "o", "o")
     for dim in range(2, max_dim + 1):
-        chains = dim == 2  # 1-cells: no readdressing, and a point as source
+        chains = dim == 2  # 1-cells are chains, with a point as source
         lookup: dict[tuple, str] = {}
         for name in P.generators(dim - 1):
             data = P.gen_data(dim - 1, name)
             lookup[(data.source if chains else data.source_tree, data.target)] = name
         sig, gens = P.stage(dim - 1), P.generators(dim - 1)
-        grown = grow_trees(
-            sig, gens, gens, budget, max_leaves=budget, readdress=not chains
-        )
+        grown = grow_trees(sig, gens, gens, budget, max_leaves=budget)
         # identities are looked up by their corolla, grown cells by flat source
         cells = [(Tree.unit(v), corolla(v), v) for v in P.generators(dim - 2)]
         cells += [(t, flat, sig.target_color(t.nodes[EMPTY])) for t, flat, *_ in grown]
@@ -116,7 +114,7 @@ def shape_opetope(
             result = degenerate(shape_opetope(P, dim - 2, tree.unit_color, memo))
         else:
             result = from_tree(
-                Tree.of(
+                Tree._wrap(
                     {
                         p: shape_opetope(P, dim - 1, op, memo)
                         for p, op in tree.nodes.items()

@@ -3,8 +3,9 @@
 This is the shared kernel behind opetopes (signature = opetopes one
 dimension down) and polygraph cells (signature = the generator signature of
 a stage).  A tree is either a bare edge carrying a color, or a finite map
-from node addresses to operations.  The map encoding makes grafting and
-readdressing pure address bookkeeping:
+from node addresses to operations, kept in address order: ``Tree.of`` and
+``flatten`` sort maps, and the rest derive them from ordered ones.  The map
+encoding makes grafting and readdressing pure address bookkeeping:
 
 * grafting attaches a tree to a leaf, prefixing its addresses by the leaf;
 * ``flatten`` contracts a tree of operations into a single composite one
@@ -31,7 +32,6 @@ from .errors import (
     AddressError,
     CoherenceError,
     GraftError,
-    OpetopicError,
     Value,
 )
 
@@ -42,14 +42,14 @@ Operation = Hashable
 class Signature(ABC):
     """What trees need to know about their node decorations.
 
-    ``inputs`` lists the slots of an operation as addresses, ``source_color``
-    and ``target_color`` give the edge colors around it.  Signatures whose
-    operations are themselves built from trees one level down additionally
-    provide ``source_tree``, ``sub_readdress`` (a bijection from the leaves
-    of that tree to the inputs of the operation's target), and the
-    ``sub_signature`` those trees live over; this is what ``flatten`` needs.
-    Their ``source_tree`` is None at the bottom level, where every
-    operation has a single input (arrows, 1-generators).
+    ``inputs`` lists the slots of an operation as addresses in ascending
+    order, ``source_color`` and ``target_color`` give the edge colors around
+    it.  Signatures whose operations are themselves built from trees one
+    level down override ``source_tree`` and provide ``sub_readdress`` (a
+    bijection from the leaves of that tree to the inputs of the operation's
+    target) and the ``sub_signature`` those trees live over; this is what
+    ``flatten`` needs.  ``source_tree`` is None by default, which marks the
+    bottom level, where every operation has one input (arrows, 1-generators).
     """
 
     @abstractmethod
@@ -62,30 +62,19 @@ class Signature(ABC):
     def target_color(self, op: Operation) -> Color: ...
 
     def source_tree(self, op: Operation) -> "Tree | None":
-        raise OpetopicError(
-            f"signature {type(self).__name__} has no level-down structure; "
-            "flatten is unavailable at the base level"
-        )
-
-    def sub_readdress(self, op: Operation) -> dict[Address, Address]:
-        raise OpetopicError(
-            f"signature {type(self).__name__} has no level-down structure"
-        )
-
-    def sub_signature(self) -> "Signature":
-        raise OpetopicError(
-            f"signature {type(self).__name__} has no level-down structure"
-        )
+        return None
 
 
 class Tree:
     """An immutable decorated tree: a bare edge or a node-address map.
 
     A node map always contains the root address ``[]``; every other key is
-    parent-address plus one input of the parent's decoration.
+    parent-address plus one input of the parent's decoration.  The map is
+    kept in address order: the constructor and ``Tree.of`` sort it, and
+    ``Tree._wrap`` takes a map that its caller built in order.
     """
 
-    __slots__ = ("_unit", "_nodes", "_hash", "_sorted")
+    __slots__ = ("_unit", "_nodes", "_hash")
 
     def __init__(self, unit: Color | None, nodes: Mapping[Address, Operation] | None):
         if (unit is None) == (nodes is None):
@@ -93,9 +82,8 @@ class Tree:
         if nodes is not None and EMPTY not in nodes:
             raise CoherenceError("a node map must contain the root address []")
         self._unit = unit
-        self._nodes = dict(nodes) if nodes is not None else None
+        self._nodes = dict(sorted(nodes.items())) if nodes is not None else None
         self._hash: int | None = None
-        self._sorted: tuple[Address, ...] | None = None
 
     @staticmethod
     def unit(color: Color) -> "Tree":
@@ -107,12 +95,11 @@ class Tree:
 
     @staticmethod
     def _wrap(nodes: dict) -> "Tree":
-        """Adopt a freshly built dict without copying; internal fast path."""
+        """Adopt a fresh dict built in address order as is; internal fast path."""
         tree = object.__new__(Tree)
         tree._unit = None
         tree._nodes = nodes
         tree._hash = None
-        tree._sorted = None
         return tree
 
     @property
@@ -132,12 +119,7 @@ class Tree:
         return self._nodes
 
     def node_addresses(self) -> tuple[Address, ...]:
-        if self._sorted is None:
-            if self._nodes is None:
-                self._sorted = ()
-            else:
-                self._sorted = tuple(sorted(self._nodes))
-        return self._sorted
+        return () if self._nodes is None else tuple(self._nodes)
 
     def decoration(self, address: Address) -> Operation:
         if self._nodes is None or address not in self._nodes:
@@ -166,13 +148,13 @@ class Tree:
     def __repr__(self) -> str:
         if self._nodes is None:
             return f"Tree.unit({self._unit!r})"
-        items = ", ".join(f"{a}: {op!r}" for a, op in sorted(self._nodes.items()))
+        items = ", ".join(f"{a}: {op!r}" for a, op in self._nodes.items())
         return "Tree.of({" + items + "})"
 
 
 def corolla(op: Operation) -> Tree:
     """The one-node tree decorated by ``op``."""
-    return Tree.of({EMPTY: op})
+    return Tree._wrap({EMPTY: op})
 
 
 def leaf_addresses(sig: Signature, tree: Tree) -> tuple[Address, ...]:
@@ -298,7 +280,7 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     readdressing, a bijection from the leaves of the input onto the nodes
     of the result, starts from the root's source tree and grows node by
     node by the rule of ``grow_trees``; the result carries each leaf's
-    color at its image, or is the last node's unit source tree.
+    color at its image, sorted by address, or is the last node's unit tree.
     """
     if tree.is_unit:
         return FlattenResult(corolla(tree.unit_color), {EMPTY: EMPTY})
@@ -308,9 +290,8 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     root_op = nodes[EMPTY]
     source = sig.source_tree(root_op)
     if source is None:
-        # a chain: the deepest node, the greatest address, holds the leaf
-        deepest = max(nodes)
-        op = nodes[deepest]
+        # a chain: the deepest node, the last address, holds the leaf
+        deepest, op = next(reversed(nodes.items()))
         (slot,) = sig.inputs(op)
         leaf = deepest.child(slot)
         return FlattenResult(corolla(sig.source_color(op, slot)), {leaf: EMPTY})
@@ -319,11 +300,10 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     slots = sig.inputs(root_op)
     rho = {EMPTY.child(e): e for e in slots}
     colors = {EMPTY.child(e): source.nodes[e] for e in slots}
-    for p in tree.node_addresses()[1:]:
+    for p, op in list(nodes.items())[1:]:
         if p not in rho:
             raise CoherenceError(f"node at {p} is not attached to a leaf")
         r = rho.pop(p)
-        op = nodes[p]
         source = sig.source_tree(op)
         glue = sig.sub_readdress(op)
         slots = sub.inputs(colors.pop(p))
@@ -358,7 +338,7 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     flat = {image: colors[leaf] for leaf, image in rho.items()}
     if len(flat) != len(rho):
         raise CoherenceError("flatten readdressing failed to be a bijection")
-    return FlattenResult(Tree._wrap(flat), rho)
+    return FlattenResult(Tree._wrap(dict(sorted(flat.items()))), rho)
 
 
 def grow_trees(
@@ -367,7 +347,6 @@ def grow_trees(
     roots: Iterable[Operation],
     max_nodes: int,
     max_leaves: int | None = None,
-    readdress: bool = False,
     tables: tuple[dict, dict] | None = None,
 ) -> Iterator[
     tuple[Tree, Tree | None, tuple[Address, ...] | None, tuple[Address, ...]]
@@ -377,18 +356,19 @@ def grow_trees(
     nodes and, when ``max_leaves`` is given, at most that many leaves.
 
     Corollas are grafted at leaves in strictly ascending address order,
-    which reaches every tree exactly once, root by root in the given order.
-    Yields ``(tree, flat, rho, leaves)``: with ``readdress``, ``flatten``'s
-    result tree and its readdressing as a tuple aligned with ``leaves``,
-    otherwise ``None, None``; and the tree's leaf addresses in ascending
-    order, as ``leaf_addresses`` gives them.  Only the readdressing is grown:
+    which reaches every tree exactly once, root by root in the given order,
+    and each in address order, since a new node sorts after every old one.
+    Yields ``(tree, flat, rho, leaves)``: when the operations have source
+    trees, ``flatten``'s result tree and its readdressing as a tuple aligned
+    with ``leaves``, otherwise ``None, None``; and the tree's leaf addresses
+    in ascending order, as ``leaf_addresses`` gives them.  Only the readdressing is grown:
     grafting ``op`` at a leaf with image ``a`` gives its new leaves ``a``
     plus their slot and reroutes each image strictly above ``a`` through
     ``op``'s gluing, the rule ``flatten`` applies node by node.  By leaf
     globularity the flat tree is read off the leaf colors.
 
     A graft's new leaves ``leaf + (slot,)`` and images ``anchor + slot``
-    depend only on that address and the operation's sorted input slots,
+    depend only on that address and the operation's input slots,
     so each tuple of them is built once and kept in ``tables``, a pair of
     dicts ``{leaf: {slots: new leaves}}`` and ``{anchor: {slots: new
     images}}``, one entry per pair some graft met.  Growers handed the
@@ -406,16 +386,16 @@ def grow_trees(
     info = {}
     by_target: dict[Color, list[list[Operation]]] = {}
     for op in operations:
-        slots = tuple(sorted(sig.inputs(op)))
+        slots = sig.inputs(op)
         colors = tuple(sig.source_color(op, slot) for slot in slots)
-        info[op] = (slots, colors, None, None)
-        if readdress:
-            inverse = {slot: leaf for leaf, slot in sig.sub_readdress(op).items()}
-            info[op] = (slots, colors, inverse, sig.source_tree(op))
+        source = sig.source_tree(op)
+        glue = () if source is None else sig.sub_readdress(op).items()
+        info[op] = (slots, colors, {slot: leaf for leaf, slot in glue}, source)
         buckets = by_target.setdefault(sig.target_color(op), [])
         while len(buckets) <= len(slots):
             buckets.append([])
         buckets[len(slots)].append(op)
+    readdress = any(source is not None for *_, source in info.values())
     # per leaf color, admissible[color][s] lists the operations of arity
     # below s by arity; the last entry lists them all
     width = max(map(len, by_target.values()), default=0) + 1
@@ -483,7 +463,9 @@ def grow_trees(
                 if max_leaves is None or len(new_leaves) <= max_leaves:
                     flat = source
                     if nodes and new_rho:
-                        # leaf globularity: a leaf's image is decorated by its color
+                        # leaf globularity: a leaf's image is decorated by its color;
+                        # unsorted, as it is only a lookup key and ``Tree.__eq__``
+                        # and ``__hash__`` ignore order
                         flat = Tree._wrap(dict(zip(new_rho, new_colors)))
                     yield Tree._wrap(new_nodes), flat, new_rho, new_leaves
                 if budget > 1:

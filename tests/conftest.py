@@ -155,7 +155,7 @@ def substitute(
             out[_trusted(at + v)] = op
     if not out:
         return Tree.unit(inner.unit_color), moves
-    return Tree._wrap(out), moves
+    return Tree.of(out), moves
 
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opetopic
 from opetopic import cli
-from opetopic.address import parse_address
+from opetopic.address import MAX_ADDRESS_DEPTH, parse_address
 from opetopic.cli import main
+from opetopic.errors import ParseError
 from test_realization import COLLIDING_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -213,6 +218,62 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: line 1, column ") and "Traceback" not in err
         assert f"address {parse_address(deep)} bound twice (lines 1 and 1)" in err
+
+    def test_address_past_the_depth_bound_is_refused_before_hashing(self, tmp_path):
+        # hashing an address this deep overflows the C stack, so the run is
+        # a subprocess, where a crash shows as its exit code
+        deep = "[" * 150_000 + "]" * 150_000
+        path = tmp_path / "deep.optp"
+        path.write_text(f"opetope x = {{[] <- arrow, {deep} <- arrow}}\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(opetopic.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "opetopic", "target", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"error: line 1, column {27 + MAX_ADDRESS_DEPTH}: expected an address "
+            f"nested at most {MAX_ADDRESS_DEPTH} deep, found '['\n"
+        )
+
+    def test_address_at_the_depth_bound_is_read(self):
+        deep = "[" * MAX_ADDRESS_DEPTH + "]" * MAX_ADDRESS_DEPTH
+        assert str(parse_address(deep)) == "[" * (MAX_ADDRESS_DEPTH - 1) + "*" + "]" * (
+            MAX_ADDRESS_DEPTH - 1
+        )
+        with pytest.raises(ParseError, match=f"nested at most {MAX_ADDRESS_DEPTH} deep"):
+            parse_address("[" + deep + "]")
+
+    def test_deep_orphans_that_differ_at_the_bottom_are_checked_before_sorting(
+        self, capsys
+    ):
+        # sorting would compare the two entry by entry, past the recursion limit
+        deep = "[" * 3000 + "]" * 3000
+        other = "[" * 2999 + "**" + "]" * 2999
+        code, out, err = run(
+            capsys, "target", "--expr", f"{{[] <- arrow, {deep} <- arrow, {other} <- arrow}}"
+        )
+        address = parse_address(deep)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: node at {address} sits on {address.last}, "
+            "not an input of the node at []\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "roundtrip"])
+    def test_cell_tree_too_deep_to_sort_is_an_error_not_a_crash(
+        self, capsys, tmp_path, command
+    ):
+        deep = "[" * 1200 + "]" * 1200
+        other = "[" * 1199 + "**" + "]" * 1199
+        path = tmp_path / "deep.poly"
+        path.write_text(
+            "gen 0 o\ngen 1 f : o -> o\n"
+            f"gen 2 a : {{[] <- f, {deep} <- f, {other} <- f}} -> f\n"
+        )
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == "error: maximum recursion depth exceeded in comparison\n"
 
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
     def test_only_ascii_digits_are_numbers(self, capsys, tmp_path, digit):

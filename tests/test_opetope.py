@@ -579,7 +579,6 @@ class TestGrowerAgainstFlatten:
                     previous[i::8],
                     3,
                     max_leaves=3,
-                    readdress=True,
                     tables=tables,
                 )
                 for tree, flat, rho, leaves in grown:

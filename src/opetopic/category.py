@@ -18,8 +18,8 @@ table, and composition is a lookup in the tables.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
+from operator import indexOf
 
 from .address import EMPTY, Address
 from .errors import CompositionError, OpetopicError, Value
@@ -36,7 +36,7 @@ class Face(Value):
         if address is None:
             if codomain.dim < 1:
                 raise CompositionError("the point has no target embedding")
-        elif address not in codomain.node_addresses():
+        elif address not in _node_addresses(codomain):
             raise CompositionError(f"{address} is not a node address of {codomain}")
         self.codomain, self.address = codomain, address
 
@@ -55,6 +55,21 @@ class Face(Value):
 
 
 Word = tuple[Face, ...]
+
+
+def _node_addresses(omega: Opetope):
+    """The node addresses of ``omega``, in dimension 2 and up its tree's
+    node dict itself, not a copy."""
+    return (omega._tree._nodes or ()) if omega.dim >= 2 else omega.node_addresses()
+
+
+def source_index(omega: Opetope, address: Address) -> int:
+    """The position in ``faces_of(omega)`` of the source embedding at
+    ``address``, counted off the node addresses without copying them."""
+    try:
+        return indexOf(_node_addresses(omega), address) + 1
+    except ValueError:
+        raise CompositionError(f"{address} is not a node address of {omega}") from None
 
 
 def faces_of(omega: Opetope) -> tuple[Face, ...]:
@@ -91,11 +106,7 @@ def relation_instances(omega: Opetope) -> tuple[RelationInstance, ...]:
 
 def _source_face(omega: Opetope, address: Address) -> Face:
     """The shared source embedding of ``omega`` at ``address``."""
-    addresses = omega.node_addresses()
-    i = bisect_left(addresses, address)
-    if i == len(addresses) or addresses[i] != address:
-        raise CompositionError(f"{address} is not a node address of {omega}")
-    return faces_of(omega)[i + 1]
+    return faces_of(omega)[source_index(omega, address)]
 
 
 def _squares(omega: Opetope):

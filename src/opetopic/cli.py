@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -184,8 +185,8 @@ def cmd_leaves(args) -> int:
 def cmd_readdress(args) -> int:
     omega = _load_opetope(args)
     rho = omega.readdress()
-    lines = [f"{leaf} -> {rho[leaf]}" for leaf in sorted(rho)]
-    payload = {str(leaf): str(rho[leaf]) for leaf in sorted(rho)}
+    lines = [f"{leaf} -> {image}" for leaf, image in rho.items()]
+    payload = {str(leaf): str(image) for leaf, image in rho.items()}
     return _emit(lambda: "\n".join(lines), lambda: payload, args.json)
 
 
@@ -415,6 +416,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exit_.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed the pipe; stdout goes to devnull so that the
+        # flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, UnknownNameError, RecursionError) as error:
         # a RecursionError: sorting a cell tree whose addresses nest deep alike
         print(f"error: {error}", file=sys.stderr)

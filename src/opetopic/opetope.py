@@ -22,7 +22,9 @@ images aligned with the sorted leaves, as the grower hands it over, and
 
 from __future__ import annotations
 
+import gc
 import weakref
+from contextlib import contextmanager
 from itertools import islice
 
 from .address import EMPTY, Address
@@ -37,6 +39,22 @@ from .trees import (
 )
 
 DEFAULT_ENUMERATION_CAP = 500_000
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector around a bulk build that keeps what it
+    makes and makes no reference cycle, where a collection frees nothing.
+    The state on entry comes back on exit, also on an error, so nested
+    builds leave it as the caller had it.  Never wrap a generator that
+    yields to caller code."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Opetope:
@@ -439,10 +457,11 @@ def _enumerated(n: int, max_nodes: int, cap: int | None) -> tuple[Opetope, ...]:
     kept = _ENUMERATED.get((n, max_nodes))
     if kept is None:
         limit = None if cap is None else cap + 1
-        kept = list(islice(iter_opetopes(n, max_nodes), limit))
-        if cap is None or len(kept) <= cap:
-            kept.sort(key=print_key)
-            kept = _ENUMERATED[n, max_nodes] = tuple(kept)
+        with collector_paused():
+            kept = list(islice(iter_opetopes(n, max_nodes), limit))
+            if cap is None or len(kept) <= cap:
+                kept.sort(key=print_key)
+                kept = _ENUMERATED[n, max_nodes] = tuple(kept)
     if cap is not None and len(kept) > cap:
         raise EnumerationLimit(f"more than {cap} opetopes of dimension {n}")
     return kept
@@ -454,7 +473,10 @@ def enumerate_opetopes(
     """All n-opetopes every one of whose iterated faces has at most
     ``max_nodes`` nodes, sorted by canonical print, without duplicates.
     The dimensions below n are built first, and ``cap`` bounds every
-    dimension that is built, not only n."""
+    dimension that is built, not only n.  Each dimension is built with
+    the cyclic collector paused, which is safe: the build keeps every
+    opetope it makes and makes no reference cycle, so a collection
+    would free nothing.  The collector is left as it was found."""
     if n < 0:
         raise ValueError("dimension must be a natural number")
     for dim in range(n):

@@ -10,10 +10,9 @@ commute on every cell, which is what ``validate_oset`` checks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 
-from .category import Face, MorphismClass, faces_of, relation_instances, slice_table
+from .category import Face, MorphismClass, faces_of, relation_instances, slice_table, source_index
 from .errors import CompositionError, OpetopicError, Report, UnknownNameError, Value
 from .opetope import Opetope, print_key
 
@@ -74,8 +73,7 @@ class OpetopicSet(Value):
 
 def _index(face: Face) -> int:
     """The position of ``face`` in ``faces_of`` of its codomain."""
-    addresses = face.codomain.node_addresses()
-    return 0 if face.address is None else bisect_left(addresses, face.address) + 1
+    return 0 if face.address is None else source_index(face.codomain, face.address)
 
 
 def _position(side: tuple[Face, Face]):

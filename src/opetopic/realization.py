@@ -19,7 +19,7 @@ from collections import Counter
 from .address import EMPTY
 from .category import Word, faces_of, slice_classes
 from .errors import CoherenceError, Report, Value
-from .opetope import Opetope, arrow, degenerate, from_tree, point
+from .opetope import Opetope, arrow, collector_paused, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
 from .polygraph import Cell, MtoPolygraph, PolygraphMorphism, print_cell_tree
 from .trees import Tree, corolla, grow_trees
@@ -42,6 +42,7 @@ def boundary_polygraph(omega: Opetope) -> MtoPolygraph:
 # -- the terminal many-to-one polygraph --------------------------------
 
 
+@collector_paused()
 def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
     """The polygraph with one generator per parallel pair, truncated.
 
@@ -52,6 +53,8 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
     deterministic order.  The cells u are grown with at most ``budget``
     leaves, which is safe: a cell's flat source has one node per leaf and a
     generator's source tree at most ``budget`` nodes, so no other u has a v.
+    The build pauses the cyclic collector, which is safe: it keeps the
+    cells it grows and makes no reference cycle.
     """
     P = MtoPolygraph()
     P.add_point("o")

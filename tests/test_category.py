@@ -13,11 +13,13 @@ from opetopic.category import (
     morphism,
     relation_instances,
     slice_classes,
+    source_index,
 )
 from opetopic.errors import CompositionError, OpetopicError
 from opetopic.opetope import (
     Opetope,
     arrow,
+    degenerate,
     enumerate_opetopes,
     opetopic_integer,
     point,
@@ -82,12 +84,26 @@ class TestFaces:
                 parse_address("[**]"),
                 "[**] is not a node address of {[] <- arrow, [*] <- arrow}",
             ),
+            (point(), EMPTY, "[] is not a node address of point"),
+            (degenerate(point()), EMPTY, "[] is not a node address of <<point>>"),
         ],
     )
     def test_face_rejects_what_its_codomain_lacks(self, codomain, address, message):
         with pytest.raises(CompositionError) as info:
             Face(codomain, address)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("omega", [point(), arrow(), degenerate(arrow())])
+    def test_source_index_rejects_what_its_opetope_lacks(self, omega):
+        with pytest.raises(CompositionError, match=r"^\[\*\] is not a node address of "):
+            source_index(omega, STAR)
+
+    def test_source_index_is_the_position_in_faces_of(self):
+        for omega in enumerate_opetopes(4, 2) + enumerate_opetopes(3, 3):
+            faces = faces_of(omega)
+            for k, face in enumerate(faces[1:], 1):
+                assert source_index(omega, face.address) == k
+                assert faces.index(Face(omega, face.address)) == k
 
     def test_faces_of_different_opetopes_differ(self):
         # equal addresses into different codomains are different faces

@@ -63,6 +63,35 @@ class TestCommands:
         )
         assert code == 0 and out.strip() == "[**] -> []"
 
+    def test_readdress_prints_the_leaves_in_address_order(self, capsys):
+        expr = (
+            "{[] <- {[] <- arrow, [*] <- arrow}, [[]] <- {[] <- arrow}, "
+            "[[*]] <- {[] <- arrow, [*] <- arrow}}"
+        )
+        code, out, _ = run(capsys, "readdress", "--expr", expr)
+        assert code == 0
+        assert out == "[**] -> []\n[[*][]] -> [*]\n[[*][*]] -> [**]\n"
+        code, out, _ = run(capsys, "readdress", "--json", "--expr", expr)
+        assert code == 0
+        assert out == (
+            '{\n  "[**]": "[]",\n  "[[*][]]": "[*]",\n  "[[*][*]]": "[**]"\n}\n'
+        )
+
+    def test_a_closed_pipe_ends_quietly(self):
+        # the output (156 kB) is larger than a pipe holds, so the command is
+        # still writing when the reader closes its end
+        env = {**os.environ, "PYTHONPATH": str(Path(opetopic.__file__).parents[1])}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "opetopic", "enumerate", "--dim", "6", "--max-nodes", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert process.stdout.readline() == b"<<<<<<point>>>>>>\n"
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 1
+        assert err == b""
+
     def test_enumerate_matches_pinned_output(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--dim", "2", "--max-nodes", "3")
         assert code == 0

@@ -1,8 +1,12 @@
 import copy
 import gc
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -622,3 +626,84 @@ class TestGrowerLifetime:
         finally:
             gc.enable()
             gc.unfreeze()
+
+
+def collector(enabled: bool) -> None:
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """An enumeration is built with the cyclic collector paused, and leaves
+    it as the caller had it, also when the cap is passed."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_build_pauses_and_restores_the_collector(self, monkeypatch, enabled):
+        # an empty cache, so that every dimension is built
+        monkeypatch.setattr(opetope, "_ENUMERATED", {})
+        during = []
+        original = opetope.iter_opetopes
+
+        def recording(n, *args, **kwargs):
+            during.append(gc.isenabled())
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(opetope, "iter_opetopes", recording)
+        before = gc.isenabled()
+        try:
+            collector(enabled)
+            assert len(enumerate_opetopes(4, 2)) == 45
+            assert gc.isenabled() is enabled
+            assert during == [False] * 5
+        finally:
+            collector(before)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_cap_restores_the_collector(self, monkeypatch, enabled):
+        monkeypatch.setattr(opetope, "_ENUMERATED", {})
+        before = gc.isenabled()
+        try:
+            collector(enabled)
+            with pytest.raises(EnumerationLimit):
+                enumerate_opetopes(3, 4, cap=10)
+            assert gc.isenabled() is enabled
+        finally:
+            collector(before)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_running_out_of_memory_restores_the_collector(self, monkeypatch, enabled):
+        monkeypatch.setattr(opetope, "_ENUMERATED", {})
+
+        def exhausted(n, *args, **kwargs):
+            raise MemoryError
+            yield
+
+        monkeypatch.setattr(opetope, "iter_opetopes", exhausted)
+        before = gc.isenabled()
+        try:
+            collector(enabled)
+            with pytest.raises(MemoryError):
+                enumerate_opetopes(3, 2)
+            assert gc.isenabled() is enabled
+            assert opetope._ENUMERATED == {}
+        finally:
+            collector(before)
+
+    def test_a_cold_enumeration_leaves_no_cycle(self):
+        # a fresh interpreter, so that no kept enumeration hides the build;
+        # the collector stays off, so that no pass after the build can free
+        # a cycle before the count
+        code = (
+            "import gc\n"
+            "from opetopic.opetope import enumerate_opetopes\n"
+            "gc.collect(); gc.disable()\n"
+            "assert len(enumerate_opetopes(5, 2)) == 191\n"
+            "print(gc.collect(), gc.isenabled())\n"
+        )
+        src = str(Path(opetope.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 False\n"

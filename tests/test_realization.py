@@ -1,9 +1,13 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +279,46 @@ class TestTerminal:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "536e84a7d09baca3768483962c1448fed08723e534d883ccc07392c277c388e0"
         )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_build_pauses_and_restores_the_collector(self, monkeypatch, enabled):
+        during = []
+        grow_trees = realization.grow_trees
+
+        def recording(*args, **kwargs):
+            during.append(gc.isenabled())
+            return grow_trees(*args, **kwargs)
+
+        monkeypatch.setattr(realization, "grow_trees", recording)
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert generator_counts(terminal_polygraph(3, 2)) == [1, 1, 3, 11]
+            assert gc.isenabled() is enabled
+            assert during == [False, False]
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_the_build_leaves_no_cycle(self):
+        # a fresh interpreter with the collector off, so that no pass after
+        # the build can free a cycle before the count
+        code = (
+            "import gc\n"
+            "from opetopic.realization import terminal_polygraph\n"
+            "gc.collect(); gc.disable()\n"
+            "P = terminal_polygraph(4, 3)\n"
+            "assert len(P.generators(4)) == 4527\n"
+            "del P\n"
+            "print(gc.collect(), gc.isenabled())\n"
+        )
+        src = str(Path(realization.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 False\n"
 
     @pytest.mark.parametrize("max_dim, budget", [(3, 2), (4, 3)])
     def test_parallel_generators_coincide(self, max_dim, budget):

@@ -14,8 +14,8 @@ Run from the root of a checkout.  It runs, one after another:
   the CLI cold start.
 
 The file records the commit, whether the sources differ from it, a digest
-of ``src/opetopic`` computed as ``bench/run.py`` computes it, ``nproc``,
-the CPU model and the Python version.  Nothing here runs in parallel.
+of ``src/opetopic`` computed as ``bench/run.py`` computes it, the line
+count of ``src/opetopic``, ``nproc``, the CPU model and the Python version.  Nothing here runs in parallel.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ def source_digest() -> str:
     for path in sorted(SRC.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+def source_lines() -> int:
+    """The line count of ``src/opetopic``, as ``wc -l src/opetopic/*.py`` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
 
 
 def cpu_model() -> str:
@@ -129,6 +134,7 @@ def main() -> int:
         "commit": git("rev-parse", "HEAD"),
         "sources_differ_from_commit": bool(git("status", "--porcelain", "--", "src")),
         "src_opetopic_sha256": source_digest(),
+        "src_opetopic_lines": source_lines(),
         "nproc": os.cpu_count(),
         "cpu_model": cpu_model(),
         "python": platform.python_version(),

@@ -20,10 +20,12 @@ dimension 0 and may rely on opetope definitions earlier in the file::
 
 ``#`` starts a comment; printing is canonical and idempotent.
 
-A ``gen`` line head, a binding ``ADDRESS <-``, the separator
-after a bound value, the start of an expression and a face entry are each
-read with one match of a pattern; where it fails, the token methods of
-``Scanner`` read on from the same position and report every error.  A
+A whole ``gen`` item as ``print_polygraph`` writes it (single-spaced, with
+no comment inside; its bindings are then read with one ``findall``), a
+binding ``ADDRESS <-``, the separator after a bound value, the start of an
+expression and a face entry are each read with one match of a pattern;
+where it fails, the token methods of ``Scanner`` read on from the same
+position and report every error.  A
 ``{…}`` or ``<<…>>`` expression, or a subexpression, whose text was read
 as a whole expression earlier in the text is not parsed again.
 """
@@ -35,7 +37,7 @@ import re
 
 from .address import Address, read_address
 from .category import Face, faces_of
-from .errors import CompositionError, ParseError
+from .errors import CoherenceError, CompositionError, ParseError
 from .opetope import Opetope, arrow, degenerate, node_map, point
 from .oset import OpetopicSet
 from .polygraph import MtoPolygraph, print_cell_tree
@@ -50,10 +52,20 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_.\[\]*@]*"
 _NAME = re.compile(f"{_SKIP}({_WORD})")
 _NUMBER = re.compile(_SKIP + r"([0-9]+)")
 # the longest run of address characters: a key into the address memo
-_RUN = r"(\[[\[\]*]*)"
+_RUN_CHARS = r"\[[\[\]*]*"
+_RUN = f"({_RUN_CHARS})"
 _ADDRESS_RUN = re.compile(_SKIP + _RUN)
-# one pattern per production; a fast path takes only memoized address runs
-_GEN = re.compile(f"{_SKIP}gen(?![A-Za-z0-9_.\\[\\]*@]){_SKIP}([0-9]+){_SKIP}({_WORD})")
+# one pattern per production; a fast path takes only memoized address runs,
+# except that of a whole ``gen`` item as ``print_polygraph`` writes it, which
+# takes any run that ``read_address`` reads whole.  Its groups: the dimension
+# and the name, then a 1-source, an identity's color or the bindings, and
+# the target
+_BOUND = re.compile(f"{_RUN} <- ({_WORD})")
+_BOUNDS = f"{_RUN_CHARS} <- {_WORD}(?:, {_RUN_CHARS} <- {_WORD})*"
+_GEN = re.compile(
+    f"gen ([0-9]+) ({_WORD})"
+    f"(?: : (?:({_WORD})|id\\(({_WORD})\\)|\\{{({_BOUNDS})\\}}) -> ({_WORD}))?"
+)
 _BINDING = re.compile(f"{_SKIP}{_RUN}{_SKIP}<-")
 _SEPARATOR = re.compile(_SKIP + "([,}])")
 _EXPR_START = re.compile(f"{_SKIP}(?:(<<|{{)|({_WORD}))")
@@ -64,6 +76,10 @@ _BRACKET = re.compile(r"(\{|<<)|(\}|>>)|#[^\n]*")
 @functools.cache
 def _symbol(symbol: str) -> re.Pattern[str]:
     return re.compile(_SKIP + re.escape(symbol))
+
+
+def _no_address(pos: int, expected: str) -> ParseError:
+    return ParseError(f"expected {expected}")
 
 
 class Scanner:
@@ -157,9 +173,7 @@ class Scanner:
         match = _ADDRESS_RUN.match(self.text, self.pos)
         if match is None:
             raise self.error("an address")
-        # a memoized text was read whole by read_address, which stops where
-        # the address closes, so the same run of characters reads the same
-        known = self._addresses.get(match.group(1))
+        known = self.whole_address(match[1])
         if known is not None:
             self.pos = match.end()
             return known
@@ -168,6 +182,21 @@ class Scanner:
             self.text, start, self._error_at, self._interned
         )
         return self._addresses.setdefault(self.text[start : self.pos], address)
+
+    def whole_address(self, run: str) -> Address | None:
+        """The address that a run of address characters spells whole, or
+        None.  A memoized text was read whole by ``read_address``, which
+        stops where the address closes, so the same run reads the same."""
+        address = self._addresses.get(run)
+        if address is None:
+            try:
+                address, stop = read_address(run, 0, _no_address, self._interned)
+            except ParseError:
+                return None
+            if stop != len(run):
+                return None
+            self._addresses[run] = address
+        return address
 
     def _error_at(self, pos: int, expected: str) -> ParseError:
         self.pos = pos
@@ -325,29 +354,57 @@ def parse_polygraph(text: str) -> MtoPolygraph:
     scanner = Scanner(text)
     P = MtoPolygraph()
     while not scanner.at_end():
-        match = _GEN.match(text, scanner.pos)
-        if match is not None:
-            dim, name, scanner.pos = int(match[1]), match[2], match.end()
-        else:
-            keyword = scanner.name()
-            if keyword != "gen":
-                raise ParseError(f"expected 'gen', found {keyword!r}", *scanner.position())
-            dim, name = scanner.number(), scanner.name()
-        if dim == 0:
-            P.add_point(name)
-            continue
-        scanner.expect_symbol(":")
-        if dim == 1:
-            source = scanner.name()
-            scanner.expect_symbol("->")
-            target = scanner.name()
-            P.add_arrow(name, source, target)
-        else:
-            tree = parse_cell_tree(scanner)
-            scanner.expect_symbol("->")
-            target = scanner.name()
-            P.add_generator(dim, name, tree, target)
+        dim, at, name, source, target = _canonical_gen(scanner) or _gen(scanner)
+        try:
+            if dim == 0:
+                P.add_point(name)
+            elif dim == 1:
+                P.add_arrow(name, source, target)
+            else:
+                P.add_generator(dim, name, source, target)
+        except CoherenceError as error:  # a name declared twice
+            scanner.pos = at
+            raise ParseError(str(error), *scanner.position()) from None
     return P
+
+
+def _canonical_gen(scanner: Scanner) -> tuple | None:
+    """A ``gen`` item as ``print_polygraph`` writes it, read with one match:
+    dimension, position of the name, name, source and target; None, and
+    the scanner unmoved, for any other text."""
+    text = scanner.text
+    match = _GEN.match(text, scanner.pos)
+    if match is None:
+        return None
+    dim, name, source, color, bound, target = match.groups()
+    dim = int(dim)
+    if dim > 1 and color:
+        source = Tree.unit(color)
+    elif dim > 1 and bound:
+        pairs = _BOUND.findall(text, match.start(5), match.end(5))
+        bindings = {scanner.whole_address(run): value for run, value in pairs}
+        if None in bindings or len(bindings) < len(pairs):
+            return None  # a malformed address, or one bound twice
+        source = Tree.of(bindings)
+    elif not (target is None if dim == 0 else dim == 1 and source):
+        return None  # a body in dimension 0, or the wrong body above it
+    scanner.pos = match.end()
+    return dim, match.start(2), name, source, target
+
+
+def _gen(scanner: Scanner) -> tuple:
+    """A ``gen`` item read token by token, as ``_canonical_gen`` returns it."""
+    keyword = scanner.name()
+    if keyword != "gen":
+        raise ParseError(f"expected 'gen', found {keyword!r}", *scanner.position())
+    dim, at = scanner.number(), scanner.pos
+    name = scanner.name()
+    if dim == 0:
+        return dim, at, name, None, None
+    scanner.expect_symbol(":")
+    source = scanner.name() if dim == 1 else parse_cell_tree(scanner)
+    scanner.expect_symbol("->")
+    return dim, at, name, source, scanner.name()
 
 
 def print_polygraph(P: MtoPolygraph) -> str:

@@ -87,38 +87,54 @@ class StageSignature(Signature):
     inputs of an n-generator are the node addresses of its source tree
     (the single root slot for n = 1).  The gluing map needed by flatten is
     itself computed one dimension down, bottoming out at n = 1, where
-    1-generators have no source tree and a cell is a chain.
+    1-generators have no source tree and a cell is a chain.  Operations
+    are read from the polygraph's namespace of dimension n, bound once.
     """
 
     def __init__(self, polygraph: "MtoPolygraph", dim: int):
         self.polygraph = polygraph
         self.dim = dim
+        self.gens = polygraph._generators(dim)
 
     def inputs(self, op: str) -> tuple[Address, ...]:
         if self.dim == 1:
             return (EMPTY,)
-        return self.polygraph.gen_data(self.dim, op).source_tree.node_addresses()
+        return self.gens[op].source_tree.node_addresses()
 
     def source_color(self, op: str, address: Address) -> str:
         if self.dim == 1:
             if address != EMPTY:
                 raise AddressError(f"a 1-generator has one input, not {address}")
-            return self.polygraph.gen_data(1, op).source
-        return self.polygraph.gen_data(self.dim, op).source_tree.decoration(address)
+            return self.gens[op].source
+        return self.gens[op].source_tree.decoration(address)
 
     def target_color(self, op: str) -> str:
-        return self.polygraph.gen_data(self.dim, op).target
+        return self.gens[op].target
 
     def source_tree(self, op: str) -> Tree | None:
         if self.dim < 2:
             return None
-        return self.polygraph.gen_data(self.dim, op).source_tree
+        return self.gens[op].source_tree
 
     def sub_readdress(self, op: str) -> dict[Address, Address]:
-        return self.polygraph._sub_readdress(self.dim, op)
+        return self.polygraph._flat_source(self.dim, op).readdress
 
     def sub_signature(self) -> "StageSignature":
         return self.polygraph.stage(self.dim - 1)
+
+
+class _Generators(dict):
+    """The generators of one dimension by name; a name not there is an
+    ``UnknownNameError``, also where a signature reads it directly."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, name: str):
+        raise UnknownNameError(f"no {self.dim}-generator named {name!r}")
 
 
 class MtoPolygraph:
@@ -130,32 +146,31 @@ class MtoPolygraph:
     """
 
     def __init__(self) -> None:
-        self._dims: list[dict[str, Union[None, Gen1, GenN]]] = []
+        self._dims: list[_Generators] = []
         self._flat_sources: dict[tuple[int, str], FlattenResult] = {}
 
     # -- construction -------------------------------------------------
 
-    def _namespace(self, dim: int) -> dict:
+    def _declare(self, dim: int, gens: Mapping[str, Union[None, Gen1, GenN]]) -> None:
+        """Add generators to a dimension, none of them there already."""
         while len(self._dims) <= dim:
-            self._dims.append({})
-        return self._dims[dim]
-
-    def _declare(self, dim: int, name: str) -> dict:
-        space = self._namespace(dim)
-        if name in space:
-            raise CoherenceError(f"duplicate {dim}-generator {name!r}")
-        return space
+            self._dims.append(_Generators(len(self._dims)))
+        space = self._dims[dim]
+        for name in gens:
+            if name in space:
+                raise CoherenceError(f"duplicate {dim}-generator {name!r}")
+        space.update(gens)
 
     def add_point(self, name: str) -> None:
-        self._declare(0, name)[name] = None
+        self._declare(0, {name: None})
 
     def add_arrow(self, name: str, source: str, target: str) -> None:
-        self._declare(1, name)[name] = Gen1(source, target)
+        self._declare(1, {name: Gen1(source, target)})
 
     def add_generator(self, dim: int, name: str, source_tree: Tree, target: str) -> None:
         if dim < 2:
             raise ValueError("use add_point or add_arrow below dimension 2")
-        self._declare(dim, name)[name] = GenN(source_tree, target)
+        self._declare(dim, {name: GenN(source_tree, target)})
 
     # -- lookups ------------------------------------------------------
 
@@ -171,13 +186,17 @@ class MtoPolygraph:
     def has_generator(self, dim: int, name: str) -> bool:
         return 0 <= dim < len(self._dims) and name in self._dims[dim]
 
+    def _generators(self, dim: int) -> _Generators:
+        """The namespace of a dimension, or an empty one past them."""
+        return self._dims[dim] if 0 <= dim < len(self._dims) else _Generators(dim)
+
     def gen_data(self, dim: int, name: str):
         if dim >= 0:
             try:
                 return self._dims[dim][name]
-            except (IndexError, KeyError):
+            except IndexError:
                 pass
-        raise UnknownNameError(f"no {dim}-generator named {name!r}")
+        return _Generators(dim)[name]  # raises
 
     def stage(self, dim: int) -> StageSignature:
         """The signature of dimension-``dim`` cells, built on each call:
@@ -193,9 +212,6 @@ class MtoPolygraph:
             tree = self.gen_data(dim, op).source_tree
             self._flat_sources[key] = flatten(self.stage(dim - 1), tree)
         return self._flat_sources[key]
-
-    def _sub_readdress(self, dim: int, op: str) -> dict[Address, Address]:
-        return self._flat_source(dim, op).readdress
 
     # -- cells --------------------------------------------------------
 
@@ -282,8 +298,8 @@ class MtoPolygraph:
                     if tree.is_unit:
                         self.gen_data(dim - 2, tree.unit_color)
                     else:
-                        for address in tree.node_addresses():
-                            self.gen_data(dim - 1, tree.nodes[address])
+                        for op in tree.nodes.values():
+                            sig.gens[op]  # an unknown name raises
                     check_tree(sig, tree)
                 except (CoherenceError, UnknownNameError, AddressError) as error:
                     report.fail(f"{dim}-generator {name!r}: {error}")

@@ -21,7 +21,7 @@ from .category import Word, faces_of, slice_classes
 from .errors import CoherenceError, Report, Value
 from .opetope import Opetope, arrow, collector_paused, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
-from .polygraph import Cell, MtoPolygraph, PolygraphMorphism, print_cell_tree
+from .polygraph import Cell, Gen1, GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
 from .trees import Tree, corolla, grow_trees
 
 
@@ -99,34 +99,31 @@ def shape_opetope(
     P: MtoPolygraph,
     dim: int,
     name: str,
-    _memo: dict[tuple[int, str], Opetope] | None = None,
+    _memo: dict[int, dict[str, Opetope]] | None = None,
 ) -> Opetope:
-    """Replace every generator in the source tree by its shape, recursively."""
+    """Replace every generator in the source tree by its shape, recursively.
+
+    ``_memo`` keeps the shapes found per dimension; where the dimension
+    below is complete, as when a caller walks the dimensions in order, a
+    decoration's shape is looked up there, with no call."""
     memo = _memo if _memo is not None else {}
-    key = (dim, name)
-    if key in memo:
-        return memo[key]
-    P.gen_data(dim, name)
-    if dim == 0:
-        result = point()
-    elif dim == 1:
-        result = arrow()
+    shapes = memo.setdefault(dim, {})
+    if name in shapes:
+        return shapes[name]
+    data = P.gen_data(dim, name)
+    if dim < 2:
+        shape = arrow() if dim else point()
+    elif data.source_tree.is_unit:
+        shape = degenerate(shape_opetope(P, dim - 2, data.source_tree.unit_color, memo))
     else:
-        tree = P.gen_data(dim, name).source_tree
-        if tree.is_unit:
-            result = degenerate(shape_opetope(P, dim - 2, tree.unit_color, memo))
-        else:
-            result = from_tree(
-                Tree._wrap(
-                    {
-                        p: shape_opetope(P, dim - 1, op, memo)
-                        for p, op in tree.nodes.items()
-                    }
-                ),
-                validate=True,
-            )
-    memo[key] = result
-    return result
+        below = memo.get(dim - 1, {})
+        nodes = {
+            p: below[op] if op in below else shape_opetope(P, dim - 1, op, memo)
+            for p, op in data.source_tree.nodes.items()
+        }
+        shape = from_tree(Tree._wrap(nodes), validate=True)
+    shapes[name] = shape
+    return shape
 
 
 def fold_faces(P: MtoPolygraph, dim: int, name: str, word: Word) -> str:
@@ -167,7 +164,7 @@ def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
 
 def cells_of_shape(P: MtoPolygraph, omega: Opetope) -> list[str]:
     """All generators whose shape is the given opetope."""
-    memo: dict[tuple[int, str], Opetope] = {}
+    memo: dict[int, dict[str, Opetope]] = {}
     return [
         name
         for name in P.generators(omega.dim)
@@ -226,36 +223,40 @@ def _realize(X: OpetopicSet) -> MtoPolygraph:
     for shape in X.support():
         dim, cells = shape.dim, X.cells[shape]
         if dim == 0:
-            for name in cells:
-                P.add_point(name)
+            gens = dict.fromkeys(cells)
         elif dim == 1:
-            for name, (target, source) in cells.items():
-                P.add_arrow(name, source, target)
+            gens = {name: Gen1(source, target) for name, (target, source) in cells.items()}
         elif shape.is_degenerate:
             below = X.cells[shape.target()]
-            for name, (target,) in cells.items():
-                P.add_generator(dim, name, Tree.unit(below[target][0]), target)
+            gens = {
+                name: GenN(Tree.unit(below[target][0]), target)
+                for name, (target,) in cells.items()
+            }
         else:
             addresses = shape.node_addresses()
-            for name, (target, *sources) in cells.items():
-                P.add_generator(dim, name, Tree._wrap(dict(zip(addresses, sources))), target)
+            gens = {
+                name: GenN(Tree._wrap(dict(zip(addresses, sources))), target)
+                for name, (target, *sources) in cells.items()
+            }
+        P._declare(dim, gens)
     return P
 
 
 def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
-    """Generators collected by shape; each generator's faces are its
-    target, then its source decorations in the shape's address order."""
+    """Generators collected by shape, a dimension at a time; each
+    generator's faces are its target, then its source decorations in
+    address order, which is the shape's, since the shape has the source
+    tree's node addresses."""
     X = OpetopicSet(max_dim=max_dim)
-    memo: dict[tuple[int, str], Opetope] = {}
+    memo: dict[int, dict[str, Opetope]] = {}
     for dim in range(min(P.max_dim, max_dim) + 1):
-        for name in P.generators(dim):
-            shape = shape_opetope(P, dim, name, memo)
-            data, faces = P.gen_data(dim, name), ()
+        for name, data in P._generators(dim).items():
+            shape, faces = shape_opetope(P, dim, name, memo), ()
             if dim == 1:
                 faces = (data.target, data.source)
             elif dim:
                 tree = data.source_tree
-                faces = (data.target, *map(tree.decoration, shape.node_addresses()))
+                faces = (data.target, *(() if tree.is_unit else tree.nodes.values()))
             X.add_cell(shape, name, faces)
     return X
 

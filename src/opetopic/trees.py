@@ -293,13 +293,15 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
         # a chain: the deepest node, the last address, holds the leaf
         deepest, op = next(reversed(nodes.items()))
         (slot,) = sig.inputs(op)
-        leaf = deepest.child(slot)
+        leaf = _trusted(deepest + (slot,))
         return FlattenResult(corolla(sig.source_color(op, slot)), {leaf: EMPTY})
     sub = sig.sub_signature()
-    # leaf to image, and leaf to its color, which decorates the image
-    slots = sig.inputs(root_op)
-    rho = {EMPTY.child(e): e for e in slots}
-    colors = {EMPTY.child(e): source.nodes[e] for e in slots}
+    # leaf to image, and leaf to its color, which decorates the image; an
+    # operation's source tree is a unit exactly where it has no inputs
+    rho, colors = {}, {}
+    for e in sig.inputs(root_op):
+        leaf = _trusted((e,))
+        rho[leaf], colors[leaf] = e, source._nodes[e]
     for p, op in list(nodes.items())[1:]:
         if p not in rho:
             raise CoherenceError(f"node at {p} is not attached to a leaf")
@@ -330,9 +332,8 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
                 f"its gluing has no input {image[k]}"
             ) from None
         for e in sig.inputs(op):
-            leaf = p.child(e)
-            rho[leaf] = r.concat(e)
-            colors[leaf] = source.nodes[e]
+            leaf = _trusted(p + (e,))
+            rho[leaf], colors[leaf] = _trusted(r + e), source._nodes[e]
     if not rho:
         return FlattenResult(source, rho)
     flat = {image: colors[leaf] for leaf, image in rho.items()}

@@ -157,6 +157,14 @@ class TestCommands:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and "expected" in err
 
+    @pytest.mark.parametrize("command", ["validate", "roundtrip", "nerve"])
+    def test_generator_declared_twice_is_a_parse_error(self, capsys, tmp_path, command):
+        path = tmp_path / "twice.poly"
+        path.write_text("gen 0 p\ngen 0 p\n")
+        assert run(capsys, command, str(path)) == (
+            2, "", "error: line 2, column 7: duplicate 0-generator 'p'\n"
+        )
+
     def test_realize_and_boundary(self, capsys):
         code, out, _ = run(capsys, "realize", "--expr", "{[] <- arrow, [*] <- arrow}")
         assert code == 0

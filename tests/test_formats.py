@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from opetopic.address import parse_address
 from opetopic.errors import ParseError
+from opetopic import formats
 from opetopic.formats import (
     parse_opetope_expr,
     parse_opetope_file,
@@ -156,10 +159,28 @@ class TestPolygraphFiles:
         assert P.gen_data(2, "u").source_tree.is_unit
 
     def test_duplicate_generator_rejected(self):
-        from opetopic.errors import CoherenceError
+        with pytest.raises(ParseError) as info:
+            parse_polygraph("gen 0 p\ngen 0 p\n")
+        assert str(info.value) == "line 2, column 7: duplicate 0-generator 'p'"
 
-        with pytest.raises(CoherenceError):
-            parse_polygraph("gen 0 a\ngen 0 a\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gen 0 p\n gen  0\n  p\n", "line 3, column 3: duplicate 0-generator 'p'"),
+            (
+                "gen 0 a\ngen 1 f : a -> a\ngen 1 f : a -> a\n",
+                "line 3, column 7: duplicate 1-generator 'f'",
+            ),
+            (
+                "gen 2 m : id(a) -> f\ngen 2 m : {[] <- f} -> f\n",
+                "line 2, column 7: duplicate 2-generator 'm'",
+            ),
+        ],
+    )
+    def test_duplicate_generator_at_its_name_on_either_path(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_polygraph(text)
+        assert str(info.value) == message
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as info:
@@ -334,3 +355,62 @@ class TestRoundTrip:
         assert Y.cells == X.cells
         assert print_oset(Y) == text
         assert print_oset(parse_oset(respaced(text, separators))) == text
+
+
+# the tokens of a canonical ``gen`` line: a whole address, a symbol, a name
+# or a number
+GEN_TOKEN = re.compile(r"\[[\[\]*]*|<-|->|[{}(),:]|[A-Za-z0-9_]+")
+
+
+class TestOneMatchPath:
+    """A canonical ``gen`` item is read with one match; any other spacing
+    goes to the token path, which reads the same polygraph and gives every
+    error message."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SEPARATORS)
+    def test_separators_between_any_tokens(self, seed, separators):
+        text = print_polygraph(random_polygraph(random.Random(seed)))
+        with mock.patch.object(formats, "_gen", wraps=formats._gen) as token_path:
+            assert print_polygraph(parse_polygraph(text)) == text
+            assert token_path.call_count == 0
+            # a doubled separator after each ``gen`` keeps every item off
+            # the one-match path
+            noisy = "".join(
+                token + separators[i % len(separators)] * (1 + (token == "gen"))
+                for i, token in enumerate(GEN_TOKEN.findall(text))
+            )
+            assert print_polygraph(parse_polygraph(noisy)) == text
+            assert token_path.call_count == text.count("\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "gen 2 m : {[] <- f, [*] <- g, [*] <- h} -> k",
+                "line 1, column 39: address [*] bound twice (lines 1 and 1)",
+            ),
+            (
+                "gen 2 m : {[] <- f, [[]] <- g, [*] <- h} -> k",
+                "line 1, column 40: address [*] bound twice (lines 1 and 1)",
+            ),
+            ("gen 0 p : q -> r", "line 1, column 9: expected a name, found ':'"),
+            ("gen 0 p : id(q) -> r", "line 1, column 9: expected a name, found ':'"),
+            ("gen 1 f : id(a) -> b", "line 1, column 13: expected '->', found '('"),
+            ("gen 2 m : f -> g", "line 1, column 11: expected '{', found 'f'"),
+            (
+                "gen 2 m : {[[] <- f} -> g",
+                "line 1, column 16: expected ']', '[' or '*', found '<'",
+            ),
+            ("gen 2 m : {[]] <- f} -> g", "line 1, column 14: expected '<-', found ']'"),
+            ("gen 2 m : {[]* <- f} -> g", "line 1, column 14: expected '<-', found '*'"),
+        ],
+    )
+    def test_canonical_spacing_gives_the_token_path_message(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_polygraph(text)
+        assert str(info.value) == message
+        with mock.patch.object(formats, "_canonical_gen", return_value=None):
+            with pytest.raises(ParseError) as info:
+                parse_polygraph(text)
+        assert str(info.value) == message

@@ -238,7 +238,7 @@ class TestValidateOracle:
                 id(P.gen_data(dim, name).source_tree) for dim, name in generators
             }
             for dim, name in generators:
-                P._sub_readdress(dim, name)
+                P._flat_source(dim, name)
             assert len(flattened) == len(generators)
 
 

@@ -22,12 +22,14 @@ from opetopic.category import (
     morphism,
     slice_classes,
 )
-from opetopic.errors import Report
+from opetopic.errors import CoherenceError, Report, UnknownNameError
 from opetopic.formats import parse_oset, parse_polygraph, print_oset, print_polygraph
 from opetopic.opetope import (
     Opetope,
     arrow,
+    degenerate,
     enumerate_opetopes,
+    from_tree,
     opetopic_integer,
     point,
     print_key,
@@ -589,6 +591,66 @@ class TestNerve:
         assert len(X.support()) == sum(
             len(enumerate_opetopes(dim, 2)) for dim in range(4)
         )
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("{[] <- zz}", UnknownNameError, "no 1-generator named 'zz'"),
+            ("id(zz)", UnknownNameError, "no 0-generator named 'zz'"),
+            (
+                "{[] <- f, [**] <- f}",
+                CoherenceError,
+                "orphan node at [**]: parent [*] is missing",
+            ),
+            (
+                "{[] <- f, [[*]] <- f}",
+                CoherenceError,
+                "node at [[*]] sits on [*], not an input of the node at []",
+            ),
+        ],
+    )
+    def test_unvalidated_source_trees_fail_as_before(self, source, error, message):
+        P = parse_polygraph(f"gen 0 a\ngen 1 f : a -> a\ngen 2 m : {source} -> f\n")
+        for check in (lambda: nerve(P, 2), lambda: counit_check(P)):
+            with pytest.raises(error) as info:
+                check()
+            assert str(info.value) == message
+
+    def test_a_lower_nerve_is_the_restriction_of_the_whole(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            P = random_polygraph(rng)
+            whole = nerve(P, P.max_dim)
+            for k in range(P.max_dim + 1):
+                X = nerve(P, k)
+                assert X.max_dim == k
+                assert X.cells == {
+                    shape: cells for shape, cells in whole.cells.items() if shape.dim <= k
+                }
+
+    def test_shapes_agree_with_the_recursive_definition(self):
+        def oracle_shape(P, dim, name):
+            if dim < 2:
+                return arrow() if dim else point()
+            tree = P.gen_data(dim, name).source_tree
+            if tree.is_unit:
+                return degenerate(oracle_shape(P, dim - 2, tree.unit_color))
+            nodes = {p: oracle_shape(P, dim - 1, op) for p, op in tree.nodes.items()}
+            return from_tree(Tree.of(nodes), validate=True)
+
+        rng = random.Random(29)
+        for P in [random_polygraph(rng) for _ in range(5)]:
+            for dim in range(P.max_dim + 1):
+                shapes = {name: oracle_shape(P, dim, name) for name in P.generators(dim)}
+                for omega in set(shapes.values()):
+                    expected = [name for name, shape in shapes.items() if shape == omega]
+                    assert cells_of_shape(P, omega) == expected
+                for name, shape in shapes.items():
+                    assert shape_opetope(P, dim, name) == shape
+                    result = shape_of(P, dim, name)
+                    assert result.shape == shape
+                    assert result.induced.apply(dim, "id") == name
+                    assert result.induced.validate().ok
 
     def test_nerve_validates(self, path_polygraph, loop_polygraph):
         rng = random.Random(31)

@@ -382,10 +382,13 @@ def iter_opetopes(
     as both node and leaf bound, sharing the address tables of every
     grower of this dimension and bound.  The grower hands over each tree's
     sorted leaves and readdressing, grown graft by graft, and its target
-    tree, read off the leaf colors; an opetope built here keeps them, and
-    one already interned keeps what it has.  A tree whose target tree is
-    not that of an allowed (n-1)-opetope is skipped before any opetope is
-    built.
+    tree, read off the leaf colors; an opetope built here keeps them, with
+    its target looked up among the (n-1)-opetopes, and one already
+    interned keeps what it has.  Nothing is filtered: a degenerate
+    opetope's target is the corolla on its shell, and a grown tree's has
+    one node per leaf, so at bound 1 or more each target is among the
+    (n-1)-opetopes.  At bound 0 there is no n-opetope for n >= 3, since
+    that corolla has one node.
     ``shard = (i, k)`` restricts to every k-th degenerate or root choice,
     for splitting sweeps across processes.
 
@@ -409,15 +412,15 @@ def iter_opetopes(
             if sharded(k):
                 yield opetopic_integer(k)
         return
+    if max_nodes == 0:
+        return
 
     previous = _enumerated(n - 1, max_nodes, None)
-    allowed = {op._tree: op for op in previous}
+    targets = {op._tree: op for op in previous}
     shells = _enumerated(n - 2, max_nodes, None)
     for index, shell in enumerate(shells):
         if sharded(index):
-            omega = degenerate(shell)
-            if omega.target()._tree in allowed:
-                yield omega
+            yield degenerate(shell)
     # root choices are numbered after the degenerate ones, skipping one
     roots = [root for i, root in enumerate(previous, len(shells) + 1) if sharded(i)]
 
@@ -430,15 +433,12 @@ def iter_opetopes(
         tables=_ADDRESSES.setdefault((n, max_nodes), ({}, {})),
     )
     for tree, result, rho, leaves in grown:
-        target = allowed.get(result)
-        if target is None:
-            continue
         entry = _INTERN.get(tree)
         omega = None if entry is None else entry()
         if omega is None:
             omega = _intern(Opetope(n, tree))
             omega._leaves = leaves
-            omega._boundary = (target, rho)
+            omega._boundary = (targets[result], rho)
         yield omega
 
 

@@ -178,25 +178,18 @@ class MtoPolygraph:
     def max_dim(self) -> int:
         return len(self._dims) - 1
 
-    def generators(self, dim: int) -> tuple[str, ...]:
-        if dim < 0 or dim >= len(self._dims):
-            return ()
-        return tuple(self._dims[dim])
-
-    def has_generator(self, dim: int, name: str) -> bool:
-        return 0 <= dim < len(self._dims) and name in self._dims[dim]
-
     def _generators(self, dim: int) -> _Generators:
         """The namespace of a dimension, or an empty one past them."""
         return self._dims[dim] if 0 <= dim < len(self._dims) else _Generators(dim)
 
+    def generators(self, dim: int) -> tuple[str, ...]:
+        return tuple(self._generators(dim))
+
+    def has_generator(self, dim: int, name: str) -> bool:
+        return name in self._generators(dim)
+
     def gen_data(self, dim: int, name: str):
-        if dim >= 0:
-            try:
-                return self._dims[dim][name]
-            except IndexError:
-                pass
-        return _Generators(dim)[name]  # raises
+        return self._generators(dim)[name]
 
     def stage(self, dim: int) -> StageSignature:
         """The signature of dimension-``dim`` cells, built on each call:
@@ -428,12 +421,3 @@ class PolygraphMorphism(Value):
                 if dim not in self.maps or name not in self.maps[dim]:
                     report.fail(f"morphism undefined on {dim}-generator {name!r}")
         return report
-
-    def is_isomorphism(self) -> bool:
-        for dim in range(max(self.source.max_dim, self.target.max_dim) + 1):
-            images = [self.maps.get(dim, {}).get(g) for g in self.source.generators(dim)]
-            if None in images:
-                return False
-            if sorted(images) != sorted(self.target.generators(dim)):
-                return False
-        return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .address import EMPTY
-from .category import Word, faces_of, slice_classes
+from .category import faces_of, slice_classes
 from .errors import CoherenceError, Report, Value
 from .opetope import Opetope, arrow, collector_paused, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
@@ -126,33 +126,17 @@ def shape_opetope(
     return shape
 
 
-def fold_faces(P: MtoPolygraph, dim: int, name: str, word: Word) -> str:
-    """Follow a face word from a generator down through the presentation."""
-    current, current_dim = name, dim
-    for face in word:
-        if current_dim == 1:
-            data = P.gen_data(1, current)
-            current = data.target if face.is_target else data.source
-        else:
-            data = P.gen_data(current_dim, current)
-            if face.is_target:
-                current = data.target
-            else:
-                current = data.source_tree.decoration(face.address)
-        current_dim -= 1
-    return current
-
-
 def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
     """The unique pair of an opetope and a morphism from its realization
-    hitting the generator."""
+    hitting the generator.  The morphism sends each class into the shape
+    to the cell that the class gives the generator in the nerve."""
     shape = shape_opetope(P, dim, name)
-    realization = realize_opetope(shape)
+    X = nerve(P, dim)
     maps = {
-        j: {str(cls): fold_faces(P, dim, name, cls.word) for cls in classes}
+        j: {str(cls): X.apply(cls, name) for cls in classes}
         for j, classes in slice_classes(shape).items()
     }
-    induced = PolygraphMorphism(realization, P, maps)
+    induced = PolygraphMorphism(realize_opetope(shape), P, maps)
     report = induced.validate()
     if not report.ok:
         raise CoherenceError(
@@ -163,13 +147,8 @@ def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
 
 
 def cells_of_shape(P: MtoPolygraph, omega: Opetope) -> list[str]:
-    """All generators whose shape is the given opetope."""
-    memo: dict[int, dict[str, Opetope]] = {}
-    return [
-        name
-        for name in P.generators(omega.dim)
-        if shape_opetope(P, omega.dim, name, memo) == omega
-    ]
+    """All generators whose shape is the given opetope, in generator order."""
+    return nerve(P, omega.dim).cells_at(omega)
 
 
 # -- realization of opetopic sets and the nerve -------------------------
@@ -294,22 +273,31 @@ def unit_check(X: OpetopicSet) -> Report:
 
 def counit_check(P: MtoPolygraph) -> Report:
     """Realizing the nerve gives back the polygraph, generator for
-    generator.  The nerve's cells are named after the generators, so each
-    generator found in it maps to itself; one that the nerve lacks is
-    reported as undefined."""
-    report = Report()
+    generator.  The nerve's cells are named after the generators, so the
+    two generator tables are compared a dimension at a time.  Where they
+    differ, the report names each generator missing from the nerve, then
+    each boundary that changed, then each generator the nerve added."""
     Q = _realize(nerve(P, max(P.max_dim, 0)))
-    maps: dict[int, dict[str, str]] = {dim: {} for dim in range(P.max_dim + 1)}
-    for dim in range(P.max_dim + 1):
-        for gen in P.generators(dim):
-            if Q.has_generator(dim, gen):
-                maps[dim][gen] = gen
-            else:
-                report.fail(
-                    f"morphism undefined on {dim}-generator {gen!r}: not in the nerve"
-                )
-    morphism = PolygraphMorphism(Q, P, maps)
-    report.failures.extend(morphism.validate().failures)
-    if not morphism.is_isomorphism():
+    dims = range(max(P.max_dim, Q.max_dim) + 1)
+    tables = [(P._generators(dim), Q._generators(dim)) for dim in dims]
+    if all(p_gens == q_gens for p_gens, q_gens in tables):
+        return Report()
+    missing, changed, extra = [], [], []
+    for dim, (p_gens, q_gens) in enumerate(tables):
+        sides = ("source", "target") if dim == 1 else ("target", "source_tree")
+        for gen, data in p_gens.items():
+            if gen not in q_gens:
+                missing.append(f"morphism undefined on {dim}-generator {gen!r}: not in the nerve")
+            elif dim:
+                changed += [
+                    f"{dim}-generator {gen!r}: {side.replace('_', ' ')} not preserved"
+                    for side in sides
+                    if getattr(data, side) != getattr(q_gens[gen], side)
+                ]
+        extra += [
+            f"morphism undefined on {dim}-generator {gen!r}" for gen in q_gens if gen not in p_gens
+        ]
+    report = Report(missing + changed + extra)
+    if any(p_gens.keys() != q_gens.keys() for p_gens, q_gens in tables):
         report.fail("counit is not a generator-for-generator isomorphism")
     return report

@@ -16,6 +16,7 @@ from opetopic.address import EMPTY
 from opetopic.category import (
     Face,
     MorphismClass,
+    Word,
     compose,
     faces_of,
     hom,
@@ -185,6 +186,26 @@ def boundary_colimit_check(omega: Opetope) -> Report:
             "generators"
         )
     return report
+
+
+# -- oracle: a face word followed through the presentation, not the nerve
+
+
+def fold_faces(P: MtoPolygraph, dim: int, name: str, word: Word) -> str:
+    """Follow a face word from a generator down through the presentation."""
+    current, current_dim = name, dim
+    for face in word:
+        if current_dim == 1:
+            data = P.gen_data(1, current)
+            current = data.target if face.is_target else data.source
+        else:
+            data = P.gen_data(current_dim, current)
+            if face.is_target:
+                current = data.target
+            else:
+                current = data.source_tree.decoration(face.address)
+        current_dim -= 1
+    return current
 
 
 class TestRealizeOpetope:
@@ -651,6 +672,10 @@ class TestNerve:
                     assert result.shape == shape
                     assert result.induced.apply(dim, "id") == name
                     assert result.induced.validate().ok
+                    assert result.induced.maps == {
+                        j: {str(cls): fold_faces(P, dim, name, cls.word) for cls in classes}
+                        for j, classes in slice_classes(shape).items()
+                    }
 
     def test_nerve_validates(self, path_polygraph, loop_polygraph):
         rng = random.Random(31)
@@ -733,6 +758,47 @@ class TestUnitCounit:
             "morphism undefined on 2-generator 'm': not in the nerve",
             "counit is not a generator-for-generator isomorphism",
         ]
+
+    def test_counit_reports_a_dropped_generator_that_another_names(
+        self, monkeypatch, path_polygraph
+    ):
+        build = realization.nerve
+
+        def nerve_without_f(P, max_dim):
+            X = build(P, max_dim)
+            for cells in X.cells.values():
+                cells.pop("f", None)
+            return X
+
+        monkeypatch.setattr(realization, "nerve", nerve_without_f)
+        assert counit_check(path_polygraph).failures == [
+            "morphism undefined on 1-generator 'f': not in the nerve",
+            "counit is not a generator-for-generator isomorphism",
+        ]
+
+    @pytest.mark.parametrize(
+        "cell, faces, message",
+        [
+            ("m", ("g", "g", "f"), "2-generator 'm': target not preserved"),
+            ("m", ("h", "f", "f"), "2-generator 'm': source tree not preserved"),
+            ("f", ("b", "b"), "1-generator 'f': source not preserved"),
+            ("f", ("a", "a"), "1-generator 'f': target not preserved"),
+        ],
+    )
+    def test_counit_reports_a_changed_face(
+        self, monkeypatch, path_polygraph, cell, faces, message
+    ):
+        build = realization.nerve
+
+        def nerve_with_faces(P, max_dim):
+            X = build(P, max_dim)
+            for cells in X.cells.values():
+                if cell in cells:
+                    cells[cell] = faces
+            return X
+
+        monkeypatch.setattr(realization, "nerve", nerve_with_faces)
+        assert counit_check(path_polygraph).failures == [message]
 
 
 @contextmanager

@@ -58,9 +58,9 @@ Word = tuple[Face, ...]
 
 
 def _node_addresses(omega: Opetope):
-    """The node addresses of ``omega``, in dimension 2 and up its tree's
-    node dict itself, not a copy."""
-    return (omega._tree._nodes or ()) if omega.dim >= 2 else omega.node_addresses()
+    """The node addresses of ``omega``: its tree's node dict itself, not a
+    copy, or none for the point, which has no tree."""
+    return () if omega._tree is None else omega._tree._nodes or ()
 
 
 def source_index(omega: Opetope, address: Address) -> int:

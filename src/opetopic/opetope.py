@@ -1,23 +1,24 @@
 """Opetopes of every dimension as decorated trees, with faces and targets.
 
 An n-opetope for n >= 2 is a tree whose nodes are (n-1)-opetopes and whose
-edges are (n-2)-opetopes; dimensions 0 and 1 are the point and the arrow.
-A unit tree is a degenerate opetope.  The target of an opetope and the
-readdressing bijection from its leaves onto the target's nodes are computed
-by flattening the tree one dimension down.
+edges are (n-2)-opetopes.  The arrow is the corolla on the point, and only
+the point has no tree.  A unit tree is a degenerate opetope.  The target of
+an opetope and the readdressing bijection from its leaves onto the target's
+nodes are computed by flattening the tree one dimension down; the arrow's
+target, the point, is set when the arrow is built.
 
 Opetopes are hash-consed: the factory functions here return one instance
 per opetope, so equality and hashing are the object defaults, identity.
 The intern table holds each live opetope weakly, keyed by its tree (the
-point and the arrow by their dimension).  A tree's node decorations are
-interned opetopes one dimension down, so hashing or comparing keys stops
-one level down.  An opetope that nothing else holds leaves the table when
-it dies, and a later build makes a new canonical instance.  What is
-computed about an opetope is kept on it and dies with it: its target and
-readdressing, its leaves, and the faces, relation squares and slice table
-that ``category`` builds.  The readdressing is kept as the tuple of leaf
-images aligned with the sorted leaves, as the grower hands it over, and
-``readdress`` builds a fresh dict from the two on each call.
+point by its dimension).  A tree's node decorations are interned opetopes
+one dimension down, so hashing or comparing keys stops one level down.  An
+opetope that nothing else holds leaves the table when it dies, and a later
+build makes a new canonical instance.  What is computed about an opetope is
+kept on it and dies with it: its target and readdressing, its leaves, and
+the faces, relation squares and slice table that ``category`` builds.  The
+readdressing is kept as the tuple of leaf images aligned with the sorted
+leaves, as the grower hands it over, and ``readdress`` builds a fresh dict
+from the two on each call.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .trees import (
     Signature,
     Tree,
     check_tree,
+    corolla,
     flatten,
     grow_trees,
     leaf_addresses,
@@ -99,12 +101,8 @@ class Opetope:
         return self._tree.unit_color
 
     def node_addresses(self) -> tuple[Address, ...]:
-        """Source addresses: empty in dimension 0, the root alone for the arrow."""
-        if self._dim == 0:
-            return ()
-        if self._dim == 1:
-            return (EMPTY,)
-        return self._tree.node_addresses()
+        """Source addresses: empty for the point, the root alone for the arrow."""
+        return () if self._tree is None else self._tree.node_addresses()
 
     def leaf_addresses(self) -> tuple[Address, ...]:
         if self._dim < 2:
@@ -114,12 +112,10 @@ class Opetope:
         return self._leaves
 
     def source_at(self, address: Address) -> "Opetope":
-        if self._dim == 1:
-            if address == EMPTY:
-                return point()
-            raise AddressError(f"the arrow has no source at {address}")
-        if self._dim < 1:
+        if self._tree is None:
             raise AddressError("the point has no sources")
+        if self._dim == 1 and address != EMPTY:
+            raise AddressError(f"the arrow has no source at {address}")
         return self._tree.decoration(address)
 
     def target(self) -> "Opetope":
@@ -137,36 +133,21 @@ class Opetope:
 
     def _flatten(self) -> tuple["Opetope", tuple[Address, ...]]:
         if self._boundary is None:
-            if self._dim == 1:
-                self._boundary = (point(), ())
-            else:
-                # flattening arrows gives the corolla on the point, which
-                # is the arrow; the arrow is stored without a tree
-                result = flatten(OPETOPE_SIG, self._tree)
-                target = from_tree(result.tree) if self._dim > 2 else arrow()
-                rho = result.readdress  # keyed by the leaves
-                if self._leaves is None:
-                    self._leaves = tuple(sorted(rho))
-                self._boundary = (target, tuple([rho[leaf] for leaf in self._leaves]))
+            result = flatten(OPETOPE_SIG, self._tree)
+            rho = result.readdress  # keyed by the leaves
+            if self._leaves is None:
+                self._leaves = tuple(sorted(rho))
+            images = tuple([rho[leaf] for leaf in self._leaves])
+            self._boundary = (from_tree(result.tree), images)
         return self._boundary
 
     def __reduce__(self):
         # rebuild through the factories, so a copy is the interned instance
-        if self._dim == 0:
-            return point, ()
-        if self._dim == 1:
-            return arrow, ()
-        if self.is_degenerate:
-            return degenerate, (self.shell,)
-        return from_tree, (self._tree,)
+        return (point, ()) if self._tree is None else (from_tree, (self._tree,))
 
     def __str__(self) -> str:
         if self._str is None:
-            if self._dim == 0:
-                self._str = "point"
-            elif self._dim == 1:
-                self._str = "arrow"
-            elif self._tree._nodes is None:
+            if self._tree._nodes is None:
                 shell = self._tree._unit
                 self._str = f"<<{shell._str or shell}>>"
             else:
@@ -187,8 +168,8 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# the live opetopes, weakly, by their tree, or by their dimension for the
-# point and the arrow; an entry leaves the table when its opetope dies
+# the live opetopes, weakly, by their tree, or by its dimension for the
+# point; an entry leaves the table when its opetope dies
 _INTERN: dict[Tree | int, _Entry] = {}
 
 
@@ -210,8 +191,11 @@ def _intern(omega: Opetope) -> Opetope:
     return omega
 
 
+# the two opetopes that print as names; the arrow's target is set here, as
+# flattening knows no tree below the arrow's
 _POINT = _intern(Opetope(0, None))
-_ARROW = _intern(Opetope(1, None))
+_ARROW = _intern(Opetope(1, corolla(_POINT)))
+_POINT._str, _ARROW._str, _ARROW._boundary = "point", "arrow", (_POINT, ())
 
 
 def point() -> Opetope:
@@ -228,18 +212,19 @@ def degenerate(shell: Opetope) -> Opetope:
 
 
 def from_tree(tree: Tree, validate: bool = False) -> Opetope:
-    """Wrap a tree of (n-1)-opetopes as an n-opetope."""
-    if tree.is_unit:
-        dim = tree.unit_color.dim + 2
-    else:
-        dims = {op.dim for op in tree.nodes.values()}
-        if len(dims) != 1:
-            raise CoherenceError(f"node decorations mix dimensions {sorted(dims)}")
-        dim = dims.pop() + 1
-        if dim < 2:
-            raise CoherenceError("node decorations must have dimension >= 1")
+    """Wrap a tree of (n-1)-opetopes as an n-opetope; the corolla on the
+    point is the arrow."""
     found = _interned(tree)
     if found is None:
+        if tree.is_unit:
+            dim = tree.unit_color.dim + 2
+        else:
+            dims = {op.dim for op in tree.nodes.values()}
+            if len(dims) != 1:
+                raise CoherenceError(f"node decorations mix dimensions {sorted(dims)}")
+            dim = dims.pop() + 1
+            if dim < 2:
+                raise CoherenceError("node decorations must have dimension >= 1")
         if validate:
             check_tree(OPETOPE_SIG, tree)
         found = _intern(Opetope(dim, tree))
@@ -253,6 +238,9 @@ def node_map(bindings: dict[Address, Opetope]) -> Opetope:
         raise CoherenceError("a node map must be non-empty; use degenerate() instead")
     if EMPTY in bindings:
         check_tree(OPETOPE_SIG, Tree._wrap(bindings))
+        # the corolla on the point passes the check, but it is the arrow's tree
+        if bindings[EMPTY]._dim < 1:
+            raise CoherenceError("node decorations must have dimension >= 1")
     return from_tree(Tree.of(bindings))
 
 
@@ -274,8 +262,9 @@ class OpetopeSignature(Signature):
     """Signature whose operations are opetopes one dimension down.
 
     Works uniformly at every level: inputs of an opetope are its node
-    addresses, colors are sources and targets.  The arrow has no source
-    tree; flattening a tree of arrows is the base case of ``flatten``.
+    addresses, colors are sources and targets.  The arrow, the corolla on
+    the point, is given no source tree here: a tree of arrows is a chain,
+    and flattening it is the base case of ``flatten``.
     """
 
     def inputs(self, op: Opetope) -> tuple[Address, ...]:
@@ -316,12 +305,13 @@ def check_identities(omega: Opetope) -> Report:
 
     It reads cached slots rather than calling accessors per node: a target
     is slot 0 of ``_boundary`` (``_flatten`` fills it when empty), a source
-    is a node of its tree or the point below an arrow, and opetopes
-    compare with ``is``, since equality is identity.  Of what the grower
-    caches it reads only the target and readdressing under check, and the
-    leaves they are aligned with, and it checks them against the faces of
-    the node decorations; ``tests/test_opetope.py::TestGrowerAgainstFlatten``
-    remains the grower's independent oracle.
+    is a node of its tree, the arrow's too, as the arrow is the corolla on
+    the point, and opetopes compare with ``is``, since equality is
+    identity.  Of what the grower caches it reads only the target and
+    readdressing under check, and the leaves they are aligned with, and it
+    checks them against the faces of the node decorations;
+    ``tests/test_opetope.py::TestGrowerAgainstFlatten`` remains the
+    grower's independent oracle.
     """
     report = Report()
     if omega._dim < 2:
@@ -329,23 +319,20 @@ def check_identities(omega: Opetope) -> Report:
         return report
     target, rho = omega._boundary or omega._flatten()
     right = (target._boundary or target._flatten())[0]
-    # the target's nodes, or None for the arrow, which has no tree
-    target_nodes = None if target._tree is None else target._tree._nodes
+    target_nodes = target._tree._nodes
     nodes = omega._tree._nodes
     if nodes is None:
-        left = _POINT if target_nodes is None else target_nodes[EMPTY]
+        left = target_nodes[EMPTY]
         if left is not right:
             report.fail(f"degeneracy: s[[]] t = {left} but t t = {right}")
         return report
-    # the sources of a decoration are its nodes, or the point below an
-    # arrow, which has no tree; parent addresses are tuple slices, valid as
-    # dict keys
+    # the sources of a decoration are its nodes; parent addresses are
+    # tuple slices, valid as dict keys
     for address, op in nodes.items():
         if not address:
             continue
         above = (op._boundary or op._flatten())[0]
-        parent = nodes[address[:-1]]._tree
-        source = _POINT if parent is None else parent._nodes[address[-1]]
+        source = nodes[address[:-1]]._tree._nodes[address[-1]]
         if above is not source:
             report.fail(
                 f"inner edge {address}: t s[{address}] = {above} "
@@ -356,9 +343,8 @@ def check_identities(omega: Opetope) -> Report:
     if left is not right:
         report.fail(f"globularity (root): t s[[]] = {left} but t t = {right}")
     for leaf, image in zip(omega._leaves, rho):
-        parent = nodes[leaf[:-1]]._tree
-        source = _POINT if parent is None else parent._nodes[leaf[-1]]
-        via_target = _POINT if target_nodes is None else target_nodes[image]
+        source = nodes[leaf[:-1]]._tree._nodes[leaf[-1]]
+        via_target = target_nodes[image]
         if source is not via_target:
             report.fail(
                 f"globularity (leaf {leaf}): s[{leaf[-1]}] "

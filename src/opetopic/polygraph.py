@@ -402,19 +402,25 @@ class PolygraphMorphism(Value):
                         f"{dim}-generator {name!r} maps to unknown {image!r}"
                     )
                     continue
+                # a boundary name the map lacks is reported below, not compared
+                lower = self.maps.get(dim - 1, {})
                 if dim == 1:
                     data = self.source.gen_data(1, name)
                     image_data = self.target.gen_data(1, image)
-                    if self.apply(0, data.source) != image_data.source:
+                    if lower.get(data.source, image_data.source) != image_data.source:
                         report.fail(f"1-generator {name!r}: source not preserved")
-                    if self.apply(0, data.target) != image_data.target:
+                    if lower.get(data.target, image_data.target) != image_data.target:
                         report.fail(f"1-generator {name!r}: target not preserved")
                 elif dim >= 2:
                     data = self.source.gen_data(dim, name)
                     image_data = self.target.gen_data(dim, image)
-                    if self.apply(dim - 1, data.target) != image_data.target:
+                    if lower.get(data.target, image_data.target) != image_data.target:
                         report.fail(f"{dim}-generator {name!r}: target not preserved")
-                    if self.map_tree(dim - 1, data.source_tree) != image_data.source_tree:
+                    try:
+                        tree = self.map_tree(dim - 1, data.source_tree)
+                    except UnknownNameError:
+                        tree = image_data.source_tree
+                    if tree != image_data.source_tree:
                         report.fail(f"{dim}-generator {name!r}: source tree not preserved")
         for dim in range(0, self.source.max_dim + 1):
             for name in self.source.generators(dim):

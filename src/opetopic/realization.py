@@ -18,7 +18,7 @@ from collections import Counter
 
 from .address import EMPTY
 from .category import faces_of, slice_classes
-from .errors import CoherenceError, Report, Value
+from .errors import CoherenceError, Report, UnknownNameError, Value
 from .opetope import Opetope, arrow, collector_paused, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
 from .polygraph import Cell, Gen1, GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
@@ -206,11 +206,13 @@ def _realize(X: OpetopicSet) -> MtoPolygraph:
         elif dim == 1:
             gens = {name: Gen1(source, target) for name, (target, source) in cells.items()}
         elif shape.is_degenerate:
-            below = X.cells[shape.target()]
-            gens = {
-                name: GenN(Tree.unit(below[target][0]), target)
-                for name, (target,) in cells.items()
-            }
+            below, gens = X.cells.get(shape.target(), {}), {}
+            for name, (target,) in cells.items():
+                if target not in below:
+                    raise UnknownNameError(
+                        f"cell {name!r} at {shape}: no cell {target!r} at {shape.target()}"
+                    )
+                gens[name] = GenN(Tree.unit(below[target][0]), target)
         else:
             addresses = shape.node_addresses()
             gens = {

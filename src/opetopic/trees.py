@@ -145,6 +145,10 @@ class Tree:
                 self._hash = hash(frozenset(self._nodes.items()))
         return self._hash
 
+    def __reduce__(self):
+        # without the cached hash, which is of this process's identities
+        return Tree, (self._unit, self._nodes)
+
     def __repr__(self) -> str:
         if self._nodes is None:
             return f"Tree.unit({self._unit!r})"

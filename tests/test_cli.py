@@ -417,6 +417,55 @@ class TestRoundtripCommand:
         assert len(calls) == parses
 
 
+# the opetope commands on the low dimensions, where the point and the arrow
+# show, and on a dim-3 and a dim-4 opetope built on ``shapes.optp``
+TRANSCRIPT_COMMANDS = [
+    ["target"], ["source", "--addr", "[]"], ["leaves"], ["readdress"],
+    ["identities"], ["yoneda"], ["realize"], ["boundary"],
+]
+TRANSCRIPT_EXPRS = [
+    "point", "arrow", "<<point>>", "<<arrow>>", "{[] <- arrow}",
+    "{[] <- arrow, [*] <- arrow}",
+]
+TRANSCRIPT_FOUR = "opetope four = {[] <- tower, [*] <- {[] <- two}, [[*]] <- {[] <- two}}\n"
+TRANSCRIPT_SHA256 = "b821cef408b2843308fffd8c0990c86a3eb541359994eeac9c1c537ba641be18"
+
+
+class TestTranscript:
+    def test_low_dimensional_transcript_is_pinned(self, capsys, tmp_path):
+        """Text and ``--json`` output, errors and exit codes, hashed."""
+        path = tmp_path / "shapes.optp"
+        path.write_text((GOLDEN / "shapes.optp").read_text() + TRANSCRIPT_FOUR)
+        inputs = [["--expr", expr] for expr in TRANSCRIPT_EXPRS]
+        inputs += [[str(path), "--name", "tower"], [str(path), "--name", "four"]]
+        digest = hashlib.sha256()
+        for given_input in inputs:
+            for command in TRANSCRIPT_COMMANDS:
+                for flags in ([], ["--json"]):
+                    code, out, err = run(capsys, *command, *given_input, *flags)
+                    label = " ".join(command + given_input[-1:] + flags)
+                    digest.update(f"{label}\n{code}\n{out}\n{err}\n".encode("utf-8"))
+        assert digest.hexdigest() == TRANSCRIPT_SHA256
+
+    def test_the_parser_refuses_a_corolla_on_the_point(self, capsys):
+        code, out, err = run(capsys, "target", "--expr", "{[] <- point}")
+        assert (code, out) == (1, "")
+        assert err == "error: node decorations must have dimension >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["source", "--expr", "arrow", "--addr", "[*]"], "the arrow has no source at [*]"),
+            (["leaves", "--expr", "arrow"], "leaf addresses need dimension >= 2"),
+            (["readdress", "--expr", "arrow"], "readdressing needs dimension >= 2"),
+        ],
+    )
+    def test_the_arrow_has_no_leaves_or_other_sources(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 # -- fuzzing: random and mutated text through every command ----------------
 
 FUZZ_CORPUS = sorted(

@@ -12,7 +12,7 @@ import pytest
 
 from opetopic import opetope
 from opetopic.address import EMPTY, Address, parse_address
-from opetopic.category import slice_table
+from opetopic.category import faces_of, slice_table
 from opetopic.errors import AddressError, CoherenceError, EnumerationLimit
 from opetopic.formats import parse_opetope_file
 from opetopic.opetope import (
@@ -105,6 +105,60 @@ class TestLowDimensional:
         assert omega.dim == 3
         assert omega.is_degenerate
         assert omega.shell == arrow()
+
+
+class TestArrowIsTheCorollaOnThePoint:
+    def test_the_corolla_on_the_point_is_the_arrow(self):
+        assert arrow().tree == corolla(point())
+        assert from_tree(corolla(point())) is arrow()
+        assert from_tree(Tree.of({EMPTY: point()}), validate=True) is arrow()
+        assert arrow().node_addresses() == (EMPTY,)
+        assert not arrow().is_degenerate
+        assert str(arrow()) == "arrow"
+
+    def test_only_the_point_has_no_tree(self):
+        assert point().node_addresses() == ()
+        with pytest.raises(AddressError, match="no underlying tree"):
+            point().tree
+
+    def test_node_map_refuses_the_corolla_on_the_point(self):
+        with pytest.raises(CoherenceError, match="must have dimension >= 1"):
+            node_map({EMPTY: point()})
+
+    def test_pickle_and_deepcopy_give_the_arrow_back(self):
+        assert pickle.loads(pickle.dumps(arrow())) is arrow()
+        assert copy.deepcopy(arrow()) is arrow()
+        assert copy.deepcopy(corolla(point())) == corolla(point())
+
+    def test_faces_and_slices_are_named_as_before(self):
+        faces = faces_of(arrow())
+        assert [str(face) for face in faces] == ["t", "s[]"]
+        assert [face.domain for face in faces] == [point(), point()]
+        table = slice_table(arrow())
+        assert table.names == ["id", "t", "s[]"]
+        assert table.domains == [arrow(), point(), point()]
+
+    def test_a_pickle_from_another_process_is_the_interned_instance(self):
+        """A tree's cached hash is of the identities of the process that
+        made it, so it must not travel with the pickle."""
+        exprs = ["arrow", "{[] <- arrow, [*] <- arrow}", "<<arrow>>"]
+        script = (
+            "import pickle, sys\n"
+            "from opetopic.formats import Scanner, parse_opetope_expr\n"
+            "ops = [parse_opetope_expr(Scanner(e), {}) for e in sys.argv[1:]]\n"
+            "for op in ops:\n"
+            "    hash(op.tree)\n"
+            "sys.stdout.buffer.write(pickle.dumps(ops))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(opetope.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *exprs],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        loaded = pickle.loads(done.stdout)
+        assert loaded[0] is arrow()
+        assert loaded[1] is opetopic_integer(2)
+        assert loaded[2] is degenerate(arrow())
 
 
 class TestConstruction:

@@ -597,6 +597,33 @@ class TestMorphisms:
         report = collapse.validate()
         assert any("source tree not preserved" in f for f in report.failures)
 
+    def test_a_partial_map_is_reported_not_raised(self):
+        # f's target b has no image, so its comparison is skipped and b is
+        # reported once, as undefined
+        P = MtoPolygraph()
+        P.add_point("a")
+        P.add_point("b")
+        P.add_arrow("f", "a", "b")
+        Q = MtoPolygraph()
+        Q.add_point("x")
+        Q.add_arrow("g", "x", "x")
+        report = PolygraphMorphism(P, Q, {0: {"a": "x"}, 1: {"f": "g"}}).validate()
+        assert report.failures == ["morphism undefined on 0-generator 'b'"]
+
+    def test_a_partial_map_still_compares_what_it_defines(
+        self, path_polygraph, loop_polygraph
+    ):
+        # m's target h and source g are mapped and compared; f, in m's
+        # source tree, is not, so that tree is not compared
+        partial = PolygraphMorphism(
+            path_polygraph,
+            loop_polygraph,
+            {0: {"a": "a", "b": "a", "c": "a"}, 1: {"g": "f", "h": "f"}, 2: {"m": "m"}},
+        )
+        assert partial.validate().failures == [
+            "morphism undefined on 1-generator 'f'"
+        ]
+
     def test_naturality_on_random_cells(self, loop_polygraph):
         rng = random.Random(3)
         P = loop_polygraph

@@ -451,6 +451,19 @@ class TestRealizeOSet:
         assert P.validate().ok and len(P.generators(2)) == 3
         assert unit_check(X).ok
 
+    @pytest.mark.parametrize("with_arrows", [False, True])
+    def test_a_degenerate_cell_on_a_missing_face_is_named(self, with_arrows):
+        # the target face 'x' names no cell: there is no arrow cell at all,
+        # or only another one
+        X = OpetopicSet(max_dim=2)
+        X.add_cell(point(), "p")
+        if with_arrows:
+            X.add_cell(arrow(), "f", ("p", "p"))
+        X.add_cell(degenerate(point()), "d", ("x",))
+        with pytest.raises(UnknownNameError) as info:
+            realize_oset(X)
+        assert str(info.value) == "cell 'd' at <<point>>: no cell 'x' at arrow"
+
     def test_distinct_names_keep_the_set_itself(self):
         X = yoneda(O2, 2)
         assert distinct_names(X) is X

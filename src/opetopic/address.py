@@ -59,16 +59,6 @@ class Address(tuple):
             raise ValueError("the empty address has no last entry")
         return self[-1]
 
-    def is_prefix_of(self, other: "Address") -> bool:
-        return len(self) <= len(other) and tuple(other[: len(self)]) == tuple(self)
-
-    def depth(self) -> int:
-        depth, level = 0, [self]
-        while any(level):
-            depth += 1
-            level = [entry for address in level for entry in address]
-        return depth
-
     def __str__(self) -> str:
         # base-level addresses print their empty entries as '*', deeper ones
         # spell them out; a stack of entry iterators stands in for recursion

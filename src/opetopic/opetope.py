@@ -365,16 +365,14 @@ def iter_opetopes(
 
     The degenerate ones come first; the others are the trees that
     ``trees.grow_trees`` grows from the (n-1)-opetopes with ``max_nodes``
-    as both node and leaf bound, sharing the address tables of every
-    grower of this dimension and bound.  The grower hands over each tree's
-    sorted leaves and readdressing, grown graft by graft, and its target
-    tree, read off the leaf colors; an opetope built here keeps them, with
-    its target looked up among the (n-1)-opetopes, and one already
-    interned keeps what it has.  Nothing is filtered: a degenerate
-    opetope's target is the corolla on its shell, and a grown tree's has
-    one node per leaf, so at bound 1 or more each target is among the
-    (n-1)-opetopes.  At bound 0 there is no n-opetope for n >= 3, since
-    that corolla has one node.
+    as its bound.  The grower hands over each tree's sorted leaves and
+    readdressing, grown graft by graft, and its target tree, read off the
+    leaf colors; an opetope built here keeps them, with its target looked
+    up in the intern table, and one already interned keeps what it has.
+    Nothing is filtered: a degenerate opetope's target is the corolla on
+    its shell, and a grown tree's has one node per leaf, so at bound 1 or
+    more each target is among the (n-1)-opetopes.  At bound 0 there is no
+    n-opetope for n >= 3, since that corolla has one node.
     ``shard = (i, k)`` restricts to every k-th degenerate or root choice,
     for splitting sweeps across processes.
 
@@ -402,7 +400,6 @@ def iter_opetopes(
         return
 
     previous = _enumerated(n - 1, max_nodes, None)
-    targets = {op._tree: op for op in previous}
     shells = _enumerated(n - 2, max_nodes, None)
     for index, shell in enumerate(shells):
         if sharded(index):
@@ -410,28 +407,16 @@ def iter_opetopes(
     # root choices are numbered after the degenerate ones, skipping one
     roots = [root for i, root in enumerate(previous, len(shells) + 1) if sharded(i)]
 
-    grown = grow_trees(
-        OPETOPE_SIG,
-        previous,
-        roots,
-        max_nodes,
-        max_leaves=max_nodes,
-        tables=_ADDRESSES.setdefault((n, max_nodes), ({}, {})),
-    )
-    for tree, result, rho, leaves in grown:
+    for tree, result, rho, leaves in grow_trees(OPETOPE_SIG, previous, roots, max_nodes):
         entry = _INTERN.get(tree)
         omega = None if entry is None else entry()
         if omega is None:
             omega = _intern(Opetope(n, tree))
             omega._leaves = leaves
-            omega._boundary = (targets[result], rho)
+            # the target is an (n-1)-opetope, which ``_ENUMERATED`` keeps
+            # alive, so its weak intern entry is live
+            omega._boundary = (_INTERN[result](), rho)
         yield omega
-
-
-# the grower's address tables (see ``trees.grow_trees``) per dimension and
-# bound, shared by every grower of that dimension and bound, so the
-# opetopes they build share their leaf addresses and readdressings
-_ADDRESSES: dict[tuple[int, int], tuple[dict, dict]] = {}
 
 
 _ENUMERATED: dict[tuple[int, int], tuple[Opetope, ...]] = {}

@@ -67,7 +67,7 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
             data = P.gen_data(dim - 1, name)
             lookup[(data.source if chains else data.source_tree, data.target)] = name
         sig, gens = P.stage(dim - 1), P.generators(dim - 1)
-        grown = grow_trees(sig, gens, gens, budget, max_leaves=budget)
+        grown = grow_trees(sig, gens, gens, budget)
         # identities are looked up by their corolla, grown cells by flat source
         cells = [(Tree.unit(v), corolla(v), v) for v in P.generators(dim - 2)]
         cells += [(t, flat, sig.target_color(t.nodes[EMPTY])) for t, flat, *_ in grown]
@@ -185,7 +185,11 @@ def distinct_names(X: OpetopicSet) -> OpetopicSet:
     for shape in support:
         domains = [face.domain for face in faces_of(shape)]
         for name, values in X.cells[shape].items():
-            faces = [renamed[(d, v)] for d, v in zip(domains, values)]
+            try:
+                faces = [renamed[(d, v)] for d, v in zip(domains, values)]
+            except KeyError as missing:
+                d, v = missing.args[0]
+                raise UnknownNameError(f"cell {name!r} at {shape}: no cell {v!r} at {d}") from None
             Y.add_cell(shape, renamed[(shape, name)], faces)
     return Y
 

@@ -346,19 +346,25 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     return FlattenResult(Tree._wrap(dict(sorted(flat.items()))), rho)
 
 
+# the grower's address tables, shared by every grower: a graft's new
+# leaves ``leaf + (slot,)`` and images ``anchor + slot`` depend only on
+# that address and the operation's input slots, so each tuple of them is
+# built once, and the trees grown share their address objects
+_CHILDREN: dict[Address, dict[tuple[Address, ...], tuple[Address, ...]]] = {}
+_IMAGES: dict[Address, dict[tuple[Address, ...], tuple[Address, ...]]] = {}
+
+
 def grow_trees(
     sig: Signature,
     operations: Iterable[Operation],
     roots: Iterable[Operation],
-    max_nodes: int,
-    max_leaves: int | None = None,
-    tables: tuple[dict, dict] | None = None,
+    bound: int,
 ) -> Iterator[
     tuple[Tree, Tree | None, tuple[Address, ...] | None, tuple[Address, ...]]
 ]:
     """The node-map trees with a root from ``roots`` and further nodes from
-    ``operations`` (which contains the roots), with at most ``max_nodes``
-    nodes and, when ``max_leaves`` is given, at most that many leaves.
+    ``operations`` (which contains the roots), with at most ``bound``
+    nodes and at most ``bound`` leaves.
 
     Corollas are grafted at leaves in strictly ascending address order,
     which reaches every tree exactly once, root by root in the given order,
@@ -372,17 +378,14 @@ def grow_trees(
     ``op``'s gluing, the rule ``flatten`` applies node by node.  By leaf
     globularity the flat tree is read off the leaf colors.
 
-    A graft's new leaves ``leaf + (slot,)`` and images ``anchor + slot``
-    depend only on that address and the operation's input slots,
-    so each tuple of them is built once and kept in ``tables``, a pair of
-    dicts ``{leaf: {slots: new leaves}}`` and ``{anchor: {slots: new
-    images}}``, one entry per pair some graft met.  Growers handed the
-    same pair share their address objects; without one a grower keeps
-    its own.  A finished or closed grower leaves no reference cycle.
+    New leaves and images come from the module's shared address tables,
+    ``{leaf: {slots: new leaves}}`` and ``{anchor: {slots: new images}}``,
+    which hold only addresses.  A finished or closed grower leaves no
+    reference cycle.
     """
-    if max_nodes < 1:
+    if bound < 1:
         return
-    children_of, images_of = ({}, {}) if tables is None else tables
+    children_of, images_of = _CHILDREN, _IMAGES
     # per operation: input slots in ascending order and their colors, and
     # for readdressing the inverted leaf-to-input gluing and its source
     # tree, the flat tree of its corolla and of any tree left without
@@ -416,12 +419,10 @@ def grow_trees(
         # ``leaves`` is sorted and ``colors`` and ``rho`` run alongside it;
         # leaves are an antichain, so the children of a grafted leaf take
         # its place in the order, and grafting goes on from there
-        budget = max_nodes - len(nodes)
+        budget = bound - len(nodes)
         # adding a node with a inputs leaves at least
         # len(leaves) - 1 + a - (budget - 1) leaves in any completion
-        cut = -1
-        if max_leaves is not None:
-            cut = min(max(max_leaves + budget - len(leaves) + 1, 0), width - 1)
+        cut = min(max(bound + budget - len(leaves) + 1, 0), width - 1)
         for i in range(start, len(leaves)):
             prefixes = admissible.get(colors[i])
             if prefixes is None or not (ops := prefixes[cut]):
@@ -465,7 +466,7 @@ def grow_trees(
                         new = images[slots] = tuple([_trusted(anchor + s) for s in slots])
                     new_rho[i : i + 1] = new
                     new_rho = tuple(new_rho)
-                if max_leaves is None or len(new_leaves) <= max_leaves:
+                if len(new_leaves) <= bound:
                     flat = source
                     if nodes and new_rho:
                         # leaf globularity: a leaf's image is decorated by its color;

@@ -233,6 +233,14 @@ class TestComposition:
                 morphism(opetopic_integer(0), (Face(opetopic_integer(0)),)),
             )
 
+    def test_a_word_whose_faces_do_not_chain_is_refused(self):
+        omega = opetopic_integer(2)
+        with pytest.raises(CompositionError) as info:
+            morphism(omega, (Face(omega, EMPTY), Face(omega, EMPTY)))
+        assert str(info.value) == (
+            "face into {[] <- arrow, [*] <- arrow} cannot follow a face onto arrow"
+        )
+
     def test_associative(self):
         from opetopic.opetope import from_tree
         from opetopic.trees import corolla

@@ -119,6 +119,13 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", str(GOLDEN / "path.poly"))
         assert code == 0 and out.strip() == "pass"
 
+    def test_validate_opetope_file(self, capsys):
+        path = str(GOLDEN / "shapes.optp")
+        assert run(capsys, "validate", path) == (0, "pass\n", "")
+        code, out, err = run(capsys, "validate", "--json", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"ok": True, "failures": []}
+
     def test_validate_failure_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.poly"
         path.write_text("gen 0 a\ngen 1 f : a -> ghost\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from opetopic import opetope
+from opetopic import opetope, trees
 from opetopic.address import EMPTY, Address, parse_address
 from opetopic.category import faces_of, slice_table
 from opetopic.errors import AddressError, CoherenceError, EnumerationLimit
@@ -620,7 +620,7 @@ class TestGrowerAgainstFlatten:
         assert self.check_against_flatten(shard) > 10_000
 
     def test_shards_in_reverse_then_with_warm_tables(self):
-        # the address tables of (4, 3) live across calls: every pass over
+        # the shared address tables live across calls: every pass over
         # the shards, the first in whatever state earlier calls left them
         # and the second with them warm, gives the whole enumeration
         expected = enumerate_opetopes(4, 3)
@@ -629,16 +629,8 @@ class TestGrowerAgainstFlatten:
             got = []
             for i in reversed(range(8)):
                 got += iter_opetopes(4, 3, shard=(i, 8))
-                tables = opetope._ADDRESSES[4, 3]
                 # the grower's own results, through the same tables
-                grown = grow_trees(
-                    OPETOPE_SIG,
-                    previous,
-                    previous[i::8],
-                    3,
-                    max_leaves=3,
-                    tables=tables,
-                )
+                grown = grow_trees(OPETOPE_SIG, previous, previous[i::8], 3)
                 for tree, flat, rho, leaves in grown:
                     result = oracle_flatten(OPETOPE_SIG, tree)
                     assert leaves == tuple(sorted(result.readdress)), str(tree)
@@ -649,11 +641,10 @@ class TestGrowerAgainstFlatten:
             for omega in got:
                 if not omega.is_degenerate:
                     assert omega._leaves == leaf_addresses(OPETOPE_SIG, omega.tree)
-            children_of, images_of = tables
-            for leaf, by_slots in children_of.items():
+            for leaf, by_slots in trees._CHILDREN.items():
                 for slots, children in by_slots.items():
                     assert children == tuple(leaf.child(slot) for slot in slots)
-            for anchor, by_slots in images_of.items():
+            for anchor, by_slots in trees._IMAGES.items():
                 for slots, images in by_slots.items():
                     assert images == tuple(anchor.concat(slot) for slot in slots)
 

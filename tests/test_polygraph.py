@@ -87,6 +87,13 @@ class TestValidation:
         P.add_arrow("f", "a", "ghost")
         assert not P.validate().ok
 
+    def test_unknown_target_of_a_two_generator(self):
+        P = MtoPolygraph()
+        P.add_point("a")
+        P.add_arrow("f", "a", "a")
+        P.add_generator(2, "m", Tree.of({EMPTY: "f"}), "zz")
+        assert P.validate().failures == ["2-generator 'm': unknown target 'zz'"]
+
     def test_incoherent_source_tree(self):
         P = MtoPolygraph()
         for name in "ab":
@@ -711,7 +718,8 @@ def enumerate_cells(P, dim, budget):
 def oracle_enumerate_cells(P, dim, budget):
     """Generate-and-filter oracle, independent of the library's grower:
     identities, then the breadth-first closure of generator corollas under
-    grafting a corolla at any leaf."""
+    grafting a corolla at any leaf, keeping the cells with at most
+    ``budget`` leaves."""
     sig = P.stage(dim)
     out = {Cell(dim, Tree.unit(name)) for name in P.generators(dim - 1)}
     if budget < 1:
@@ -733,7 +741,9 @@ def oracle_enumerate_cells(P, dim, budget):
                         fresh.add(bigger)
         seen |= fresh
         frontier = fresh
-    return out | {Cell(dim, tree) for tree in seen}
+    return out | {
+        Cell(dim, tree) for tree in seen if len(leaf_addresses(sig, tree)) <= budget
+    }
 
 
 class TestEnumerateCells:

@@ -464,6 +464,18 @@ class TestRealizeOSet:
             realize_oset(X)
         assert str(info.value) == "cell 'd' at <<point>>: no cell 'x' at arrow"
 
+    def test_a_missing_face_among_colliding_names_is_named(self):
+        # ``c`` is shared by two shapes, so the set is renamed first, and the
+        # renaming meets the face 'x', which names no cell
+        X = OpetopicSet(max_dim=2)
+        X.add_cell(point(), "p")
+        X.add_cell(arrow(), "f", ("p", "p"))
+        X.add_cell(degenerate(point()), "c", ("x",))
+        X.add_cell(opetopic_integer(1), "c", ("f", "f"))
+        with pytest.raises(UnknownNameError) as info:
+            realize_oset(X)
+        assert str(info.value) == "cell 'c' at <<point>>: no cell 'x' at arrow"
+
     def test_distinct_names_keep_the_set_itself(self):
         X = yoneda(O2, 2)
         assert distinct_names(X) is X
@@ -745,6 +757,19 @@ class TestUnitCounit:
 
         monkeypatch.setattr(realization, "_realize", realize_with_extra)
         assert unit_check(X).failures == [message]
+
+    def test_unit_reports_a_cell_whose_generator_has_another_shape(self):
+        # an unvalidated set: c's source face names a 2-cell at the wrong shape
+        X = OpetopicSet(max_dim=3)
+        X.add_cell(point(), "p")
+        X.add_cell(arrow(), "f", ("p", "p"))
+        X.add_cell(opetopic_integer(1), "a", ("f", "f"))
+        X.add_cell(O2, "b", ("f", "f", "f"))
+        X.add_cell(from_tree(Tree.of({EMPTY: O2})), "c", ("b", "a"))
+        assert unit_check(X).failures == [
+            "cell 'c' at {[] <- {[] <- arrow, [*] <- arrow}}: "
+            "generator has shape {[] <- {[] <- arrow}}"
+        ]
 
     def test_every_representable_and_realization_up_to_dim_five(self):
         opetopes = enumerate_opetopes(5, 2)

@@ -34,7 +34,7 @@ def subtree_at(sig: Signature, tree: Tree, edge: Address) -> Tree:
     picked = {
         Address(p[k:]): op
         for p, op in tree.nodes.items()
-        if edge.is_prefix_of(p)
+        if p[:k] == edge
     }
     if not picked:
         return Tree.unit(color)
@@ -86,10 +86,11 @@ def subtree_decomposition(
     if whole.is_unit:
         outer: Tree = whole
     else:
+        k = len(root_edge)
         outer_nodes = {
             p: op
             for p, op in whole.nodes.items()
-            if not root_edge.is_prefix_of(p)
+            if p[:k] != root_edge
         }
         if outer_nodes:
             outer = Tree.of(outer_nodes)
@@ -303,18 +304,20 @@ class TestValidation:
         assert "edge mismatch" in str(info.value)
 
 
-def grown(sig, ops, max_nodes, max_leaves=None):
-    return [tree for tree, _, _, _ in grow_trees(sig, ops, ops, max_nodes, max_leaves)]
+def grown(sig, ops, bound):
+    return [tree for tree, _, _, _ in grow_trees(sig, ops, ops, bound)]
 
 
 class TestEnumerateTrees:
     def test_hand_count_small(self, toy_sig):
         ops = ["z", "u", "b"]
+        # the b corolla has 2 leaves, so bound 1 keeps only z and u
         trees = grown(toy_sig, ops, 1)
-        assert len(trees) == 3
+        assert len(trees) == 2
         trees = grown(toy_sig, ops, 2)
-        # 3 corollas, 3 one-child chains under u, 2 slots x 3 ops under b
-        assert len(trees) == 3 + 3 + 6
+        # 3 corollas, 3 one-child chains under u, 2 slots x 2 ops under b:
+        # b grafted on b has 3 leaves
+        assert len(trees) == 3 + 3 + 4
 
     def test_zero_nodes_grows_nothing(self, toy_sig):
         assert grown(toy_sig, ["z", "u", "b"], 0) == []
@@ -327,15 +330,17 @@ class TestEnumerateTrees:
         assert len(set(first)) == len(first)
 
     def test_leaf_bound(self, toy_sig):
+        # every tree within the bound is grown from a tree within 2b + 2,
+        # whichever order the nodes and leaves were added in
         ops = ["z", "u", "b"]
-        bounded = grown(toy_sig, ops, 3, max_leaves=1)
-        assert all(
-            len(leaf_addresses(toy_sig, tree)) <= 1 for tree in bounded
-        )
-        unbounded = grown(toy_sig, ops, 3)
-        expected = [
-            tree
-            for tree in unbounded
-            if len(leaf_addresses(toy_sig, tree)) <= 1
-        ]
-        assert sorted(map(repr, bounded)) == sorted(map(repr, expected))
+        for bound, count in [(1, 2), (2, 10), (3, 43)]:
+            bounded = grown(toy_sig, ops, bound)
+            wider = grown(toy_sig, ops, 2 * bound + 2)
+            expected = {
+                tree
+                for tree in wider
+                if tree.size <= bound
+                and len(leaf_addresses(toy_sig, tree)) <= bound
+            }
+            assert len(bounded) == count
+            assert set(bounded) == expected

@@ -428,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except OpetopicError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

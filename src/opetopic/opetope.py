@@ -23,9 +23,7 @@ from the two on each call.
 
 from __future__ import annotations
 
-import gc
 import weakref
-from contextlib import contextmanager
 from itertools import islice
 
 from .address import EMPTY, Address
@@ -34,6 +32,7 @@ from .trees import (
     Signature,
     Tree,
     check_tree,
+    collector_paused,
     corolla,
     flatten,
     grow_trees,
@@ -41,22 +40,6 @@ from .trees import (
 )
 
 DEFAULT_ENUMERATION_CAP = 500_000
-
-
-@contextmanager
-def collector_paused():
-    """Pause the cyclic collector around a bulk build that keeps what it
-    makes and makes no reference cycle, where a collection frees nothing.
-    The state on entry comes back on exit, also on an error, so nested
-    builds leave it as the caller had it.  Never wrap a generator that
-    yields to caller code."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class Opetope:
@@ -284,6 +267,14 @@ class OpetopeSignature(Signature):
 
     def sub_signature(self) -> "OpetopeSignature":
         return self
+
+    def grower_entry(self, op: Opetope) -> tuple:
+        # read off the opetope: its node map, target, leaves and their images
+        nodes = op._tree._nodes or {}
+        target, images = op._boundary or op._flatten()
+        inverse = dict(zip(images, op._leaves or ()))
+        source = op._tree if op._dim >= 2 else None
+        return tuple(nodes), tuple(nodes.values()), inverse, source, target
 
 
 OPETOPE_SIG = OpetopeSignature()

@@ -19,10 +19,10 @@ from collections import Counter
 from .address import EMPTY
 from .category import faces_of, slice_classes
 from .errors import CoherenceError, Report, UnknownNameError, Value
-from .opetope import Opetope, arrow, collector_paused, degenerate, from_tree, point
+from .opetope import Opetope, arrow, degenerate, from_tree, point
 from .oset import OpetopicSet, yoneda
 from .polygraph import Cell, Gen1, GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
-from .trees import Tree, corolla, grow_trees
+from .trees import Tree, collector_paused, corolla, grow_trees
 
 
 def realize_opetope(omega: Opetope) -> MtoPolygraph:

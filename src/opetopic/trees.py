@@ -24,7 +24,9 @@ encoding makes grafting and readdressing pure address bookkeeping:
 
 from __future__ import annotations
 
+import gc
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .address import EMPTY, Address, _trusted
@@ -39,6 +41,30 @@ Color = Hashable
 Operation = Hashable
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector around a bulk build that keeps what it
+    makes and makes no reference cycle, where a collection frees nothing.
+    The state on entry comes back on exit, also on an error, so nested
+    builds leave it as the caller had it.  When the outermost pause ends
+    normally and nothing is frozen, ``gc.freeze`` then ``gc.unfreeze``
+    promote every tracked object to the oldest generation in constant
+    time, so no young pass rescans the build; objects the caller made
+    earlier are promoted too.  Never wrap a generator that yields to
+    caller code."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        # ``unfreeze`` would release what the caller froze
+        if enabled and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Signature(ABC):
     """What trees need to know about their node decorations.
 
@@ -50,6 +76,7 @@ class Signature(ABC):
     target) and the ``sub_signature`` those trees live over; this is what
     ``flatten`` needs.  ``source_tree`` is None by default, which marks the
     bottom level, where every operation has one input (arrows, 1-generators).
+    ``grower_entry`` gathers from these what ``grow_trees`` needs of an op.
     """
 
     @abstractmethod
@@ -63,6 +90,16 @@ class Signature(ABC):
 
     def source_tree(self, op: Operation) -> "Tree | None":
         return None
+
+    def grower_entry(self, op: Operation) -> tuple:
+        """``(slots, colors, inverse, source, target)``: the input slots in
+        ascending order and their colors, the gluing inverted from inputs
+        of the target to leaves of the source tree, the source tree, and
+        the target color."""
+        slots, source = self.inputs(op), self.source_tree(op)
+        glue = () if source is None else self.sub_readdress(op).items()
+        colors = tuple(self.source_color(op, slot) for slot in slots)
+        return slots, colors, {s: leaf for leaf, s in glue}, source, self.target_color(op)
 
 
 class Tree:
@@ -380,37 +417,36 @@ def grow_trees(
 
     New leaves and images come from the module's shared address tables,
     ``{leaf: {slots: new leaves}}`` and ``{anchor: {slots: new images}}``,
-    which hold only addresses.  A finished or closed grower leaves no
+    which hold only addresses.  The operation table, one
+    ``sig.grower_entry`` per operation, is built with the collector
+    paused; the yields are not.  A finished or closed grower leaves no
     reference cycle.
     """
     if bound < 1:
         return
     children_of, images_of = _CHILDREN, _IMAGES
-    # per operation: input slots in ascending order and their colors, and
-    # for readdressing the inverted leaf-to-input gluing and its source
-    # tree, the flat tree of its corolla and of any tree left without
-    # leaves by grafting it; operations are bucketed by (target color,
-    # arity) so that the leaf bound picks a prefix
+    # per operation its grower entry, whose source tree is the flat tree
+    # of its corolla and of any tree left without leaves by grafting it;
+    # operations are bucketed by (target color, arity) so that the leaf
+    # bound picks a prefix
     info = {}
     by_target: dict[Color, list[list[Operation]]] = {}
-    for op in operations:
-        slots = sig.inputs(op)
-        colors = tuple(sig.source_color(op, slot) for slot in slots)
-        source = sig.source_tree(op)
-        glue = () if source is None else sig.sub_readdress(op).items()
-        info[op] = (slots, colors, {slot: leaf for leaf, slot in glue}, source)
-        buckets = by_target.setdefault(sig.target_color(op), [])
-        while len(buckets) <= len(slots):
-            buckets.append([])
-        buckets[len(slots)].append(op)
-    readdress = any(source is not None for *_, source in info.values())
-    # per leaf color, admissible[color][s] lists the operations of arity
-    # below s by arity; the last entry lists them all
-    width = max(map(len, by_target.values()), default=0) + 1
-    admissible = {
-        color: [tuple(op for ops in buckets[:s] for op in ops) for s in range(width)]
-        for color, buckets in by_target.items()
-    }
+    with collector_paused():
+        for op in operations:
+            entry = info[op] = sig.grower_entry(op)
+            arity = len(entry[0])
+            buckets = by_target.setdefault(entry[4], [])
+            while len(buckets) <= arity:
+                buckets.append([])
+            buckets[arity].append(op)
+        readdress = any(source is not None for _, _, _, source, _ in info.values())
+        # per leaf color, admissible[color][s] lists the operations of arity
+        # below s by arity; the last entry lists them all
+        width = max(map(len, by_target.values()), default=0) + 1
+        admissible = {
+            color: [tuple(op for ops in buckets[:s] for op in ops) for s in range(width)]
+            for color, buckets in by_target.items()
+        }
 
     # ``grow`` is handed itself: a closure over its own name would make
     # every grower a reference cycle, keeping ``info`` and ``admissible``
@@ -446,7 +482,7 @@ def grow_trees(
                 except KeyError:
                     images = images_of[anchor] = {}
             for op in ops:
-                slots, op_colors, inverse, source = info[op]
+                slots, op_colors, inverse, source, _ = info[op]
                 new_nodes = {**nodes, leaf: op}
                 try:
                     new = children[slots]

@@ -92,6 +92,14 @@ class TestCommands:
         assert process.wait(timeout=120) == 1
         assert err == b""
 
+    def test_running_out_of_memory_is_an_error_not_a_traceback(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_opetopes", exhausted)
+        code, out, err = run(capsys, "enumerate", "--dim", "3", "--max-nodes", "99")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_enumerate_matches_pinned_output(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--dim", "2", "--max-nodes", "3")
         assert code == 0

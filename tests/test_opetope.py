@@ -18,6 +18,7 @@ from opetopic.formats import parse_opetope_file
 from opetopic.opetope import (
     OPETOPE_SIG,
     Opetope,
+    OpetopeSignature,
     arrow,
     check_identities,
     degenerate,
@@ -32,6 +33,7 @@ from opetopic.opetope import (
 from opetopic.oset import yoneda
 from opetopic.realization import unit_check
 from opetopic.trees import (
+    Signature,
     Tree,
     corolla,
     edge_color,
@@ -649,6 +651,22 @@ class TestGrowerAgainstFlatten:
                     assert images == tuple(anchor.concat(slot) for slot in slots)
 
 
+class TestGrowerEntry:
+    """The grower entry read off an opetope equals the one the generic
+    ``Signature`` method gathers from the signature's accessors."""
+
+    @pytest.mark.parametrize("dims, bound", [(range(1, 7), 2), (range(1, 5), 3)])
+    def test_read_off_equals_the_default(self, dims, bound):
+        checked = 0
+        for dim in dims:
+            for omega in enumerate_opetopes(dim, bound):
+                got = OPETOPE_SIG.grower_entry(omega)
+                assert got == Signature.grower_entry(OPETOPE_SIG, omega), str(omega)
+                assert got[4] is omega.target(), str(omega)
+                checked += 1
+        assert checked > 100
+
+
 class TestGrowerLifetime:
     """A grower is freed by reference counting, whether it ran to the end
     or was closed early: it leaves nothing for the cyclic collector."""
@@ -732,6 +750,60 @@ class TestCollectorPause:
             assert opetope._ENUMERATED == {}
         finally:
             collector(before)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_grower_pauses_only_for_its_table(self, enabled):
+        during = []
+
+        class Recording(OpetopeSignature):
+            def grower_entry(self, op):
+                during.append(gc.isenabled())
+                return super().grower_entry(op)
+
+        previous = enumerate_opetopes(3, 2)
+        before = gc.isenabled()
+        try:
+            collector(enabled)
+            grown = grow_trees(Recording(), previous, previous, 2)
+            next(grown)
+            assert gc.isenabled() is enabled
+            grown.close()
+            assert gc.isenabled() is enabled
+            assert during == [False] * len(previous)
+        finally:
+            collector(before)
+
+    def test_a_build_keeps_what_the_caller_froze(self, monkeypatch):
+        monkeypatch.setattr(opetope, "_ENUMERATED", {})
+        before = gc.isenabled()
+        gc.freeze()
+        try:
+            gc.enable()
+            frozen = gc.get_freeze_count()
+            assert len(enumerate_opetopes(4, 2)) == 45
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+            collector(before)
+
+    def test_a_cold_enumeration_leaves_no_young_opetope(self):
+        # the build is promoted to the oldest generation, so that no young
+        # pass rescans it
+        code = (
+            "import gc\n"
+            "from opetopic.opetope import enumerate_opetopes\n"
+            "top = enumerate_opetopes(6, 2)\n"
+            "young = {id(o) for g in (0, 1) for o in gc.get_objects(g)}\n"
+            "print(len(top), sum(id(o) in young for o in top), gc.isenabled())\n"
+        )
+        src = str(Path(opetope.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "815 0 True\n"
 
     def test_a_cold_enumeration_leaves_no_cycle(self):
         # a fresh interpreter, so that no kept enumeration hides the build;

@@ -1,7 +1,7 @@
 """Opetopes as decorated trees, their category, many-to-one polygraphs,
 and the nerve/realization equivalence, all on finite data."""
 
-from .address import EMPTY, Address, compare, parse_address
+from .address import EMPTY, Address, parse_address
 from .category import Face, MorphismClass, compose, faces_of, hom, identity
 from .errors import OpetopicError, Report
 from .opetope import (

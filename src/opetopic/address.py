@@ -89,13 +89,6 @@ EMPTY = Address()
 MAX_ADDRESS_DEPTH = 10_000  # hashing recurses in C as deep as this, unchecked
 
 
-def compare(p: Address, q: Address) -> int:
-    """Total order as an explicit three-way comparison: -1, 0, or 1."""
-    if p == q:
-        return 0
-    return -1 if tuple(p) < tuple(q) else 1
-
-
 def parse_address(text: str) -> Address:
     """Parse the bracketed form; ``*`` is accepted for ``[]`` in entry position."""
     address, index = read_address(text, _skip_ws(text, 0), partial(_error, text))

@@ -20,14 +20,15 @@ dimension 0 and may rely on opetope definitions earlier in the file::
 
 ``#`` starts a comment; printing is canonical and idempotent.
 
-A whole ``gen`` item as ``print_polygraph`` writes it (single-spaced, with
-no comment inside; its bindings are then read with one ``findall``), a
-binding ``ADDRESS <-``, the separator after a bound value, the start of an
-expression and a face entry are each read with one match of a pattern;
-where it fails, the token methods of ``Scanner`` read on from the same
-position and report every error.  A
-``{…}`` or ``<<…>>`` expression, or a subexpression, whose text was read
-as a whole expression earlier in the text is not parsed again.
+Expressions are read by recursive descent, one call per bracket, so the
+nesting bound also keeps the reader within the recursion limit.  A whole
+``gen`` item as ``print_polygraph`` writes it (single-spaced, with no
+comment inside; its bindings are then read with one ``findall``), the
+separator after a bound value, the start of an expression and a face entry
+are each read with one match of a pattern; where it fails, the token
+methods of ``Scanner`` read on from the same position and report every
+error.  A ``{…}`` or ``<<…>>`` expression, or a subexpression, whose text
+was read as a whole expression earlier in the text is not parsed again.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ _GEN = re.compile(
     f"gen ([0-9]+) ({_WORD})"
     f"(?: : (?:({_WORD})|id\\(({_WORD})\\)|\\{{({_BOUNDS})\\}}) -> ({_WORD}))?"
 )
-_BINDING = re.compile(f"{_SKIP}{_RUN}{_SKIP}<-")
 _SEPARATOR = re.compile(_SKIP + "([,}])")
 _EXPR_START = re.compile(f"{_SKIP}(?:(<<|{{)|({_WORD}))")
 _FACE = re.compile(f"{_SKIP}(?:(t)|s{_SKIP}{_RUN}){_SKIP}<-{_SKIP}({_WORD}){_SKIP}([,}}])")
@@ -93,8 +93,9 @@ class Scanner:
     table per text, so equal addresses in one text are one object, and
     memoized by their source text.  ``spans`` maps the text of each whole
     ``{…}`` or ``<<…>>`` expression parsed (one copy each) to its opetope
-    and nesting depth, and every subexpression is looked up there too: such
-    a parse reads nothing past its closing symbol and names are never
+    and the height of the brackets it nests, and every subexpression is
+    looked up there too, where that height stays within ``MAX_NESTING``:
+    such a parse reads nothing past its closing symbol and names are never
     redefined, so a text reads the same wherever it recurs.
     """
 
@@ -173,7 +174,7 @@ class Scanner:
         match = _ADDRESS_RUN.match(self.text, self.pos)
         if match is None:
             raise self.error("an address")
-        known = self.whole_address(match[1])
+        known = self._addresses.get(match[1])
         if known is not None:
             self.pos = match.end()
             return known
@@ -203,109 +204,88 @@ class Scanner:
         return self.error(expected)
 
 
-class _Block:
-    """The ``ADDRESS <- VALUE`` pairs of a braced block after its ``{``,
-    bound one value at a time; an address bound twice is an error naming
-    the lines of both."""
-
-    def __init__(self, scanner: Scanner):
-        self.scanner, self.bindings, self.starts = scanner, {}, {}
-        self._next()
-
-    def _next(self) -> None:
-        scanner = self.scanner
-        self.start = scanner.pos
-        match = _BINDING.match(scanner.text, scanner.pos)
-        address = None if match is None else scanner._addresses.get(match[1])
-        if address is None:
-            self.address = scanner.address()
-            scanner.expect_symbol("<-")
-        else:
-            self.address, scanner.pos = address, match.end()
-
-    def bind(self, value) -> bool:
-        """Bind the pending address; True once the block has closed."""
-        scanner, address = self.scanner, self.address
-        if address in self.bindings:
-            first = scanner.line_at(self.starts[address])
-            second = scanner.line_at(self.start)
+def _block(scanner: Scanner, read) -> dict:
+    """The ``ADDRESS <- VALUE`` pairs of a braced block after its ``{``, each
+    value read by ``read``; an address bound twice is an error naming the
+    lines of both."""
+    bindings, starts = {}, {}
+    while True:
+        start = scanner.pos
+        address = scanner.address()
+        scanner.expect_symbol("<-")
+        value = read()
+        if address in bindings:
+            first, second = scanner.line_at(starts[address]), scanner.line_at(start)
             raise ParseError(
                 f"address {address} bound twice (lines {first} and {second})",
                 *scanner.position(),
             )
-        self.bindings[address], self.starts[address] = value, self.start
+        bindings[address], starts[address] = value, start
         match = _SEPARATOR.match(scanner.text, scanner.pos)
         if match is None:
             raise scanner.error("'}'")
         scanner.pos = match.end()
-        if match[1] == ",":
-            self._next()
-            return False
-        return True
+        if match[1] == "}":
+            return bindings
 
 
 # -- opetope expressions ------------------------------------------------
 
 # printing an opetope, its target and its slice tables recurse per level or
-# dimension; at this depth they stay within the default recursion limit.
-# ``<<`` adds two dimensions, so one expression reaches at most MAX_DIM;
-# a chain of definitions could go on, and is cut off there too.
+# dimension, and so does the expression reader, at two frames per ``{`` and
+# one per ``<<``; at this depth all of them stay within the default
+# recursion limit.  ``<<`` adds two dimensions, so one expression reaches at
+# most MAX_DIM; a chain of definitions could go on, and is cut off there too.
 MAX_NESTING = 64
 MAX_DIM = 2 * MAX_NESTING + 1
 
 
 def parse_opetope_expr(scanner: Scanner, env: dict[str, Opetope]) -> Opetope:
-    """One opetope expression, read with an explicit stack of the enclosing
-    ``<<`` (None) and ``{`` blocks, innermost last."""
-    text, spans = scanner.text, scanner.spans
-    pending: list[_Block | None] = []
-    start, first, deepest = scanner.pos, None, 0
-    while True:
-        if len(pending) > MAX_NESTING:
-            message = f"opetope expression nested more than {MAX_NESTING} deep"
-            raise ParseError(message, *scanner.position())
-        match = _EXPR_START.match(text, scanner.pos)
-        if match is None:
-            raise scanner.error("a name")
-        scanner.pos = match.end()
-        if match[1] is not None:
-            opened = match.start(1)
-            end = scanner.span_end(opened)
-            known = spans.get(text[opened:end]) if end else None
-            if known is None or len(pending) + known[1] > MAX_NESTING:
-                if not pending:
-                    first = opened
-                pending.append(_Block(scanner) if match[1] == "{" else None)
-                deepest = max(deepest, len(pending))
-                continue
-            value, depth = known
-            deepest = max(deepest, len(pending) + depth)
-            scanner.pos = end
-        else:
-            word = match[2]
-            if word in ("point", "arrow"):
-                value = point() if word == "point" else arrow()
-            elif word in env:
-                value = env[word]
-            else:
-                raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
-        while pending:
-            if pending[-1] is None:
-                scanner.expect_symbol(">>")
-                value = degenerate(value)
-            elif pending[-1].bind(value):
-                value = node_map(pending[-1].bindings)
-            else:
-                break
-            pending.pop()
-        else:
-            if value.dim > MAX_DIM:
-                scanner.pos = start
-                message = f"opetope of dimension {value.dim} is above {MAX_DIM}"
-                raise ParseError(message, *scanner.position())
-            if first is not None:
-                spans[text[first : scanner.pos]] = value, deepest
-            return value
+    """One opetope expression; a bracketed one is kept in ``scanner.spans``."""
+    scanner._skip()
+    start = scanner.pos
+    value, height = _expression(scanner, env, 0)
+    if value.dim > MAX_DIM:
+        scanner.pos = start
+        message = f"opetope of dimension {value.dim} is above {MAX_DIM}"
+        raise ParseError(message, *scanner.position())
+    if height:
+        scanner.spans[scanner.text[start : scanner.pos]] = value, height
+    return value
+
+
+def _expression(scanner: Scanner, env: dict[str, Opetope], nesting: int) -> tuple[Opetope, int]:
+    """An expression inside ``nesting`` brackets, and the height of the
+    brackets it nests.  A span read whole before is taken from
+    ``scanner.spans`` where its height stays within the bound."""
+    if nesting > MAX_NESTING:
+        message = f"opetope expression nested more than {MAX_NESTING} deep"
+        raise ParseError(message, *scanner.position())
+    text = scanner.text
+    match = _EXPR_START.match(text, scanner.pos)
+    if match is None:
+        raise scanner.error("a name")
+    scanner.pos = match.end()
+    word = match[2]
+    if word is not None:
+        if word in ("point", "arrow"):
+            return (point() if word == "point" else arrow()), 0
+        if word in env:
+            return env[word], 0
+        raise ParseError(f"unknown opetope name {word!r}", *scanner.position())
+    opened = match.start(1)
+    end = scanner.span_end(opened)
+    known = scanner.spans.get(text[opened:end]) if end else None
+    if known is not None and nesting + known[1] <= MAX_NESTING:
+        scanner.pos = end
+        return known
+    if match[1] == "<<":
+        value, height = _expression(scanner, env, nesting + 1)
+        scanner.expect_symbol(">>")
+        return degenerate(value), height + 1
+    pairs = _block(scanner, functools.partial(_expression, scanner, env, nesting + 1))
+    height = max(height for _, height in pairs.values())
+    return node_map({address: pair[0] for address, pair in pairs.items()}), height + 1
 
 
 def parse_opetope_file(text: str) -> dict[str, Opetope]:
@@ -344,10 +324,7 @@ def parse_cell_tree(scanner: Scanner) -> Tree:
         scanner.expect_symbol(")")
         return Tree.unit(name)
     scanner.expect_symbol("{")
-    block = _Block(scanner)
-    while not block.bind(scanner.name()):
-        pass
-    return Tree.of(block.bindings)
+    return Tree.of(_block(scanner, scanner.name))
 
 
 def parse_polygraph(text: str) -> MtoPolygraph:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from opetopic.address import EMPTY, Address, compare, parse_address, read_address
+from opetopic.address import EMPTY, Address, parse_address, read_address
 from opetopic.errors import ParseError
 from opetopic.opetope import enumerate_opetopes
 
@@ -40,28 +40,28 @@ class TestConcat:
 
 class TestCompare:
     def test_prefix_before_extension(self):
-        assert compare(EMPTY, STAR) == -1
+        assert EMPTY < STAR
 
     def test_reflexive(self):
-        assert compare(STAR, STAR) == 0
+        assert STAR == STAR and not STAR < STAR
 
     def test_recursive_lexicographic(self):
-        assert compare(parse_address("[[*]]"), parse_address("[[**]]")) == -1
+        assert parse_address("[[*]]") < parse_address("[[**]]")
 
     @given(addresses(), addresses())
     def test_matches_nested_tuple_order(self, p, q):
         if nested(p) < nested(q):
-            assert compare(p, q) == -1
+            assert p < q and p != q
         elif nested(p) == nested(q):
-            assert compare(p, q) == 0
+            assert p == q and not p < q
         else:
-            assert compare(p, q) == 1
+            assert q < p and p != q
 
     @given(addresses(), addresses(), addresses())
     def test_total_order(self, p, q, r):
-        assert compare(p, q) == -compare(q, p)
-        if compare(p, q) <= 0 and compare(q, r) <= 0:
-            assert compare(p, r) <= 0
+        assert (p < q) + (p == q) + (q < p) == 1
+        if (p < q or p == q) and (q < r or q == r):
+            assert p < r or p == r
 
     def test_sorting_deterministic(self):
         batch = [parse_address(s) for s in ["[[*]]", "[]", "[*]", "[**]", "[[]]"]]

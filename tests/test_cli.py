@@ -351,6 +351,22 @@ class TestCommands:
         code, out, _ = run(capsys, command, "--expr", "<<" * 64 + "point" + ">>" * 64)
         assert code == 0 and out
 
+    @pytest.mark.parametrize(
+        "command, size",
+        [("target", 510), ("realize", 28_685), ("yoneda", 62_920), ("identities", 5)],
+    )
+    def test_braces_at_the_nesting_bound_still_work(self, capsys, command, size):
+        # braces cost the reader the most frames per level
+        expr = "{[] <- " * 64 + "arrow" + "}" * 64
+        code, out, _ = run(capsys, command, "--expr", expr)
+        assert code == 0 and len(out.encode()) == size
+
+    def test_braces_past_the_nesting_bound_are_an_error(self, capsys):
+        expr = "{[] <- " * 65 + "arrow" + "}" * 65
+        code, out, err = run(capsys, "target", "--expr", expr)
+        assert code == 2 and out == ""
+        assert err == "error: line 1, column 456: opetope expression nested more than 64 deep\n"
+
     @pytest.mark.parametrize("command", ["target", "realize", "yoneda"])
     def test_deep_chain_of_definitions_is_an_error_not_a_crash(
         self, capsys, tmp_path, command

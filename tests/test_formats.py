@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -109,6 +110,62 @@ class TestOpetopeExpressions:
         assert str(info.value) == (
             "line 2, column 468: opetope expression nested more than 64 deep"
         )
+
+    def test_nesting_bound_holds_for_a_repeated_degenerate_span(self):
+        """The same rule for ``<<``: a span read whole at depth 40 is too
+        deep where it recurs under 30 more brackets."""
+        inner = "<<" * 40 + "point" + ">>" * 40
+        text = f"opetope a = {inner}\nopetope b = " + "<<" * 30 + inner + ">>" * 30 + "\n"
+        with pytest.raises(ParseError) as info:
+            parse_opetope_file(text)
+        assert str(info.value) == (
+            "line 2, column 143: opetope expression nested more than 64 deep"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "<<" * 40 + "point" + ">>" * 39,
+                "line 1, column 164: expected '>>', found 'end of input'",
+            ),
+            (
+                "{[] <- " * 40 + "arrow" + "}" * 39,
+                "line 1, column 325: expected '}', found 'end of input'",
+            ),
+            (
+                "{[] <- " * 20 + "<<" * 20 + "nope" + ">>" * 20 + "}" * 20,
+                "line 1, column 185: unknown opetope name 'nope'",
+            ),
+            (
+                "{[] <- " * 30 + "arrow, [] <- arrow" + "}" * 30,
+                "line 1, column 229: address [] bound twice (lines 1 and 1)",
+            ),
+            (
+                "{[] <- " * 30 + "arrow ; [] <- arrow" + "}" * 30,
+                "line 1, column 217: expected '}', found ';'",
+            ),
+        ],
+    )
+    def test_errors_deep_inside_an_expression_keep_their_positions(self, text, message):
+        with pytest.raises(ParseError) as info:
+            expr(text)
+        assert str(info.value) == message
+
+    def test_the_deepest_expression_parses_within_a_small_recursion_budget(self):
+        """Braces cost the reader the most frames per level; 64 of them
+        parse with 250 frames to spare above the caller."""
+        text = "{[] <- " * 64 + "arrow" + "}" * 64
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 250)
+        try:
+            omega = expr(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert omega.dim == 65
 
     def test_memo_keeps_one_text_per_whole_expression(self):
         """The span memo keeps whole expressions only, so a deep expression

@@ -445,6 +445,26 @@ class TestComposition:
         assert P.compose_total(base, assignment) == base
 
 
+    @pytest.mark.parametrize("total", [False, True])
+    def test_cells_of_different_dimensions_do_not_compose(self, path_polygraph, total):
+        P = path_polygraph
+        base, inner = P.generator_cell(2, "m"), P.generator_cell(1, "f")
+        with pytest.raises(CompositionError) as info:
+            if total:
+                P.compose_total(base, {STAR: inner})
+            else:
+                P.compose_at(base, EMPTY, inner)
+        assert str(info.value) == "cannot compose cells of dimensions 2 and 1"
+
+    def test_total_composition_names_spurious_leaves(self, path_polygraph):
+        P = path_polygraph
+        unit = P.identity_cell(0, "a")
+        assignment = {STAR: unit, Address((EMPTY, EMPTY)): unit}
+        with pytest.raises(CompositionError) as info:
+            P.compose_total(P.generator_cell(1, "f"), assignment)
+        assert str(info.value) == "total grafting: spurious leaves [**]"
+
+
 class TestDecompose:
     def test_path_cell(self, path_polygraph):
         cell = Cell(1, Tree.of({EMPTY: "g", STAR: "f"}))
@@ -629,6 +649,29 @@ class TestMorphisms:
         )
         assert partial.validate().failures == [
             "morphism undefined on 1-generator 'f'"
+        ]
+
+    def test_validate_reports_every_kind_of_failure(self):
+        P = MtoPolygraph()
+        for name in "ab":
+            P.add_point(name)
+        P.add_arrow("f", "a", "b")
+        P.add_arrow("g", "b", "a")
+        P.add_generator(2, "m", Tree.of({EMPTY: "f"}), "f")
+        Q = MtoPolygraph()
+        for name in "xy":
+            Q.add_point(name)
+        Q.add_arrow("h", "x", "y")
+        Q.add_arrow("k", "y", "x")
+        Q.add_generator(2, "n", Tree.of({EMPTY: "h"}), "h")
+        Q.add_generator(2, "n2", Tree.of({EMPTY: "k"}), "h")
+        maps = {0: {"a": "x", "b": "y", "zz": "x"}, 1: {"f": "k", "g": "nope"}, 2: {"m": "n2"}}
+        assert PolygraphMorphism(P, Q, maps).validate().failures == [
+            "map names unknown 0-generator 'zz'",
+            "1-generator 'f': source not preserved",
+            "1-generator 'f': target not preserved",
+            "1-generator 'g' maps to unknown 'nope'",
+            "2-generator 'm': target not preserved",
         ]
 
     def test_naturality_on_random_cells(self, loop_polygraph):

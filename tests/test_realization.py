@@ -758,6 +758,22 @@ class TestUnitCounit:
         monkeypatch.setattr(realization, "_realize", realize_with_extra)
         assert unit_check(X).failures == [message]
 
+    def test_unit_reports_a_changed_face(self, monkeypatch, path_polygraph):
+        X = nerve(path_polygraph, 2)
+        build = realization.nerve
+
+        def nerve_with_faces(P, max_dim):
+            Y = build(P, max_dim)
+            Y.cells[arrow()]["f"] = ("a", "a")
+            Y.cells[opetopic_integer(2)]["m"] = ("h", "f", "f")
+            return Y
+
+        monkeypatch.setattr(realization, "nerve", nerve_with_faces)
+        assert unit_check(X).failures == [
+            "cell 'f' at arrow: face t gives 'a', expected 'b'",
+            "cell 'm' at {[] <- arrow, [*] <- arrow}: face s[] gives 'f', expected 'g'",
+        ]
+
     def test_unit_reports_a_cell_whose_generator_has_another_shape(self):
         # an unvalidated set: c's source face names a 2-cell at the wrong shape
         X = OpetopicSet(max_dim=3)

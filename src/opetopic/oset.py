@@ -36,16 +36,7 @@ class OpetopicSet(Value):
         return list(self.cells.get(shape, ()))
 
     def add_cell(self, shape: Opetope, name: str, faces: Sequence[str] = ()) -> None:
-        expected = len(faces_of(shape))
-        if len(faces) != expected:
-            raise OpetopicError(
-                f"cell {name!r} at {shape}: {len(faces)} faces given, "
-                f"its shape has {expected}"
-            )
-        bucket = self.cells.setdefault(shape, {})
-        if name in bucket:
-            raise UnknownNameError(f"duplicate cell {name!r} at shape {shape}")
-        bucket[name] = tuple(faces)
+        _file(self.cells, shape, name, tuple(faces))
 
     def face(self, shape: Opetope, name: str, face: Face) -> str:
         """The cell that ``face``, a face of ``shape``, gives cell ``name``."""
@@ -69,6 +60,19 @@ class OpetopicSet(Value):
         for face in cls.word:
             current = self.face(face.codomain, current, face)
         return current
+
+
+def _file(cells: dict, shape: Opetope, name: str, faces: tuple[str, ...]) -> None:
+    """File a cell under its shape; a wrong face count or a taken name raises."""
+    expected = len(faces_of(shape))
+    if len(faces) != expected:
+        raise OpetopicError(
+            f"cell {name!r} at {shape}: {len(faces)} faces given, its shape has {expected}"
+        )
+    bucket = cells.setdefault(shape, {})
+    if name in bucket:
+        raise UnknownNameError(f"duplicate cell {name!r} at shape {shape}")
+    bucket[name] = faces
 
 
 def _index(face: Face) -> int:
@@ -129,6 +133,7 @@ def yoneda(omega: Opetope, max_dim: int) -> OpetopicSet:
     X = OpetopicSet(max_dim=max_dim)
     table = slice_table(omega)
     names, domains = table.names, table.domains
-    for i in sorted(range(len(domains)), key=lambda i: domains[i].dim):
-        X.add_cell(domains[i], names[i], [names[j] for j in table.action[i]])
+    dims, name_of = [domain.dim for domain in domains], names.__getitem__
+    for i in sorted(range(len(domains)), key=dims.__getitem__):
+        _file(X.cells, domains[i], names[i], tuple(map(name_of, table.action[i])))
     return X

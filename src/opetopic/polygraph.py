@@ -80,49 +80,6 @@ def print_cell_tree(tree: Tree) -> str:
     return "{" + bindings + "}"
 
 
-class StageSignature(Signature):
-    """Signature of dimension-n cells of a polygraph.
-
-    Colors are the (n-1)-generators, operations the n-generators; the
-    inputs of an n-generator are the node addresses of its source tree
-    (the single root slot for n = 1).  The gluing map needed by flatten is
-    itself computed one dimension down, bottoming out at n = 1, where
-    1-generators have no source tree and a cell is a chain.  Operations
-    are read from the polygraph's namespace of dimension n, bound once.
-    """
-
-    def __init__(self, polygraph: "MtoPolygraph", dim: int):
-        self.polygraph = polygraph
-        self.dim = dim
-        self.gens = polygraph._generators(dim)
-
-    def inputs(self, op: str) -> tuple[Address, ...]:
-        if self.dim == 1:
-            return (EMPTY,)
-        return self.gens[op].source_tree.node_addresses()
-
-    def source_color(self, op: str, address: Address) -> str:
-        if self.dim == 1:
-            if address != EMPTY:
-                raise AddressError(f"a 1-generator has one input, not {address}")
-            return self.gens[op].source
-        return self.gens[op].source_tree.decoration(address)
-
-    def target_color(self, op: str) -> str:
-        return self.gens[op].target
-
-    def source_tree(self, op: str) -> Tree | None:
-        if self.dim < 2:
-            return None
-        return self.gens[op].source_tree
-
-    def sub_readdress(self, op: str) -> dict[Address, Address]:
-        return self.polygraph._flat_source(self.dim, op).readdress
-
-    def sub_signature(self) -> "StageSignature":
-        return self.polygraph.stage(self.dim - 1)
-
-
 class _Generators(dict):
     """The generators of one dimension by name; a name not there is an
     ``UnknownNameError``, also where a signature reads it directly."""
@@ -137,6 +94,51 @@ class _Generators(dict):
         raise UnknownNameError(f"no {self.dim}-generator named {name!r}")
 
 
+class StageSignature(Signature):
+    """Signature of dimension-n cells of a polygraph.
+
+    Colors are the (n-1)-generators, operations the n-generators; the
+    inputs of an n-generator are the node addresses of its source tree
+    (the single root slot for n = 1).  The gluing map needed by flatten
+    reads an operation's source, flattened once over the stage below and
+    kept, bottoming out at n = 1, where a cell is a chain.  A stage holds
+    the namespace of dimension n, the stage below and that memo, and
+    nothing that points back at the polygraph, which keeps it.
+    """
+
+    def __init__(self, gens: _Generators, below: "StageSignature | None"):
+        self.dim, self.gens, self.below = gens.dim, gens, below
+        self.flat_sources: dict[str, FlattenResult] = {}
+
+    def inputs(self, op: str) -> tuple[Address, ...]:
+        return self.gens[op].source_tree.node_addresses() if self.dim > 1 else (EMPTY,)
+
+    def source_color(self, op: str, address: Address) -> str:
+        if self.dim == 1:
+            if address != EMPTY:
+                raise AddressError(f"a 1-generator has one input, not {address}")
+            return self.gens[op].source
+        return self.gens[op].source_tree.decoration(address)
+
+    def target_color(self, op: str) -> str:
+        return self.gens[op].target
+
+    def source_tree(self, op: str) -> Tree | None:
+        return self.gens[op].source_tree if self.dim > 1 else None
+
+    def flat_source(self, op: str) -> FlattenResult:
+        """The flattened source tree of an operation, computed once."""
+        if op not in self.flat_sources:
+            self.flat_sources[op] = flatten(self.below, self.gens[op].source_tree)
+        return self.flat_sources[op]
+
+    def sub_readdress(self, op: str) -> dict[Address, Address]:
+        return self.flat_source(op).readdress
+
+    def sub_signature(self) -> "StageSignature | None":
+        return self.below
+
+
 class MtoPolygraph:
     """A finite many-to-one polygraph presentation.
 
@@ -147,7 +149,7 @@ class MtoPolygraph:
 
     def __init__(self) -> None:
         self._dims: list[_Generators] = []
-        self._flat_sources: dict[tuple[int, str], FlattenResult] = {}
+        self._stages: list[StageSignature | None] = [None]  # none at dimension 0
 
     # -- construction -------------------------------------------------
 
@@ -192,19 +194,20 @@ class MtoPolygraph:
         return self._generators(dim)[name]
 
     def stage(self, dim: int) -> StageSignature:
-        """The signature of dimension-``dim`` cells, built on each call:
-        kept here, it would point back and make the polygraph a cycle."""
+        """The signature of dimension-``dim`` cells, kept from its first use;
+        past ``max_dim`` a new one, not kept, so a later declaration is seen."""
         if dim < 1:
             raise ValueError("cell signatures start at dimension 1")
-        return StageSignature(self, dim)
+        if dim < len(self._stages):
+            return self._stages[dim]
+        stage = StageSignature(self._generators(dim), self.stage(dim - 1) if dim > 1 else None)
+        if dim <= self.max_dim:
+            self._stages.append(stage)
+        return stage
 
     def _flat_source(self, dim: int, op: str) -> FlattenResult:
-        """The flattened source tree of a generator, computed once."""
-        key = (dim, op)
-        if key not in self._flat_sources:
-            tree = self.gen_data(dim, op).source_tree
-            self._flat_sources[key] = flatten(self.stage(dim - 1), tree)
-        return self._flat_sources[key]
+        """The flattened source tree of a generator, kept by its stage."""
+        return self.stage(dim).flat_source(op)
 
     # -- cells --------------------------------------------------------
 
@@ -269,30 +272,28 @@ class MtoPolygraph:
         """Check reference integrity, source-tree coherence, and the
         parallelism of every generator's boundary pair.
 
-        A generator's source composite is flattened once, into the memo
-        that flattening higher cells reads its readdressing from, and is
+        A generator's source composite is flattened once, into its stage's
+        memo, which flattening higher cells reads its readdressing from, and is
         compared with the target generator's own source tree (its source
         point in dimension 2); no target corolla is flattened."""
-        report = Report()
-        for name in self.generators(1):
-            data = self.gen_data(1, name)
+        report, dims = Report(), self._dims
+        for name, data in dims[1].items() if len(dims) > 1 else ():
             for end in (data.source, data.target):
-                if not self.has_generator(0, end):
+                if end not in dims[0]:
                     report.fail(f"1-generator {name!r}: unknown endpoint {end!r}")
-        for dim in range(2, self.max_dim + 1):
-            sig = self.stage(dim - 1)
-            for name in self.generators(dim):
-                data = self.gen_data(dim, name)
-                if not self.has_generator(dim - 1, data.target):
+        for dim in range(2, len(dims)):
+            sig, below = self.stage(dim - 1), dims[dim - 1]
+            for name, data in dims[dim].items():
+                if data.target not in below:
                     report.fail(f"{dim}-generator {name!r}: unknown target {data.target!r}")
                     continue
                 tree = data.source_tree
                 try:
                     if tree.is_unit:
-                        self.gen_data(dim - 2, tree.unit_color)
+                        dims[dim - 2][tree.unit_color]  # an unknown name raises
                     else:
                         for op in tree.nodes.values():
-                            sig.gens[op]  # an unknown name raises
+                            below[op]
                     check_tree(sig, tree)
                 except (CoherenceError, UnknownNameError, AddressError) as error:
                     report.fail(f"{dim}-generator {name!r}: {error}")
@@ -300,9 +301,10 @@ class MtoPolygraph:
                 # parallel(source, target corolla) without flattening the
                 # corolla: its source is the target's own source (tree or
                 # point), and its target is the target's target
-                target = self.gen_data(dim - 1, data.target)
+                target = below[data.target]
                 try:
-                    parallel = self.target_name(Cell(dim - 1, tree)) == target.target
+                    root = tree.unit_color if tree.is_unit else below[tree.nodes[EMPTY]].target
+                    parallel = root == target.target
                     if parallel:
                         flat = self._flat_source(dim, name).tree
                         if dim == 2:
@@ -393,29 +395,22 @@ class PolygraphMorphism(Value):
     def validate(self) -> Report:
         report = Report()
         for dim, mapping in sorted(self.maps.items()):
+            sources, targets = self.source._generators(dim), self.target._generators(dim)
+            # a boundary name the map lacks is reported below, not compared
+            lower = self.maps.get(dim - 1, {})
             for name, image in mapping.items():
-                if not self.source.has_generator(dim, name):
+                if name not in sources:
                     report.fail(f"map names unknown {dim}-generator {name!r}")
-                    continue
-                if not self.target.has_generator(dim, image):
-                    report.fail(
-                        f"{dim}-generator {name!r} maps to unknown {image!r}"
-                    )
-                    continue
-                # a boundary name the map lacks is reported below, not compared
-                lower = self.maps.get(dim - 1, {})
-                if dim == 1:
-                    data = self.source.gen_data(1, name)
-                    image_data = self.target.gen_data(1, image)
-                    if lower.get(data.source, image_data.source) != image_data.source:
-                        report.fail(f"1-generator {name!r}: source not preserved")
-                    if lower.get(data.target, image_data.target) != image_data.target:
-                        report.fail(f"1-generator {name!r}: target not preserved")
-                elif dim >= 2:
-                    data = self.source.gen_data(dim, name)
-                    image_data = self.target.gen_data(dim, image)
-                    if lower.get(data.target, image_data.target) != image_data.target:
-                        report.fail(f"{dim}-generator {name!r}: target not preserved")
+                elif image not in targets:
+                    report.fail(f"{dim}-generator {name!r} maps to unknown {image!r}")
+                elif dim:
+                    data, image_data = sources[name], targets[image]
+                    for side in ("source", "target") if dim == 1 else ("target",):
+                        end = getattr(image_data, side)
+                        if lower.get(getattr(data, side), end) != end:
+                            report.fail(f"{dim}-generator {name!r}: {side} not preserved")
+                    if dim == 1:
+                        continue
                     try:
                         tree = self.map_tree(dim - 1, data.source_tree)
                     except UnknownNameError:

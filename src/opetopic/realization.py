@@ -62,12 +62,9 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
         P.add_arrow("x1_0", "o", "o")
     for dim in range(2, max_dim + 1):
         chains = dim == 2  # 1-cells are chains, with a point as source
-        lookup: dict[tuple, str] = {}
-        for name in P.generators(dim - 1):
-            data = P.gen_data(dim - 1, name)
-            lookup[(data.source if chains else data.source_tree, data.target)] = name
-        sig, gens = P.stage(dim - 1), P.generators(dim - 1)
-        grown = grow_trees(sig, gens, gens, budget)
+        sig = P.stage(dim - 1)
+        lookup = {(g.source if chains else g.source_tree, g.target): v for v, g in sig.gens.items()}
+        grown = grow_trees(sig, sig.gens, sig.gens, budget)
         # identities are looked up by their corolla, grown cells by flat source
         cells = [(Tree.unit(v), corolla(v), v) for v in P.generators(dim - 2)]
         cells += [(t, flat, sig.target_color(t.nodes[EMPTY])) for t, flat, *_ in grown]
@@ -101,29 +98,28 @@ def shape_opetope(
     name: str,
     _memo: dict[int, dict[str, Opetope]] | None = None,
 ) -> Opetope:
-    """Replace every generator in the source tree by its shape, recursively.
-
-    ``_memo`` keeps the shapes found per dimension; where the dimension
-    below is complete, as when a caller walks the dimensions in order, a
-    decoration's shape is looked up there, with no call."""
+    """Replace every generator in the source tree by its shape, recursively;
+    ``_memo`` keeps the shapes found per dimension."""
     memo = _memo if _memo is not None else {}
     shapes = memo.setdefault(dim, {})
-    if name in shapes:
-        return shapes[name]
-    data = P.gen_data(dim, name)
+    if name not in shapes:
+        shapes[name] = _shape(P, dim, P.gen_data(dim, name), memo)
+    return shapes[name]
+
+
+def _shape(P: MtoPolygraph, dim: int, data, memo: dict[int, dict[str, Opetope]]) -> Opetope:
+    """The shape of a generator from its data; a decoration's shape is read
+    from ``memo`` where the dimension below is complete, as ``nerve`` has it."""
     if dim < 2:
-        shape = arrow() if dim else point()
-    elif data.source_tree.is_unit:
-        shape = degenerate(shape_opetope(P, dim - 2, data.source_tree.unit_color, memo))
-    else:
-        below = memo.get(dim - 1, {})
-        nodes = {
-            p: below[op] if op in below else shape_opetope(P, dim - 1, op, memo)
-            for p, op in data.source_tree.nodes.items()
-        }
-        shape = from_tree(Tree._wrap(nodes), validate=True)
-    shapes[name] = shape
-    return shape
+        return arrow() if dim else point()
+    if data.source_tree.is_unit:
+        return degenerate(shape_opetope(P, dim - 2, data.source_tree.unit_color, memo))
+    below = memo.get(dim - 1, {})
+    nodes = {
+        p: below[op] if op in below else shape_opetope(P, dim - 1, op, memo)
+        for p, op in data.source_tree.nodes.items()
+    }
+    return from_tree(Tree._wrap(nodes), validate=True)
 
 
 def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
@@ -231,18 +227,19 @@ def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
     """Generators collected by shape, a dimension at a time; each
     generator's faces are its target, then its source decorations in
     address order, which is the shape's, since the shape has the source
-    tree's node addresses."""
+    tree's node addresses, and names are unique: no cell needs ``add_cell``."""
     X = OpetopicSet(max_dim=max_dim)
     memo: dict[int, dict[str, Opetope]] = {}
     for dim in range(min(P.max_dim, max_dim) + 1):
+        shapes = memo[dim] = {}
         for name, data in P._generators(dim).items():
-            shape, faces = shape_opetope(P, dim, name, memo), ()
-            if dim == 1:
-                faces = (data.target, data.source)
-            elif dim:
+            shape = shapes[name] = _shape(P, dim, data, memo)
+            if dim < 2:
+                faces = (data.target, data.source) if dim else ()
+            else:
                 tree = data.source_tree
                 faces = (data.target, *(() if tree.is_unit else tree.nodes.values()))
-            X.add_cell(shape, name, faces)
+            X.cells.setdefault(shape, {})[name] = faces
     return X
 
 
@@ -252,11 +249,13 @@ def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
 def unit_check(X: OpetopicSet) -> Report:
     """Cells correspond to same-shape generators of the realization,
     compatibly with every generating face: the realization's nerve is
-    compared with X, cell for cell."""
+    compared with X, shape for shape, then cell for cell where they differ."""
     report = Report()
     named = distinct_names(X)
     P = _realize(named)
     Y = nerve(P, max(P.max_dim, 0))
+    if all(Y.cells.get(shape) == cells for shape, cells in named.cells.items() if cells):
+        return report
     for shape in named.support():
         found = Y.cells.get(shape, {})
         for cell, (gen, values) in zip(X.cells[shape], named.cells[shape].items()):

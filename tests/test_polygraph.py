@@ -819,3 +819,27 @@ class TestEnumerateCells:
         assert sig.inputs("m") == path_polygraph.gen_data(
             2, "m"
         ).source_tree.node_addresses()
+
+
+class TestStages:
+    def test_one_stage_per_dimension(self, path_polygraph):
+        P = path_polygraph
+        assert P.stage(1) is P.stage(1)
+        assert P.stage(2) is P.stage(2)
+        assert P.stage(2).sub_signature() is P.stage(1)
+        with pytest.raises(ValueError):
+            P.stage(0)
+
+    def test_stage_above_max_dim_sees_a_later_declaration(self, path_polygraph):
+        P = path_polygraph
+        early = P.stage(3)
+        assert P.max_dim == 2 and not early.gens
+        assert early.sub_signature() is P.stage(2)
+        P.add_generator(3, "A", corolla("m"), "m")
+        assert "A" in P.stage(3).gens
+        assert P.stage(3) is P.stage(3)
+        assert P.stage(4).sub_signature() is P.stage(3)
+        assert P.validate().ok
+        assert P.source_cell(P.generator_cell(3, "A")) == Cell(2, corolla("m"))
+        P.add_generator(3, "B", corolla("m"), "zz")
+        assert P.validate().failures == ["3-generator 'B': unknown target 'zz'"]

@@ -50,7 +50,7 @@ from opetopic.realization import (
     terminal_polygraph,
     unit_check,
 )
-from opetopic.trees import Tree
+from opetopic.trees import Tree, edge_color, leaf_addresses
 
 from randomized import random_polygraph
 from test_polygraph import enumerate_cells
@@ -867,16 +867,73 @@ def collector_off():
 
 
 class TestLifetimes:
-    """A polygraph holds no reference cycle, so it and its flatten memo
-    are freed by reference counting as soon as the last reference goes,
-    with the cyclic collector off."""
+    """A polygraph holds no reference cycle: its stages, one per dimension,
+    keep their namespace, the stage below and the flat-source memo, and
+    none points back at it.  So it is freed by reference counting as soon
+    as the last reference goes, with the cyclic collector off, whatever
+    used its stages."""
 
     def test_parsed_and_validated_polygraph(self):
         text = print_polygraph(random_polygraph(random.Random(12)))
         with collector_off():
             P = parse_polygraph(text)
             assert P.validate().ok
-            assert P._flat_sources
+            assert any(P.stage(dim).flat_sources for dim in range(2, P.max_dim + 1))
+            alive = weakref.ref(P)
+            del P
+            assert alive() is None
+
+    def test_after_source_cell(self):
+        text = print_polygraph(random_polygraph(random.Random(19)))
+        with collector_off():
+            P = parse_polygraph(text)
+            for dim in range(2, P.max_dim + 1):
+                for name in P.generators(dim):
+                    P.source_cell(Cell(dim - 1, P.gen_data(dim, name).source_tree))
+            assert any(P.stage(dim).flat_sources for dim in range(2, P.max_dim + 1))
+            alive = weakref.ref(P)
+            del P
+            assert alive() is None
+
+    def test_after_compose_total(self):
+        text = print_polygraph(random_polygraph(random.Random(15)))
+        with collector_off():
+            P = parse_polygraph(text)
+            sig = P.stage(P.max_dim)
+            for name in P.generators(P.max_dim):
+                base = P.generator_cell(P.max_dim, name)
+                assignment = {
+                    leaf: P.identity_cell(P.max_dim - 1, edge_color(sig, base.tree, leaf))
+                    for leaf in leaf_addresses(sig, base.tree)
+                }
+                assert P.compose_total(base, assignment) == base
+            # a stage held on its own does not keep its polygraph alive
+            alive = weakref.ref(P)
+            del P
+            assert alive() is None
+
+    def test_after_counit_check(self, monkeypatch):
+        text = print_polygraph(random_polygraph(random.Random(16)))
+        built = []
+        init = MtoPolygraph.__init__
+
+        def recording_init(self):
+            init(self)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(MtoPolygraph, "__init__", recording_init)
+        with collector_off():
+            P = parse_polygraph(text)
+            assert counit_check(P).ok
+            # the parsed one and the realization of its nerve
+            assert len(built) == 2
+            del P
+            assert [ref() for ref in built] == [None] * 2
+
+    def test_terminal_polygraph(self):
+        with collector_off():
+            P = terminal_polygraph(3, 2)
+            assert P.generators(3)
             alive = weakref.ref(P)
             del P
             assert alive() is None

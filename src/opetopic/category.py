@@ -11,9 +11,11 @@ programming over its generating faces: the identity, plus each face f
 followed by a class from the table of the domain of f, glued by a
 union-find along the relation squares.  The squares preserve length, so a
 class is named by its least member (target before sources, then by
-address).  The same pass fills in each class's name and its precomposition
-with every face of its domain, so the representable is read off the
-table, and composition is a lookup in the tables.
+address).  The same pass fills in each class's name, its precomposition
+with every face of its domain, and ``by_domain``, the classes grouped by
+domain in class order.  So a hom-set is one lookup in ``by_domain``, the
+representable and its realization are read off the table, and
+composition is a lookup in the tables.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ def source_index(omega: Opetope, address: Address) -> int:
         return indexOf(_node_addresses(omega), address) + 1
     except ValueError:
         raise CompositionError(f"{address} is not a node address of {omega}") from None
+
+
+def face_index(face: Face) -> int:
+    """The position of ``face`` in ``faces_of`` of its codomain."""
+    return 0 if face.address is None else source_index(face.codomain, face.address)
 
 
 def faces_of(omega: Opetope) -> tuple[Face, ...]:
@@ -151,12 +158,13 @@ class SliceTable:
     ``(k, c) = first[i]``.  ``through[k][c]`` is the class of the pair
     (k, c) for every c, least or not.  ``names[i]`` is the printed least
     word, innermost face first, and ``action[i][j]`` is the class of
-    class i followed by face j of its domain.
+    class i followed by face j of its domain.  ``by_domain[phi]`` lists
+    the classes with domain ``phi`` in class order, domains in order of
+    their first class.
     """
 
     def __init__(self, omega: Opetope) -> None:
         self.faces = faces_of(omega)
-        self.position = {face: k for k, face in enumerate(self.faces)}
         self.subtables = [slice_table(face.domain) for face in self.faces]
         offsets = list(accumulate((len(t.first) for t in self.subtables), initial=0))
         parent = list(range(offsets[-1]))
@@ -171,7 +179,7 @@ class SliceTable:
         # for every class c into its common domain
         for square in relation_instances(omega):
             (f1, g1), (f2, g2) = square.left, square.right
-            k1, k2 = self.position[f1], self.position[f2]
+            k1, k2 = face_index(f1), face_index(f2)
             left, right = self.subtables[k1].lift(g1), self.subtables[k2].lift(g2)
             for a, b in zip(left, right):
                 parent[find(offsets[k1] + a)] = find(offsets[k2] + b)
@@ -180,6 +188,7 @@ class SliceTable:
         # with its least pair (face, subclass): visit pairs in that order
         self.first: list[tuple[int, int] | None] = [None]
         self.lengths, self.domains = [0], [omega]
+        self.by_domain: dict[Opetope, tuple[int, ...]] = {omega: (0,)}
         number: dict[int, int] = {}
         pairs = (
             (length + 1, k, c)
@@ -192,7 +201,9 @@ class SliceTable:
                 number[root] = len(self.first)
                 self.first.append((k, c))
                 self.lengths.append(length)
-                self.domains.append(self.subtables[k].domains[c])
+                domain = self.subtables[k].domains[c]
+                self.domains.append(domain)
+                self.by_domain[domain] = self.by_domain.get(domain, ()) + (number[root],)
         self.through = [
             tuple([number[find(offsets[k] + c)] for c in range(len(table.first))])
             for k, table in enumerate(self.subtables)
@@ -208,7 +219,7 @@ class SliceTable:
     def lift(self, face: Face) -> tuple[int, ...]:
         """For each class c into the domain of ``face``, the class of
         ``face`` followed by c."""
-        return self.through[self.position[face]]
+        return self.through[face_index(face)]
 
 
 def slice_table(omega: Opetope) -> SliceTable:
@@ -298,6 +309,5 @@ def slice_classes(omega: Opetope) -> dict[int, list[MorphismClass]]:
 
 
 def hom(phi: Opetope, omega: Opetope) -> list[MorphismClass]:
-    """All morphisms from ``phi`` to ``omega`` in deterministic order."""
-    domains = slice_table(omega).domains
-    return [MorphismClass(omega, i) for i, domain in enumerate(domains) if domain == phi]
+    """All morphisms from ``phi`` to ``omega``, in class order."""
+    return [MorphismClass(omega, i) for i in slice_table(omega).by_domain.get(phi, ())]

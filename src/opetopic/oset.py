@@ -11,8 +11,9 @@ commute on every cell, which is what ``validate_oset`` checks.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 
-from .category import Face, MorphismClass, faces_of, relation_instances, slice_table, source_index
+from .category import Face, MorphismClass, face_index, faces_of, relation_instances, slice_table
 from .errors import CompositionError, OpetopicError, Report, UnknownNameError, Value
 from .opetope import Opetope, print_key
 
@@ -45,7 +46,7 @@ class OpetopicSet(Value):
             raise UnknownNameError(f"no cell {name!r} at shape {shape}")
         if face.codomain is not shape:
             raise CompositionError(f"face {face} of {face.codomain} is not a face of {shape}")
-        return faces[_index(face)]
+        return faces[face_index(face)]
 
     def apply(self, cls: MorphismClass, name: str) -> str:
         """Contravariant action of a whole morphism class on a cell.
@@ -75,16 +76,11 @@ def _file(cells: dict, shape: Opetope, name: str, faces: tuple[str, ...]) -> Non
     bucket[name] = faces
 
 
-def _index(face: Face) -> int:
-    """The position of ``face`` in ``faces_of`` of its codomain."""
-    return 0 if face.address is None else source_index(face.codomain, face.address)
-
-
 def _position(side: tuple[Face, Face]):
     """A square's side as (shape, position of outer face, of inner face);
     the inner face's codomain is the outer face's domain, not computed."""
     outer, inner = side
-    return inner.codomain, _index(outer), _index(inner)
+    return inner.codomain, face_index(outer), face_index(inner)
 
 
 def validate_oset(X: OpetopicSet) -> Report:
@@ -130,10 +126,25 @@ def yoneda(omega: Opetope, max_dim: int) -> OpetopicSet:
     """
     if omega.dim > max_dim:
         raise ValueError(f"representable of a {omega.dim}-opetope needs max_dim >= {omega.dim}")
-    X = OpetopicSet(max_dim=max_dim)
+    return OpetopicSet(max_dim, representable_cells(omega, attrgetter("dim")))
+
+
+def representable_cells(omega: Opetope, key) -> dict[Opetope, dict[str, tuple[str, ...]]]:
+    """The cells of the representable of ``omega``, shapes sorted by
+    ``key`` and cells in class order, read off the slice table: the cells
+    at a shape are its classes in ``by_domain``.  Each cell is checked as
+    ``_file`` checks it, and a cell that fails goes to ``_file``, which
+    raises."""
     table = slice_table(omega)
-    names, domains = table.names, table.domains
-    dims, name_of = [domain.dim for domain in domains], names.__getitem__
-    for i in sorted(range(len(domains)), key=dims.__getitem__):
-        _file(X.cells, domains[i], names[i], tuple(map(name_of, table.action[i])))
-    return X
+    names, action = table.names, table.action
+    name_of = names.__getitem__
+    cells: dict[Opetope, dict[str, tuple[str, ...]]] = {}
+    for shape in sorted(table.by_domain, key=key):
+        expected = len(faces_of(shape))
+        at = cells[shape] = {}
+        for i in table.by_domain[shape]:
+            row = action[i]
+            if len(row) != expected or names[i] in at:
+                _file(cells, shape, names[i], row)
+            at[names[i]] = tuple(map(name_of, row))
+    return cells

@@ -6,10 +6,11 @@ target face, and its source tree redecorates the tree of the cell's shape
 with the cell's source faces.  Cells are renamed first only where two
 shapes of a dimension share a name.  An opetope is realized as its
 representable, whose j-cells are the morphism classes from j-opetopes
-into it.  In the other direction the nerve of a polygraph collects its
-generators by shape, where the shape of a generator replaces every
-generator in its source tree by its shape, recursively.  The unit and
-counit checks verify on finite instances that the two are mutually inverse.
+into it, read off its slice table with no opetopic set in between.  In
+the other direction the nerve of a polygraph collects its generators by
+shape, where the shape of a generator replaces every generator in its
+source tree by its shape, recursively.  The unit and counit checks
+verify on finite instances that the two are mutually inverse.
 """
 
 from __future__ import annotations
@@ -19,24 +20,25 @@ from collections import Counter
 from .address import EMPTY
 from .category import faces_of, slice_classes
 from .errors import CoherenceError, Report, UnknownNameError, Value
-from .opetope import Opetope, arrow, degenerate, from_tree, point
-from .oset import OpetopicSet, yoneda
+from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
+from .oset import OpetopicSet, representable_cells
 from .polygraph import Cell, Gen1, GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
 from .trees import Tree, collector_paused, corolla, grow_trees
 
 
 def realize_opetope(omega: Opetope) -> MtoPolygraph:
     """The polygraph freely implementing the face structure of an opetope:
-    the realization of its representable."""
-    return realize_oset(yoneda(omega, omega.dim))
+    the realization of its representable, whose cells are read off the
+    slice table in print order of shapes, as ``support`` has them."""
+    cells = representable_cells(omega, print_key)
+    return _realize_cells(cells, cells)
 
 
 def boundary_polygraph(omega: Opetope) -> MtoPolygraph:
     """The realization of the representable without its top cell, the
     identity, which is its only cell of shape ``omega``."""
-    X = yoneda(omega, omega.dim)
-    del X.cells[omega]
-    return realize_oset(X)
+    cells = representable_cells(omega, print_key)
+    return _realize_cells(cells, [shape for shape in cells if shape is not omega])
 
 
 # -- the terminal many-to-one polygraph --------------------------------
@@ -196,18 +198,24 @@ def realize_oset(X: OpetopicSet) -> MtoPolygraph:
 
 
 def _realize(X: OpetopicSet) -> MtoPolygraph:
-    """``realize_oset`` of a set whose names are distinct in each dimension:
-    each generator is named after its cell and read off its face tuple."""
+    """``realize_oset`` of a set whose names are distinct in each dimension."""
+    return _realize_cells(X.cells, X.support())
+
+
+def _realize_cells(cells: dict, shapes) -> MtoPolygraph:
+    """One generator per cell at each of ``shapes`` in turn, named after the
+    cell and read off its face tuple; ``cells`` has the cells of every
+    shape, their names distinct in each dimension."""
     P = MtoPolygraph()
-    for shape in X.support():
-        dim, cells = shape.dim, X.cells[shape]
+    for shape in shapes:
+        dim, at = shape.dim, cells[shape]
         if dim == 0:
-            gens = dict.fromkeys(cells)
+            gens = dict.fromkeys(at)
         elif dim == 1:
-            gens = {name: Gen1(source, target) for name, (target, source) in cells.items()}
+            gens = {name: Gen1(source, target) for name, (target, source) in at.items()}
         elif shape.is_degenerate:
-            below, gens = X.cells.get(shape.target(), {}), {}
-            for name, (target,) in cells.items():
+            below, gens = cells.get(shape.target(), {}), {}
+            for name, (target,) in at.items():
                 if target not in below:
                     raise UnknownNameError(
                         f"cell {name!r} at {shape}: no cell {target!r} at {shape.target()}"
@@ -217,7 +225,7 @@ def _realize(X: OpetopicSet) -> MtoPolygraph:
             addresses = shape.node_addresses()
             gens = {
                 name: GenN(Tree._wrap(dict(zip(addresses, sources))), target)
-                for name, (target, *sources) in cells.items()
+                for name, (target, *sources) in at.items()
             }
         P._declare(dim, gens)
     return P

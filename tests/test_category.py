@@ -5,14 +5,17 @@ import pytest
 from opetopic.address import EMPTY, Address, parse_address
 from opetopic.category import (
     Face,
+    MorphismClass,
     RelationInstance,
     compose,
+    face_index,
     faces_of,
     hom,
     identity,
     morphism,
     relation_instances,
     slice_classes,
+    slice_table,
     source_index,
 )
 from opetopic.errors import CompositionError, OpetopicError
@@ -24,6 +27,8 @@ from opetopic.opetope import (
     opetopic_integer,
     point,
 )
+
+from test_realization import order_corpus
 
 STAR = Address((EMPTY,))
 
@@ -423,3 +428,40 @@ class TestHom:
         assert [str(c) for c in hom(point(), omega)] == [
             str(c) for c in hom(point(), omega)
         ]
+
+    def test_hom_reads_the_domain_index_as_a_full_scan(self):
+        strangers = [opetopic_integer(7), degenerate(opetopic_integer(3))]
+        for omega in order_corpus():
+            table = slice_table(omega)
+            closure = dict.fromkeys([omega])
+            frontier = [omega]
+            while frontier:
+                for face in faces_of(frontier.pop()):
+                    if face.domain not in closure:
+                        closure[face.domain] = None
+                        frontier.append(face.domain)
+            # every iterated face is the domain of some class, and no other
+            assert set(table.by_domain) == set(closure), omega
+            for phi in closure:
+                scan = [MorphismClass(omega, i) for i, d in enumerate(table.domains) if d is phi]
+                assert hom(phi, omega) == scan, (omega, phi)
+            for phi in [*strangers, degenerate(omega)]:
+                if phi not in closure:
+                    assert hom(phi, omega) == [], (omega, phi)
+
+    def test_lift_and_morphism_on_every_square(self):
+        for omega in order_corpus():
+            table = slice_table(omega)
+            for k, face in enumerate(faces_of(omega)):
+                assert face_index(face) == k
+                assert table.lift(face) is table.through[k]
+                # an equal face built anew is found at the same position
+                assert table.lift(Face(omega, face.address)) is table.through[k]
+            for square in relation_instances(omega):
+                left, right = morphism(omega, square.left), morphism(omega, square.right)
+                assert left == right, (omega, square.kind)
+                (outer, inner) = square.left
+                inner_class = slice_table(outer.domain).lift(inner)[0]
+                assert left.index == table.lift(outer)[inner_class]
+            for cls in map(lambda i: MorphismClass(omega, i), range(len(table.domains))):
+                assert morphism(omega, cls.word) == cls

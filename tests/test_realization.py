@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -16,14 +17,16 @@ from opetopic.address import EMPTY
 from opetopic.category import (
     Face,
     MorphismClass,
+    SliceTable,
     Word,
     compose,
     faces_of,
     hom,
     morphism,
     slice_classes,
+    slice_table,
 )
-from opetopic.errors import CoherenceError, Report, UnknownNameError
+from opetopic.errors import CoherenceError, OpetopicError, Report, UnknownNameError
 from opetopic.formats import parse_oset, parse_polygraph, print_oset, print_polygraph
 from opetopic.opetope import (
     Opetope,
@@ -31,6 +34,7 @@ from opetopic.opetope import (
     degenerate,
     enumerate_opetopes,
     from_tree,
+    iter_opetopes,
     opetopic_integer,
     point,
     print_key,
@@ -64,6 +68,39 @@ def oracle_corpus():
     return [omega for dim in range(4) for omega in enumerate_opetopes(dim, 3)] + [
         omega for dim in (4, 5) for omega in enumerate_opetopes(dim, 2)
     ]
+
+
+def order_corpus():
+    """The oracle corpus, which holds every opetope of dims 0-4 at bound 2
+    and of dim 5 at bound 2, with a seeded sample of the dim-4, bound-3
+    opetopes that the ``slices`` benchmark queries, and the head of one
+    shard at dim 5, bound 3."""
+    sample = random.Random(30).sample(enumerate_opetopes(4, 3), 200)
+    head = list(itertools.islice(iter_opetopes(5, 3, shard=(5, 16)), 60))
+    return oracle_corpus() + sample + head
+
+
+def generator_table(P: MtoPolygraph) -> list[list[tuple[str, str]]]:
+    """Each dimension's generators, in order, as (name, repr of its data)."""
+    return [
+        [(name, repr(P.gen_data(dim, name))) for name in P.generators(dim)]
+        for dim in range(P.max_dim + 1)
+    ]
+
+
+def filed_one_by_one(omega: Opetope) -> OpetopicSet:
+    """The representable as ``yoneda`` filed it: one ``add_cell`` per class
+    of the slice table, in class order sorted by dimension."""
+    table = slice_table(omega)
+    X = OpetopicSet(max_dim=omega.dim)
+    for i in sorted(range(len(table.domains)), key=lambda i: table.domains[i].dim):
+        X.add_cell(table.domains[i], table.names[i], [table.names[j] for j in table.action[i]])
+    return X
+
+
+def cell_table(X: OpetopicSet) -> list:
+    """The cells of X, outer and inner dict order kept."""
+    return [(shape, list(cells.items())) for shape, cells in X.cells.items()]
 
 
 def generator_counts(P):
@@ -403,6 +440,74 @@ class TestShape:
             assert total == len(P.generators(dim))
 
 
+@contextmanager
+def tampered_table(omega: Opetope, tamper):
+    """Swap the slice table of ``omega`` for a fresh one edited by
+    ``tamper``, and put the kept table back on exit."""
+    kept, table = omega._slices, SliceTable(omega)
+    tamper(table)
+    omega._slices = table
+    try:
+        yield
+    finally:
+        omega._slices = kept
+
+
+def short_row(table: SliceTable) -> None:
+    """The last class that has faces loses its last one."""
+    i = max(i for i, row in enumerate(table.action) if row)
+    table.action[i] = table.action[i][:-1]
+
+
+def shared_name(table: SliceTable) -> None:
+    """The second class of the first domain with two takes the first's name."""
+    first, second = next(c for c in table.by_domain.values() if len(c) > 1)[:2]
+    table.names[second] = table.names[first]
+
+
+class TestTamperedTable:
+    """``yoneda`` and the realizations read the slice table straight, and
+    still raise what filing its classes one by one raises."""
+
+    @pytest.mark.parametrize(
+        "tamper, error, message",
+        [
+            (short_row, OpetopicError, "cell 's[*]' at arrow: 1 faces given, its shape has 2"),
+            (shared_name, UnknownNameError, "duplicate cell 't' at shape arrow"),
+        ],
+    )
+    def test_a_tampered_table_raises_what_filing_raises(self, tamper, error, message):
+        omega = O2
+        kept = slice_table(omega)
+        with tampered_table(omega, tamper):
+            with pytest.raises(OpetopicError) as filing:
+                filed_one_by_one(omega)
+            assert type(filing.value) is error and str(filing.value) == message
+            for build in (
+                lambda: yoneda(omega, omega.dim),
+                lambda: realize_opetope(omega),
+                lambda: boundary_polygraph(omega),
+            ):
+                with pytest.raises(error) as info:
+                    build()
+                assert type(info.value) is error and str(info.value) == message
+        assert slice_table(omega) is kept and yoneda(omega, 2).cells
+
+    @pytest.mark.parametrize("tamper", [short_row, shared_name])
+    def test_every_tampered_representable_raises_what_filing_raises(self, tamper):
+        for omega in enumerate_opetopes(3, 2) + enumerate_opetopes(4, 2):
+            if max(map(len, slice_table(omega).by_domain.values())) < 2:
+                continue  # no two classes share a domain, so no name to share
+            with tampered_table(omega, tamper):
+                with pytest.raises(OpetopicError) as filing:
+                    filed_one_by_one(omega)
+                for build in (lambda o: yoneda(o, o.dim), realize_opetope, boundary_polygraph):
+                    with pytest.raises(OpetopicError) as info:
+                        build(omega)
+                    assert type(info.value) is type(filing.value), omega
+                    assert str(info.value) == str(filing.value), omega
+
+
 class TestRealizeOSet:
     def test_yoneda_matches_realization(self):
         for omega in oracle_corpus():
@@ -416,6 +521,17 @@ class TestRealizeOSet:
                 line for line in direct.splitlines(True) if not line.startswith(top)
             )
             assert print_polygraph(boundary_polygraph(omega)) == boundary, omega
+
+    def test_representables_match_their_oset_realization_in_order(self):
+        # the print above sorts names; these compare generators in order
+        for omega in order_corpus():
+            X = yoneda(omega, omega.dim)
+            assert cell_table(X) == cell_table(filed_one_by_one(omega)), omega
+            via_oset = generator_table(realize_oset(X))
+            assert generator_table(realize_opetope(omega)) == via_oset, omega
+            del X.cells[omega]
+            via_oset = generator_table(realize_oset(X))
+            assert generator_table(boundary_polygraph(omega)) == via_oset, omega
 
     def test_empty(self):
         P = realize_oset(OpetopicSet(max_dim=2))

@@ -460,8 +460,8 @@ class TestHom:
             for square in relation_instances(omega):
                 left, right = morphism(omega, square.left), morphism(omega, square.right)
                 assert left == right, (omega, square.kind)
-                (outer, inner) = square.left
+                outer, inner = square.left
                 inner_class = slice_table(outer.domain).lift(inner)[0]
                 assert left.index == table.lift(outer)[inner_class]
-            for cls in map(lambda i: MorphismClass(omega, i), range(len(table.domains))):
-                assert morphism(omega, cls.word) == cls
+            for i in range(len(table.domains)):
+                assert morphism(omega, MorphismClass(omega, i).word).index == i

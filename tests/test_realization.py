@@ -496,7 +496,7 @@ class TestTamperedTable:
     @pytest.mark.parametrize("tamper", [short_row, shared_name])
     def test_every_tampered_representable_raises_what_filing_raises(self, tamper):
         for omega in enumerate_opetopes(3, 2) + enumerate_opetopes(4, 2):
-            if max(map(len, slice_table(omega).by_domain.values())) < 2:
+            if tamper is shared_name and max(map(len, slice_table(omega).by_domain.values())) < 2:
                 continue  # no two classes share a domain, so no name to share
             with tampered_table(omega, tamper):
                 with pytest.raises(OpetopicError) as filing:

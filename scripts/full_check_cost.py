@@ -5,7 +5,11 @@ The full check of an n-opetope ω runs five phases once each:
 ``check_identities(ω)`` from dimension 2 on, ``P = realize_opetope(ω)``, ``P.validate()``,
 ``unit_check(yoneda(ω, n))`` and ``counit_check(P)``.  The script streams
 a shard of the opetopes of the given dimensions at a bound and times each
-phase with ``time.perf_counter``; the enumeration is not timed.  Every
+phase with ``time.perf_counter``; the enumeration is not timed.  The
+cyclic collector's passes are timed through ``gc.callbacks``: those that
+fall in a phase are taken out of it and reported as a row of their own,
+``collector``, since where a pass lands depends on allocation, not on the
+phase's code.  The total counts them, as a wall clock would.  Every
 cache starts cold, so each measurement needs a fresh interpreter: run the
 script once per number.  A failed check prints its report and exits 1.
 
@@ -14,6 +18,7 @@ script once per number.  A failed check prints its report and exits 1.
 """
 
 import argparse
+import gc
 import itertools
 import sys
 import time
@@ -36,11 +41,31 @@ def shard_arg(text: str) -> tuple[int, int]:
     return int(index), int(count)
 
 
+class CollectorClock:
+    """The running time of the cyclic collector's passes, a ``gc.callbacks``
+    entry."""
+
+    def __init__(self) -> None:
+        self.total = self.start = 0.0
+
+    def __call__(self, event: str, info: dict) -> None:
+        if event == "start":
+            self.start = time.perf_counter()
+        else:
+            self.total += time.perf_counter() - self.start
+
+
+COLLECTOR = CollectorClock()
+
+
 def timed(spent: dict[str, float], phase: str, check, arg):
-    """``check(arg)``, with its time added to ``spent[phase]``."""
-    start = time.perf_counter()
+    """``check(arg)``, with its time added to ``spent[phase]``, less the
+    collector passes in it, which are added to ``spent["collector"]``."""
+    collected, start = COLLECTOR.total, time.perf_counter()
     result = check(arg)
-    spent[phase] += time.perf_counter() - start
+    elapsed, passes = time.perf_counter() - start, COLLECTOR.total - collected
+    spent[phase] += elapsed - passes
+    spent["collector"] += passes
     return result
 
 
@@ -74,7 +99,8 @@ def main() -> int:
     parser.add_argument("--limit", type=int, default=None, help="opetopes per dimension")
     args = parser.parse_args()
 
-    spent = dict.fromkeys(PHASES, 0.0)
+    spent = dict.fromkeys(PHASES + ("collector",), 0.0)
+    gc.callbacks.append(COLLECTOR)
     checked = 0
     for n in args.dims:
         for omega in itertools.islice(iter_opetopes(n, args.bound, shard=args.shard), args.limit):
@@ -87,7 +113,7 @@ def main() -> int:
     total = sum(spent.values())
     per = max(checked, 1)
     print(f"{checked} opetopes, full check {total / per * 1e3:.3f} ms per opetope")
-    for phase in PHASES:
+    for phase in spent:
         print(f"  {phase:<17} {spent[phase] / per * 1e6:9.1f} us")
     return 0
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .address import parse_address
+from .address import EMPTY, parse_address
 from .category import faces_of, hom
 from .errors import OpetopicError, ParseError, Report, UnknownNameError
 from .formats import (
@@ -112,18 +112,15 @@ def _polygraph_json(P: MtoPolygraph):
     for dim in range(P.max_dim + 1):
         for name in sorted(P.generators(dim)):
             entry: dict = {"dim": dim, "name": name}
-            if dim == 1:
-                data = P.gen_data(1, name)
-                entry["source"] = data.source
-                entry["target"] = data.target
-            elif dim >= 2:
+            if dim:
                 data = P.gen_data(dim, name)
-                if data.source_tree.is_unit:
-                    entry["source"] = {"identity": data.source_tree.unit_color}
+                tree = data.source_tree
+                if dim == 1:
+                    entry["source"] = tree.nodes[EMPTY]
+                elif tree.is_unit:
+                    entry["source"] = {"identity": tree.unit_color}
                 else:
-                    entry["source"] = {
-                        str(p): op for p, op in data.source_tree.nodes.items()
-                    }
+                    entry["source"] = {str(p): op for p, op in tree.nodes.items()}
                 entry["target"] = data.target
             out.append(entry)
     return {"generators": out}

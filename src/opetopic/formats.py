@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .address import Address, read_address
+from .address import EMPTY, Address, read_address
 from .category import Face, faces_of
 from .errors import CoherenceError, CompositionError, ParseError
 from .opetope import Opetope, arrow, degenerate, node_map, point
@@ -390,15 +390,11 @@ def print_polygraph(P: MtoPolygraph) -> str:
         for name in sorted(P.generators(dim)):
             if dim == 0:
                 lines.append(f"gen 0 {name}")
-            elif dim == 1:
-                data = P.gen_data(1, name)
-                lines.append(f"gen 1 {name} : {data.source} -> {data.target}")
-            else:
-                data = P.gen_data(dim, name)
-                lines.append(
-                    f"gen {dim} {name} : {print_cell_tree(data.source_tree)} "
-                    f"-> {data.target}"
-                )
+                continue
+            data = P.gen_data(dim, name)
+            tree = data.source_tree
+            source = tree.nodes[EMPTY] if dim == 1 else print_cell_tree(tree)
+            lines.append(f"gen {dim} {name} : {source} -> {data.target}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,12 +1,12 @@
 """Many-to-one polygraphs with cells kept in composition-tree normal form.
 
-A presentation lists generator names per dimension: a 1-generator carries
-its endpoint 0-generators, and an n-generator for n >= 2 carries the tree
-of (n-1)-generators composing its source together with the single
-(n-1)-generator that is its target.  A cell of dimension n is nothing but
-a tree over the stage-n generator signature: the unit tree on a generator
-is an identity cell, a node map is a composite, and the tree is its own
-normal form, so there is no separate word problem to solve.
+A presentation lists generator names per dimension: an n-generator for
+n >= 1 carries the tree of (n-1)-generators composing its source together
+with the single (n-1)-generator that is its target; the source tree of a
+1-generator is the corolla on its source point.  A cell of dimension n is
+nothing but a tree over the stage-n generator signature: the unit tree on
+a generator is an identity cell, a node map is a composite, and the tree
+is its own normal form, so there is no separate word problem to solve.
 
 Sources of cells are computed by the same flattening algorithm that
 computes opetope targets; partial composition is grafting.
@@ -39,17 +39,9 @@ from .trees import (
 )
 
 
-class Gen1(Value):
-    """A 1-generator: an arrow between two 0-generators."""
-
-    __slots__ = ("source", "target")
-
-    def __init__(self, source: str, target: str):
-        self.source, self.target = source, target
-
-
 class GenN(Value):
-    """An n-generator, n >= 2: a source composition tree and a target name."""
+    """An n-generator, n >= 1: a source composition tree and a target name;
+    a 1-generator's source tree is the corolla on its source point."""
 
     __slots__ = ("source_tree", "target")
 
@@ -99,11 +91,12 @@ class StageSignature(Signature):
 
     Colors are the (n-1)-generators, operations the n-generators; the
     inputs of an n-generator are the node addresses of its source tree
-    (the single root slot for n = 1).  The gluing map needed by flatten
+    (the root of the corolla for n = 1).  The gluing map needed by flatten
     reads an operation's source, flattened once over the stage below and
-    kept, bottoming out at n = 1, where a cell is a chain.  A stage holds
-    the namespace of dimension n, the stage below and that memo, and
-    nothing that points back at the polygraph, which keeps it.
+    kept, bottoming out at n = 1, where ``source_tree`` is None: a cell
+    there is a chain.  A stage holds the namespace of dimension n, the
+    stage below and that memo, and nothing that points back at the
+    polygraph, which keeps it.
     """
 
     def __init__(self, gens: _Generators, below: "StageSignature | None"):
@@ -111,13 +104,9 @@ class StageSignature(Signature):
         self.flat_sources: dict[str, FlattenResult] = {}
 
     def inputs(self, op: str) -> tuple[Address, ...]:
-        return self.gens[op].source_tree.node_addresses() if self.dim > 1 else (EMPTY,)
+        return self.gens[op].source_tree.node_addresses()
 
     def source_color(self, op: str, address: Address) -> str:
-        if self.dim == 1:
-            if address != EMPTY:
-                raise AddressError(f"a 1-generator has one input, not {address}")
-            return self.gens[op].source
         return self.gens[op].source_tree.decoration(address)
 
     def target_color(self, op: str) -> str:
@@ -153,7 +142,7 @@ class MtoPolygraph:
 
     # -- construction -------------------------------------------------
 
-    def _declare(self, dim: int, gens: Mapping[str, Union[None, Gen1, GenN]]) -> None:
+    def _declare(self, dim: int, gens: Mapping[str, GenN | None]) -> None:
         """Add generators to a dimension, none of them there already."""
         while len(self._dims) <= dim:
             self._dims.append(_Generators(len(self._dims)))
@@ -167,7 +156,7 @@ class MtoPolygraph:
         self._declare(0, {name: None})
 
     def add_arrow(self, name: str, source: str, target: str) -> None:
-        self._declare(1, {name: Gen1(source, target)})
+        self._declare(1, {name: GenN(corolla(source), target)})
 
     def add_generator(self, dim: int, name: str, source_tree: Tree, target: str) -> None:
         if dim < 2:
@@ -274,11 +263,11 @@ class MtoPolygraph:
 
         A generator's source composite is flattened once, into its stage's
         memo, which flattening higher cells reads its readdressing from, and is
-        compared with the target generator's own source tree (its source
-        point in dimension 2); no target corolla is flattened."""
+        compared with the target generator's own source tree, a corolla in
+        dimension 2; no target corolla is flattened."""
         report, dims = Report(), self._dims
         for name, data in dims[1].items() if len(dims) > 1 else ():
-            for end in (data.source, data.target):
+            for end in (data.source_tree.nodes[EMPTY], data.target):
                 if end not in dims[0]:
                     report.fail(f"1-generator {name!r}: unknown endpoint {end!r}")
         for dim in range(2, len(dims)):
@@ -299,18 +288,14 @@ class MtoPolygraph:
                     report.fail(f"{dim}-generator {name!r}: {error}")
                     continue
                 # parallel(source, target corolla) without flattening the
-                # corolla: its source is the target's own source (tree or
-                # point), and its target is the target's target
+                # corolla: its source is the target's own source tree, and
+                # its target is the target's target
                 target = below[data.target]
                 try:
                     root = tree.unit_color if tree.is_unit else below[tree.nodes[EMPTY]].target
-                    parallel = root == target.target
-                    if parallel:
-                        flat = self._flat_source(dim, name).tree
-                        if dim == 2:
-                            parallel = flat.nodes[EMPTY] == target.source
-                        else:
-                            parallel = flat == target.source_tree
+                    parallel = root == target.target and (
+                        self._flat_source(dim, name).tree == target.source_tree
+                    )
                     if not parallel:
                         report.fail(
                             f"{dim}-generator {name!r}: source composite and "
@@ -405,17 +390,17 @@ class PolygraphMorphism(Value):
                     report.fail(f"{dim}-generator {name!r} maps to unknown {image!r}")
                 elif dim:
                     data, image_data = sources[name], targets[image]
-                    for side in ("source", "target") if dim == 1 else ("target",):
-                        end = getattr(image_data, side)
-                        if lower.get(getattr(data, side), end) != end:
-                            report.fail(f"{dim}-generator {name!r}: {side} not preserved")
-                    if dim == 1:
-                        continue
                     try:
                         tree = self.map_tree(dim - 1, data.source_tree)
                     except UnknownNameError:
                         tree = image_data.source_tree
-                    if tree != image_data.source_tree:
+                    # a 1-generator's source, the point of its corolla, comes first
+                    end, kept = image_data.target, tree == image_data.source_tree
+                    if dim == 1 and not kept:
+                        report.fail(f"1-generator {name!r}: source not preserved")
+                    if lower.get(data.target, end) != end:
+                        report.fail(f"{dim}-generator {name!r}: target not preserved")
+                    if dim > 1 and not kept:
                         report.fail(f"{dim}-generator {name!r}: source tree not preserved")
         for dim in range(0, self.source.max_dim + 1):
             for name in self.source.generators(dim):

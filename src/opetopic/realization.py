@@ -22,8 +22,8 @@ from .category import faces_of, slice_classes
 from .errors import CoherenceError, Report, UnknownNameError, Value
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
 from .oset import OpetopicSet, representable_cells
-from .polygraph import Cell, Gen1, GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
-from .trees import Tree, collector_paused, corolla, grow_trees
+from .polygraph import GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
+from .trees import Tree, collector_paused, corolla, flatten, grow_trees
 
 
 def realize_opetope(omega: Opetope) -> MtoPolygraph:
@@ -63,17 +63,16 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
     if max_dim >= 1:
         P.add_arrow("x1_0", "o", "o")
     for dim in range(2, max_dim + 1):
-        chains = dim == 2  # 1-cells are chains, with a point as source
         sig = P.stage(dim - 1)
-        lookup = {(g.source if chains else g.source_tree, g.target): v for v, g in sig.gens.items()}
+        lookup = {(g.source_tree, g.target): v for v, g in sig.gens.items()}
         grown = grow_trees(sig, sig.gens, sig.gens, budget)
-        # identities are looked up by their corolla, grown cells by flat source
+        # identities are looked up by their corolla, grown cells by flat
+        # source, which the grower leaves to ``flatten`` for chains
         cells = [(Tree.unit(v), corolla(v), v) for v in P.generators(dim - 2)]
         cells += [(t, flat, sig.target_color(t.nodes[EMPTY])) for t, flat, *_ in grown]
         found = []
         for tree, flat, target in cells:
-            source = P.source_cell(Cell(1, tree)) if chains else flat
-            v = lookup.get((source, target))
+            v = lookup.get((flatten(sig, tree).tree if flat is None else flat, target))
             if v is not None:
                 found.append((tree.size, print_cell_tree(tree), v, tree))
         for i, (_, _, v, tree) in enumerate(sorted(found)):
@@ -211,8 +210,6 @@ def _realize_cells(cells: dict, shapes) -> MtoPolygraph:
         dim, at = shape.dim, cells[shape]
         if dim == 0:
             gens = dict.fromkeys(at)
-        elif dim == 1:
-            gens = {name: Gen1(source, target) for name, (target, source) in at.items()}
         elif shape.is_degenerate:
             below, gens = cells.get(shape.target(), {}), {}
             for name, (target,) in at.items():
@@ -242,11 +239,11 @@ def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
         shapes = memo[dim] = {}
         for name, data in P._generators(dim).items():
             shape = shapes[name] = _shape(P, dim, data, memo)
-            if dim < 2:
-                faces = (data.target, data.source) if dim else ()
-            else:
+            if dim:
                 tree = data.source_tree
                 faces = (data.target, *(() if tree.is_unit else tree.nodes.values()))
+            else:
+                faces = ()
             X.cells.setdefault(shape, {})[name] = faces
     return X
 
@@ -297,15 +294,18 @@ def counit_check(P: MtoPolygraph) -> Report:
         return Report()
     missing, changed, extra = [], [], []
     for dim, (p_gens, q_gens) in enumerate(tables):
-        sides = ("source", "target") if dim == 1 else ("target", "source_tree")
+        # a 1-generator's source, the point of its corolla, comes first
+        sides = {"target": "target", "source tree": "source_tree"}
+        if dim == 1:
+            sides = {"source": "source_tree", "target": "target"}
         for gen, data in p_gens.items():
             if gen not in q_gens:
                 missing.append(f"morphism undefined on {dim}-generator {gen!r}: not in the nerve")
             elif dim:
                 changed += [
-                    f"{dim}-generator {gen!r}: {side.replace('_', ' ')} not preserved"
-                    for side in sides
-                    if getattr(data, side) != getattr(q_gens[gen], side)
+                    f"{dim}-generator {gen!r}: {side} not preserved"
+                    for side, slot in sides.items()
+                    if getattr(data, slot) != getattr(q_gens[gen], slot)
                 ]
         extra += [
             f"morphism undefined on {dim}-generator {gen!r}" for gen in q_gens if gen not in p_gens

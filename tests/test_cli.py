@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +17,8 @@ from opetopic import cli
 from opetopic.address import MAX_ADDRESS_DEPTH, parse_address
 from opetopic.cli import main
 from opetopic.errors import ParseError
+from opetopic.formats import parse_polygraph, print_polygraph
+from randomized import RandomPolygraphConfig, random_polygraph
 from test_realization import COLLIDING_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -478,6 +481,14 @@ class TestTranscript:
                     digest.update(f"{label}\n{code}\n{out}\n{err}\n".encode("utf-8"))
         assert digest.hexdigest() == TRANSCRIPT_SHA256
 
+    def test_a_degenerate_target_in_json(self, capsys):
+        code, out, err = run(capsys, "target", "--json", "--expr", "{[] <- <<point>>}")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "dim": 2,\n  "kind": "degenerate",\n'
+            '  "shell": {\n    "dim": 0,\n    "kind": "point"\n  }\n}\n'
+        )
+
     def test_the_parser_refuses_a_corolla_on_the_point(self, capsys):
         code, out, err = run(capsys, "target", "--expr", "{[] <- point}")
         assert (code, out) == (1, "")
@@ -495,6 +506,50 @@ class TestTranscript:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+
+# the polygraph commands on the golden polygraphs, on seeded random ones and
+# on one that fails validation in dimensions 1, 2 and 3; ``shape`` runs on
+# every generator
+POLY_TRANSCRIPT_SEEDS = range(20)
+POLY_TRANSCRIPT_CONFIG = RandomPolygraphConfig(max_dim=4)
+POLY_TRANSCRIPT_BROKEN = """gen 0 a
+gen 0 b
+gen 1 f : a -> b
+gen 1 g : a -> zz
+gen 1 h : b -> b
+gen 2 m : {[] <- h, [*] <- f} -> f
+gen 2 n : id(a) -> f
+gen 2 k : {[] <- f} -> h
+gen 2 q : {[] <- h} -> f
+gen 3 t : {[] <- m} -> n
+"""
+POLY_TRANSCRIPT_SHA256 = "4ac5ca6b71638a4d333c8d76ba05f64282b6809d4a43f9a0374c2c81e40412a2"
+
+
+class TestPolygraphTranscript:
+    def test_polygraph_transcript_is_pinned(self, capsys, tmp_path):
+        """Exit codes, stdout and stderr of the polygraph commands, hashed."""
+        inputs = [(name, (GOLDEN / name).read_text()) for name in ("loop.poly", "path.poly")]
+        for seed in POLY_TRANSCRIPT_SEEDS:
+            P = random_polygraph(random.Random(seed), POLY_TRANSCRIPT_CONFIG)
+            inputs.append((f"seed {seed}", print_polygraph(P)))
+        inputs.append(("broken", POLY_TRANSCRIPT_BROKEN))
+        path = tmp_path / "input.poly"
+        digest = hashlib.sha256()
+        for label, text in inputs:
+            path.write_text(text)
+            commands = [["validate"], ["roundtrip"], ["nerve"], ["nerve", "--json"]]
+            P = parse_polygraph(text)
+            for dim in range(P.max_dim + 1):
+                for name in sorted(P.generators(dim)):
+                    shape = ["shape", "--gen", name, "--dim", str(dim)]
+                    commands += [shape, shape + ["--json"]]
+            for command in commands:
+                code, out, err = run(capsys, *command, str(path))
+                label_line = f"{label}: {' '.join(command)}"
+                digest.update(f"{label_line}\n{code}\n{out}\n{err}\n".encode("utf-8"))
+        assert digest.hexdigest() == POLY_TRANSCRIPT_SHA256
 
 
 # -- fuzzing: random and mutated text through every command ----------------

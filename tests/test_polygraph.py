@@ -17,6 +17,7 @@ from opetopic.polygraph import (
     Cell,
     CompositeShape,
     GeneratorShape,
+    GenN,
     IdentityShape,
     MtoPolygraph,
     PolygraphMorphism,
@@ -128,7 +129,7 @@ def oracle_validate(P):
     report = Report()
     for name in P.generators(1):
         data = P.gen_data(1, name)
-        for end in (data.source, data.target):
+        for end in (data.source_tree.nodes[EMPTY], data.target):
             if not P.has_generator(0, end):
                 report.fail(f"1-generator {name!r}: unknown endpoint {end!r}")
     for dim in range(2, P.max_dim + 1):
@@ -175,7 +176,7 @@ def copy_polygraph(P, retarget=None, resource=None):
             if dim == 0:
                 Q.add_point(name)
             elif dim == 1:
-                Q.add_arrow(name, data.source, data.target)
+                Q.add_arrow(name, data.source_tree.nodes[EMPTY], data.target)
             else:
                 target = retarget.get((dim, name), data.target)
                 tree = resource.get((dim, name), data.source_tree)
@@ -528,7 +529,7 @@ def source_by_induction(P, cell):
         if cell.tree.is_unit:
             return cell.tree.unit_color, {EMPTY: EMPTY}
         deepest = max(cell.tree.nodes)
-        name = P.gen_data(1, cell.tree.nodes[deepest]).source
+        name = P.gen_data(1, cell.tree.nodes[deepest]).source_tree.nodes[EMPTY]
         return name, {deepest.child(EMPTY): EMPTY}
     shape = decompose(cell)
     if isinstance(shape, IdentityShape):
@@ -822,6 +823,15 @@ class TestEnumerateCells:
 
 
 class TestStages:
+    def test_a_one_generator_is_the_corolla_on_its_source(self, path_polygraph):
+        P = path_polygraph
+        assert P.gen_data(1, "f") == GenN(corolla("a"), "b")
+        assert P.stage(1).inputs("f") == (EMPTY,)
+        assert P.stage(1).source_color("f", EMPTY) == "a"
+        assert P.stage(1).source_tree("f") is None
+        with pytest.raises(AddressError, match=r"no node at address \[\*\]"):
+            P.stage(1).source_color("f", STAR)
+
     def test_one_stage_per_dimension(self, path_polygraph):
         P = path_polygraph
         assert P.stage(1) is P.stage(1)

@@ -234,7 +234,7 @@ def fold_faces(P: MtoPolygraph, dim: int, name: str, word: Word) -> str:
     for face in word:
         if current_dim == 1:
             data = P.gen_data(1, current)
-            current = data.target if face.is_target else data.source
+            current = data.target if face.is_target else data.source_tree.nodes[EMPTY]
         else:
             data = P.gen_data(current_dim, current)
             if face.is_target:
@@ -298,7 +298,7 @@ def oracle_terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
         for name in P.generators(dim - 1):
             data = P.gen_data(dim - 1, name)
             if dim - 1 == 1:
-                key = (data.source, data.target)
+                key = (data.source_tree.nodes[EMPTY], data.target)
             else:
                 key = (Cell(dim - 2, data.source_tree), data.target)
             lookup[key] = name
@@ -388,7 +388,7 @@ class TestTerminal:
             for name in P.generators(dim):
                 data = P.gen_data(dim, name)
                 if dim == 1:
-                    key = (data.source, data.target)
+                    key = (data.source_tree.nodes[EMPTY], data.target)
                 else:
                     key = (data.source_tree, data.target)
                 assert key not in seen
@@ -969,6 +969,30 @@ class TestUnitCounit:
 
         monkeypatch.setattr(realization, "nerve", nerve_with_faces)
         assert counit_check(path_polygraph).failures == [message]
+
+    @pytest.mark.parametrize(
+        "cell, faces, sides",
+        [("m", ("g", "f", "f"), ["target", "source tree"]), ("f", ("c", "b"), ["source", "target"])],
+    )
+    def test_counit_orders_two_changed_faces(
+        self, monkeypatch, path_polygraph, cell, faces, sides
+    ):
+        """A 1-generator's source comes before its target, and a higher
+        generator's target before its source tree."""
+        build = realization.nerve
+
+        def nerve_with_faces(P, max_dim):
+            X = build(P, max_dim)
+            for cells in X.cells.values():
+                if cell in cells:
+                    cells[cell] = faces
+            return X
+
+        monkeypatch.setattr(realization, "nerve", nerve_with_faces)
+        dim = 2 if cell == "m" else 1
+        assert counit_check(path_polygraph).failures == [
+            f"{dim}-generator {cell!r}: {side} not preserved" for side in sides
+        ]
 
 
 @contextmanager

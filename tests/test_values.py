@@ -21,7 +21,6 @@ from opetopic.oset import OpetopicSet, yoneda
 from opetopic.polygraph import (
     Cell,
     CompositeShape,
-    Gen1,
     GeneratorShape,
     GenN,
     IdentityShape,
@@ -74,11 +73,6 @@ CASES = {
         ("max_dim", "cells"),
         lambda: yoneda(arrow(), 1),
         lambda: OpetopicSet(max_dim=1, cells=yoneda(arrow(), 1).cells),
-    ),
-    "Gen1": (
-        ("source", "target"),
-        lambda: Gen1("p", "q"),
-        lambda: Gen1(source="p", target="q"),
     ),
     "GenN": (
         ("source_tree", "target"),

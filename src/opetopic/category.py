@@ -155,18 +155,18 @@ class SliceTable:
 
     Class 0 is the identity.  Class i > 0 is named by its least member:
     ``faces[k]`` followed by class c of ``subtables[k]``, where
-    ``(k, c) = first[i]``.  ``through[k][c]`` is the class of the pair
-    (k, c) for every c, least or not.  ``names[i]`` is the printed least
-    word, innermost face first, and ``action[i][j]`` is the class of
-    class i followed by face j of its domain.  ``by_domain[phi]`` lists
-    the classes with domain ``phi`` in class order, domains in order of
-    their first class.
+    ``k = first_face[i]`` and ``c = first_class[i]``.  ``through[k][c]``
+    is the class of the pair (k, c) for every c, least or not.
+    ``names[i]`` is the printed least word, innermost face first, and
+    ``action[i][j]`` is the class of class i followed by face j of its
+    domain.  ``by_domain[phi]`` lists the classes with domain ``phi`` in
+    class order, domains in order of their first class.
     """
 
     def __init__(self, omega: Opetope) -> None:
         self.faces = faces_of(omega)
         self.subtables = [slice_table(face.domain) for face in self.faces]
-        offsets = list(accumulate((len(t.first) for t in self.subtables), initial=0))
+        offsets = list(accumulate((len(t.domains) for t in self.subtables), initial=0))
         parent = list(range(offsets[-1]))
 
         def find(i: int) -> int:
@@ -186,9 +186,10 @@ class SliceTable:
 
         # the squares preserve length, so the least member of a class starts
         # with its least pair (face, subclass): visit pairs in that order
-        self.first: list[tuple[int, int] | None] = [None]
+        # the identity has no first pair: its entries are never read
+        self.first_face, self.first_class = [0], [0]
         self.lengths, self.domains = [0], [omega]
-        self.by_domain: dict[Opetope, tuple[int, ...]] = {omega: (0,)}
+        classes: dict[Opetope, list[int]] = {omega: [0]}
         number: dict[int, int] = {}
         pairs = (
             (length + 1, k, c)
@@ -198,19 +199,21 @@ class SliceTable:
         for length, k, c in sorted(pairs):
             root = find(offsets[k] + c)
             if root not in number:
-                number[root] = len(self.first)
-                self.first.append((k, c))
+                i = number[root] = len(self.domains)
+                self.first_face.append(k)
+                self.first_class.append(c)
                 self.lengths.append(length)
                 domain = self.subtables[k].domains[c]
                 self.domains.append(domain)
-                self.by_domain[domain] = self.by_domain.get(domain, ()) + (number[root],)
+                classes.setdefault(domain, []).append(i)
+        self.by_domain = {domain: tuple(found) for domain, found in classes.items()}
         self.through = [
-            tuple([number[find(offsets[k] + c)] for c in range(len(table.first))])
+            tuple([number[find(offsets[k] + c)] for c in range(len(table.domains))])
             for k, table in enumerate(self.subtables)
         ]
         self.names = ["id"]
         self.action = [tuple([row[0] for row in self.through])]
-        for k, c in self.first[1:]:
+        for k, c in zip(self.first_face[1:], self.first_class[1:]):
             table, through = self.subtables[k], self.through[k]
             face = str(self.faces[k])
             self.names.append(f"{table.names[c]}.{face}" if c else face)
@@ -233,7 +236,7 @@ def _least_path(cls: MorphismClass):
     """The tables and face positions along the least word of a class."""
     table, index = slice_table(cls.codomain), cls.index
     while index:
-        k, index = table.first[index]
+        k, index = table.first_face[index], table.first_class[index]
         yield table, k
         table = table.subtables[k]
 

@@ -3,6 +3,8 @@
 Every command is a thin wrapper over the library: output is the canonical
 text rendering (or JSON under ``--json``), and exit codes are 0 for
 success, 1 for a validation failure, 2 for parse or usage errors.
+Listings (``enumerate``, ``hom``, ``leaves``) and JSON are written as they
+are produced, so the output is never held a second time as one string.
 """
 
 from __future__ import annotations
@@ -126,9 +128,16 @@ def _polygraph_json(P: MtoPolygraph):
     return {"generators": out}
 
 
+def _write_json(payload) -> int:
+    """Write ``payload`` as indented JSON, as it is encoded."""
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
 def _report_exit(report: Report, as_json: bool) -> int:
     if as_json:
-        print(json.dumps({"ok": report.ok, "failures": report.failures}, indent=2))
+        _write_json({"ok": report.ok, "failures": report.failures})
     else:
         print(report)
     return 0 if report.ok else 1
@@ -138,9 +147,23 @@ def _emit(text: Callable[[], str], payload: Callable[[], object], as_json: bool)
     """Print the JSON payload under ``--json``, else the text; only the
     one printed is built."""
     if as_json:
-        print(json.dumps(payload(), indent=2))
-    else:
-        print(text())
+        return _write_json(payload())
+    print(text())
+    return 0
+
+
+def _emit_lines(lines: list[str], as_json: bool) -> int:
+    """Write a listing one line at a time, each line the string given, or
+    as a JSON list under ``--json``; no joined copy of it is made.  An
+    empty listing is one empty line."""
+    if as_json:
+        return _write_json(lines)
+    write = sys.stdout.write
+    for line in lines:
+        write(line)
+        write("\n")
+    if not lines:
+        write("\n")
     return 0
 
 
@@ -175,8 +198,7 @@ def cmd_source(args) -> int:
 
 def cmd_leaves(args) -> int:
     omega = _load_opetope(args)
-    leaves = [str(leaf) for leaf in omega.leaf_addresses()]
-    return _emit(lambda: "\n".join(leaves), lambda: leaves, args.json)
+    return _emit_lines([str(leaf) for leaf in omega.leaf_addresses()], args.json)
 
 
 def cmd_readdress(args) -> int:
@@ -193,16 +215,15 @@ def cmd_identities(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # each line is the opetope's cached print itself
     out = enumerate_opetopes(args.dim, args.max_nodes)
-    lines = [str(omega) for omega in out]
-    return _emit(lambda: "\n".join(lines), lambda: lines, args.json)
+    return _emit_lines([str(omega) for omega in out], args.json)
 
 
 def cmd_hom(args) -> int:
     source = _parse_expr(getattr(args, "from"))
     target = _parse_expr(args.to)
-    classes = [str(cls) for cls in hom(source, target)]
-    return _emit(lambda: "\n".join(classes), lambda: classes, args.json)
+    return _emit_lines([str(cls) for cls in hom(source, target)], args.json)
 
 
 def cmd_realize(args) -> int:

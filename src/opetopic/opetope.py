@@ -46,15 +46,17 @@ class Opetope:
     """An opetope; use the factory functions, not the constructor."""
 
     __slots__ = (
-        "_dim", "_tree", "_boundary", "_str", "_leaves",
+        "_dim", "_tree", "_target", "_rho", "_str", "_leaves",
         "_faces", "_relations", "_slices", "__weakref__",
     )
 
     def __init__(self, dim: int, tree: Tree | None):
         self._dim = dim
         self._tree = tree
-        # the target, and the readdressing as leaf images in ``_leaves`` order
-        self._boundary: tuple["Opetope", tuple[Address, ...]] | None = None
+        # the target, and the readdressing as leaf images in ``_leaves``
+        # order; ``_flatten`` fills both, the readdressing first
+        self._target: Opetope | None = None
+        self._rho: tuple[Address, ...] | None = None
         self._str: str | None = None
         self._leaves: tuple[Address, ...] | None = None
         # kept by ``category``: faces_of, relation_instances, slice_table
@@ -104,25 +106,26 @@ class Opetope:
     def target(self) -> "Opetope":
         if self._dim == 0:
             raise AddressError("the point has no target")
-        return self._flatten()[0]
+        return self._target or self._flatten()[0]
 
     def readdress(self) -> dict[Address, Address]:
         """Bijection from leaf addresses onto the target's node addresses,
         as a fresh dict on each call."""
         if self._dim < 2:
             raise AddressError("readdressing needs dimension >= 2")
-        rho = self._flatten()[1]
+        rho = self._flatten()[1]  # fills in the leaves too
         return dict(zip(self._leaves, rho))
 
     def _flatten(self) -> tuple["Opetope", tuple[Address, ...]]:
-        if self._boundary is None:
+        """The target and the readdressing, filled in when empty."""
+        if self._target is None:
             result = flatten(OPETOPE_SIG, self._tree)
             rho = result.readdress  # keyed by the leaves
             if self._leaves is None:
                 self._leaves = tuple(sorted(rho))
-            images = tuple([rho[leaf] for leaf in self._leaves])
-            self._boundary = (from_tree(result.tree), images)
-        return self._boundary
+            self._rho = tuple([rho[leaf] for leaf in self._leaves])
+            self._target = from_tree(result.tree)
+        return self._target, self._rho
 
     def __reduce__(self):
         # rebuild through the factories, so a copy is the interned instance
@@ -178,7 +181,8 @@ def _intern(omega: Opetope) -> Opetope:
 # flattening knows no tree below the arrow's
 _POINT = _intern(Opetope(0, None))
 _ARROW = _intern(Opetope(1, corolla(_POINT)))
-_POINT._str, _ARROW._str, _ARROW._boundary = "point", "arrow", (_POINT, ())
+_POINT._str, _ARROW._str = "point", "arrow"
+_ARROW._target, _ARROW._rho = _POINT, ()
 
 
 def point() -> Opetope:
@@ -271,8 +275,8 @@ class OpetopeSignature(Signature):
     def grower_entry(self, op: Opetope) -> tuple:
         # read off the opetope: its node map, target, leaves and their images
         nodes = op._tree._nodes or {}
-        target, images = op._boundary or op._flatten()
-        inverse = dict(zip(images, op._leaves or ()))
+        target = op._target or op._flatten()[0]
+        inverse = dict(zip(op._rho, op._leaves or ()))
         source = op._tree if op._dim >= 2 else None
         return tuple(nodes), tuple(nodes.values()), inverse, source, target
 
@@ -295,7 +299,7 @@ def check_identities(omega: Opetope) -> Report:
     identity instead.  This is the master oracle for flatten.
 
     It reads cached slots rather than calling accessors per node: a target
-    is slot 0 of ``_boundary`` (``_flatten`` fills it when empty), a source
+    is the ``_target`` slot (``_flatten`` fills it when empty), a source
     is a node of its tree, the arrow's too, as the arrow is the corolla on
     the point, and opetopes compare with ``is``, since equality is
     identity.  Of what the grower caches it reads only the target and
@@ -308,8 +312,8 @@ def check_identities(omega: Opetope) -> Report:
     if omega._dim < 2:
         report.fail(f"identities need dimension >= 2, got {omega._dim}")
         return report
-    target, rho = omega._boundary or omega._flatten()
-    right = (target._boundary or target._flatten())[0]
+    target = omega._target or omega._flatten()[0]
+    right = target._target or target._flatten()[0]
     target_nodes = target._tree._nodes
     nodes = omega._tree._nodes
     if nodes is None:
@@ -322,7 +326,7 @@ def check_identities(omega: Opetope) -> Report:
     for address, op in nodes.items():
         if not address:
             continue
-        above = (op._boundary or op._flatten())[0]
+        above = op._target or op._flatten()[0]
         source = nodes[address[:-1]]._tree._nodes[address[-1]]
         if above is not source:
             report.fail(
@@ -330,10 +334,10 @@ def check_identities(omega: Opetope) -> Report:
                 f"but s[{address[-1]}] s[{Address(address[:-1])}] = {source}"
             )
     root = nodes[EMPTY]
-    left = (root._boundary or root._flatten())[0]
+    left = root._target or root._flatten()[0]
     if left is not right:
         report.fail(f"globularity (root): t s[[]] = {left} but t t = {right}")
-    for leaf, image in zip(omega._leaves, rho):
+    for leaf, image in zip(omega._leaves, omega._rho):
         source = nodes[leaf[:-1]]._tree._nodes[leaf[-1]]
         via_target = target_nodes[image]
         if source is not via_target:
@@ -406,7 +410,7 @@ def iter_opetopes(
             omega._leaves = leaves
             # the target is an (n-1)-opetope, which ``_ENUMERATED`` keeps
             # alive, so its weak intern entry is live
-            omega._boundary = (_INTERN[result](), rho)
+            omega._rho, omega._target = rho, _INTERN[result]()
         yield omega
 
 

@@ -218,6 +218,10 @@ def _realize_cells(cells: dict, shapes) -> MtoPolygraph:
                         f"cell {name!r} at {shape}: no cell {target!r} at {shape.target()}"
                     )
                 gens[name] = GenN(Tree.unit(below[target][0]), target)
+        elif dim == 1:
+            # the arrow cells on one source point share its corolla
+            corollas = {source: corolla(source) for source in {s for _, s in at.values()}}
+            gens = {name: GenN(corollas[s], target) for name, (target, s) in at.items()}
         else:
             addresses = shape.node_addresses()
             gens = {

@@ -172,7 +172,7 @@ class TestRelationInstances:
         omega = opetopic_integer(1)
         twin = Opetope(2, omega.tree)
         twin._leaves = omega.leaf_addresses()
-        twin._boundary = (omega.target(), (STAR,))
+        twin._target, twin._rho = omega.target(), (STAR,)
         with pytest.raises(CompositionError, match=r"\[\*\] is not a node address of arrow"):
             relation_instances(twin)
 

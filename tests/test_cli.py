@@ -18,6 +18,7 @@ from opetopic.address import MAX_ADDRESS_DEPTH, parse_address
 from opetopic.cli import main
 from opetopic.errors import ParseError
 from opetopic.formats import parse_polygraph, print_polygraph
+from opetopic.opetope import enumerate_opetopes
 from randomized import RandomPolygraphConfig, random_polygraph
 from test_realization import COLLIDING_NAMES
 
@@ -112,6 +113,39 @@ class TestCommands:
             "{[] <- arrow, [*] <- arrow}",
             "{[] <- arrow, [*] <- arrow, [**] <- arrow}",
         ]
+
+    @pytest.mark.parametrize("dim, bound", [(2, 3), (4, 2), (3, 0)])
+    def test_enumerate_writes_the_joined_listing(self, capsys, dim, bound):
+        """Written line by line, the listing is the joined one, and an
+        empty enumeration is one empty line."""
+        lines = [str(omega) for omega in enumerate_opetopes(dim, bound)]
+        argv = ("enumerate", "--dim", str(dim), "--max-nodes", str(bound))
+        assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+        assert run(capsys, *argv, "--json") == (0, json.dumps(lines, indent=2) + "\n", "")
+        assert bool(lines) == (bound > 0)
+
+    def test_enumerate_writes_each_cached_print_itself(self):
+        """No copy of the listing is made: every part written is an
+        opetope's cached print, the very string, or a line break."""
+
+        class Parts:
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        out = Parts()
+        with redirect_stdout(out):
+            assert main(["enumerate", "--dim", "4", "--max-nodes", "2"]) == 0
+        opetopes = enumerate_opetopes(4, 2)
+        assert len(out.parts) == 2 * len(opetopes) > 2
+        assert all(part is omega._str for part, omega in zip(out.parts[::2], opetopes))
+        assert all(part == "\n" for part in out.parts[1::2])
 
     def test_hom_three_classes(self, capsys):
         code, out, _ = run(

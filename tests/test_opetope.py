@@ -57,10 +57,8 @@ def corrupted(omega: Opetope, tree=None, target=None, rho=None) -> Opetope:
     known_target, known_rho = omega._flatten()
     twin = Opetope(omega.dim, omega.tree if tree is None else tree)
     twin._leaves = omega.leaf_addresses()
-    twin._boundary = (
-        known_target if target is None else target,
-        known_rho if rho is None else rho,
-    )
+    twin._target = known_target if target is None else target
+    twin._rho = known_rho if rho is None else rho
     return twin
 
 
@@ -219,6 +217,13 @@ class TestFaces:
             addr("[[][*]]"): STAR,
             addr("[[*]]"): addr("[**]"),
         }
+
+    def test_readdress_read_first(self):
+        # a private twin has nothing cached: no target, leaves or images
+        omega = node_map({EMPTY: O2, EMPTY.child(EMPTY): O2})
+        twin = Opetope(omega.dim, omega.tree)
+        assert twin.readdress() == flatten(OPETOPE_SIG, omega.tree).readdress
+        assert twin.target() is omega.target()
 
     def test_dimension_drops_by_one(self):
         for omega in enumerate_opetopes(3, 2):

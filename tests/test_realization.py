@@ -275,6 +275,18 @@ class TestRealizeOpetope:
                 )
                 assert len(P.generators(dim)) == expected
 
+    def test_arrow_cells_on_one_point_share_its_corolla(self):
+        for omega in [O2, *enumerate_opetopes(3, 2)]:
+            P = realize_opetope(omega)
+            corollas = {}
+            for name in P.generators(1):
+                tree = P.gen_data(1, name).source_tree
+                assert corollas.setdefault(tree.nodes[EMPTY], tree) is tree
+        # O2's target arrow starts where its first source arrow does
+        P = realize_opetope(O2)
+        sources = [P.gen_data(1, name).source_tree for name in P.generators(1)]
+        assert len(sources) == 3 and len(set(map(id, sources))) == 2
+
     def test_boundary_omits_top(self):
         P = boundary_polygraph(O2)
         assert generator_counts(P) == [3, 3]

@@ -41,8 +41,8 @@ from .category import Face, faces_of
 from .errors import CoherenceError, CompositionError, ParseError
 from .opetope import Opetope, arrow, degenerate, node_map, point
 from .oset import OpetopicSet
-from .polygraph import MtoPolygraph, print_cell_tree
-from .trees import Tree
+from .polygraph import GenN, MtoPolygraph, print_cell_tree
+from .trees import Tree, corolla
 
 # whitespace (``\s`` is ``str.isspace``) and comments; a comment only ends
 # at a newline or the end of the text, so a failed match cannot backtrack
@@ -330,13 +330,15 @@ def parse_cell_tree(scanner: Scanner) -> Tree:
 def parse_polygraph(text: str) -> MtoPolygraph:
     scanner = Scanner(text)
     P = MtoPolygraph()
+    corollas: dict[str, Tree] = {}  # the arrows on one source point share its corolla
     while not scanner.at_end():
         dim, at, name, source, target = _canonical_gen(scanner) or _gen(scanner)
         try:
             if dim == 0:
                 P.add_point(name)
             elif dim == 1:
-                P.add_arrow(name, source, target)
+                tree = corollas[source] = corollas.get(source) or corolla(source)
+                P._declare(1, {name: GenN(tree, target)})
             else:
                 P.add_generator(dim, name, source, target)
         except CoherenceError as error:  # a name declared twice

@@ -22,7 +22,7 @@ from .category import faces_of, slice_classes
 from .errors import CoherenceError, Report, UnknownNameError, Value
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
 from .oset import OpetopicSet, representable_cells
-from .polygraph import GenN, MtoPolygraph, PolygraphMorphism, print_cell_tree
+from .polygraph import GenN, MtoPolygraph, PolygraphMorphism, _Generators, print_cell_tree
 from .trees import Tree, collector_paused, corolla, flatten, grow_trees
 
 
@@ -93,42 +93,13 @@ class ShapeResult(Value):
         self.shape, self.induced = shape, induced
 
 
-def shape_opetope(
-    P: MtoPolygraph,
-    dim: int,
-    name: str,
-    _memo: dict[int, dict[str, Opetope]] | None = None,
-) -> Opetope:
-    """Replace every generator in the source tree by its shape, recursively;
-    ``_memo`` keeps the shapes found per dimension."""
-    memo = _memo if _memo is not None else {}
-    shapes = memo.setdefault(dim, {})
-    if name not in shapes:
-        shapes[name] = _shape(P, dim, P.gen_data(dim, name), memo)
-    return shapes[name]
-
-
-def _shape(P: MtoPolygraph, dim: int, data, memo: dict[int, dict[str, Opetope]]) -> Opetope:
-    """The shape of a generator from its data; a decoration's shape is read
-    from ``memo`` where the dimension below is complete, as ``nerve`` has it."""
-    if dim < 2:
-        return arrow() if dim else point()
-    if data.source_tree.is_unit:
-        return degenerate(shape_opetope(P, dim - 2, data.source_tree.unit_color, memo))
-    below = memo.get(dim - 1, {})
-    nodes = {
-        p: below[op] if op in below else shape_opetope(P, dim - 1, op, memo)
-        for p, op in data.source_tree.nodes.items()
-    }
-    return from_tree(Tree._wrap(nodes), validate=True)
-
-
 def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
     """The unique pair of an opetope and a morphism from its realization
-    hitting the generator.  The morphism sends each class into the shape
-    to the cell that the class gives the generator in the nerve."""
-    shape = shape_opetope(P, dim, name)
+    hitting the generator, both read off the nerve: the morphism sends
+    each class into the shape to the cell the class gives the generator."""
+    P.gen_data(dim, name)  # an unknown name or dimension raises here
     X = nerve(P, dim)
+    shape = _shape_in(X, dim, name)
     maps = {
         j: {str(cls): X.apply(cls, name) for cls in classes}
         for j, classes in slice_classes(shape).items()
@@ -141,6 +112,12 @@ def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
             f"polygraph morphism:\n{report}"
         )
     return ShapeResult(shape, induced)
+
+
+def _shape_in(X: OpetopicSet, dim: int, name: str) -> Opetope:
+    """The shape of the ``dim``-cell ``name`` of a nerve, whose names are
+    unique in each dimension."""
+    return next(shape for shape, cells in X.cells.items() if shape.dim == dim and name in cells)
 
 
 def cells_of_shape(P: MtoPolygraph, omega: Opetope) -> list[str]:
@@ -232,17 +209,31 @@ def _realize_cells(cells: dict, shapes) -> MtoPolygraph:
     return P
 
 
+def _shape(dim: int, data, memo: dict[int, _Generators]) -> Opetope:
+    """The shape of a generator from its data: its source tree with each
+    decoration replaced by its shape, read from the dimensions below in
+    ``memo``, which ``nerve`` has finished; a name not there raises."""
+    if dim < 2:
+        return arrow() if dim else point()
+    tree = data.source_tree
+    if tree.is_unit:
+        return degenerate(memo[dim - 2][tree.unit_color])
+    below = memo[dim - 1]
+    return from_tree(Tree._wrap({p: below[op] for p, op in tree.nodes.items()}), validate=True)
+
+
 def nerve(P: MtoPolygraph, max_dim: int) -> OpetopicSet:
-    """Generators collected by shape, a dimension at a time; each
-    generator's faces are its target, then its source decorations in
-    address order, which is the shape's, since the shape has the source
-    tree's node addresses, and names are unique: no cell needs ``add_cell``."""
+    """Generators collected by shape, a dimension at a time, bottom up: the
+    one place shapes are computed.  Each generator's faces are its target,
+    then its source decorations in address order, which is the shape's,
+    since the shape has the source tree's node addresses, and names are
+    unique: no cell needs ``add_cell``."""
     X = OpetopicSet(max_dim=max_dim)
-    memo: dict[int, dict[str, Opetope]] = {}
+    memo: dict[int, _Generators] = {}
     for dim in range(min(P.max_dim, max_dim) + 1):
-        shapes = memo[dim] = {}
+        shapes = memo[dim] = _Generators(dim)
         for name, data in P._generators(dim).items():
-            shape = shapes[name] = _shape(P, dim, data, memo)
+            shape = shapes[name] = _shape(dim, data, memo)
             if dim:
                 tree = data.source_tree
                 faces = (data.target, *(() if tree.is_unit else tree.nodes.values()))
@@ -270,7 +261,7 @@ def unit_check(X: OpetopicSet) -> Report:
         for cell, (gen, values) in zip(X.cells[shape], named.cells[shape].items()):
             actual = found.get(gen)
             if actual is None:
-                gen_shape = shape_opetope(P, shape.dim, gen)
+                gen_shape = _shape_in(Y, shape.dim, gen)
                 report.fail(f"cell {cell!r} at {shape}: generator has shape {gen_shape}")
             elif actual != values:
                 for face, value, got in zip(faces_of(shape), values, actual):

@@ -30,9 +30,9 @@ from opetopic.oset import yoneda
 from opetopic.polygraph import CompositeShape, count, decompose
 from opetopic.realization import (
     counit_check,
+    nerve,
     realize_opetope,
     shape_of,
-    shape_opetope,
     terminal_polygraph,
     unit_check,
 )
@@ -332,10 +332,12 @@ class TestCriterion07ShapeTerminal:
     def test_terminal_bijection_and_top_shapes(self):
         budget = 2
         P = terminal_polygraph(3, budget)
+        X = nerve(P, 3)
+        shapes = {(shape.dim, name): shape for shape, cells in X.cells.items() for name in cells}
         for dim in range(4):
             images = {}
             for name in P.generators(dim):
-                shape = shape_opetope(P, dim, name)
+                shape = shapes[dim, name]
                 assert shape not in images, "two generators share a shape"
                 images[shape] = name
             assert set(images) == set(enumerate_opetopes(dim, budget))
@@ -344,17 +346,11 @@ class TestCriterion07ShapeTerminal:
                     data = P.gen_data(dim, name)
                     target_name = data.target
                     target_dim = dim - 1
-                    assert shape_opetope(P, target_dim, target_name) == shape.target()
+                    assert shapes[target_dim, target_name] == shape.target()
                     if dim >= 2 and not data.source_tree.is_unit:
                         for address in data.source_tree.node_addresses():
-                            assert (
-                                shape_opetope(
-                                    P,
-                                    dim - 1,
-                                    data.source_tree.decoration(address),
-                                )
-                                == shape.source_at(address)
-                            )
+                            decoration = data.source_tree.decoration(address)
+                            assert shapes[dim - 1, decoration] == shape.source_at(address)
         assert [len(terminal_polygraph(2, 3).generators(d)) for d in range(3)] == [1, 1, 4]
         checked = 0
         for dim in range(4):

@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opetopic
-from opetopic import cli
+from opetopic import cli, realization
 from opetopic.address import MAX_ADDRESS_DEPTH, parse_address
 from opetopic.cli import main
 from opetopic.errors import ParseError
 from opetopic.formats import parse_polygraph, print_polygraph
-from opetopic.opetope import enumerate_opetopes
+from opetopic.opetope import enumerate_opetopes, opetopic_integer
+from opetopic.realization import nerve
 from randomized import RandomPolygraphConfig, random_polygraph
-from test_realization import COLLIDING_NAMES
+from test_realization import COLLIDING_NAMES, INDUCED_NOT_A_MORPHISM
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_REFERENCE = Path(__file__).parents[1] / "bench" / "reference"
@@ -229,6 +230,21 @@ class TestCommands:
         code, out, _ = run(capsys, "shape", "--gen", "m", str(GOLDEN / "path.poly"))
         assert code == 0 and out.strip() == "{[] <- arrow, [*] <- arrow}"
 
+    @pytest.mark.parametrize("dim", ["5", "-1"])
+    def test_shape_in_an_empty_dimension_is_an_unknown_name(self, capsys, dim):
+        code, out, err = run(
+            capsys, "shape", "--gen", "a", "--dim", dim, str(GOLDEN / "path.poly")
+        )
+        assert (code, out, err) == (2, "", f"error: no {dim}-generator named 'a'\n")
+
+    def test_shape_whose_induced_map_is_no_morphism_fails(self, capsys, monkeypatch):
+        build = realization.realize_opetope
+        monkeypatch.setattr(
+            realization, "realize_opetope", lambda omega: build(opetopic_integer(3))
+        )
+        code, out, err = run(capsys, "shape", "--gen", "m", str(GOLDEN / "path.poly"))
+        assert (code, out, err) == (1, "", f"error: {INDUCED_NOT_A_MORPHISM}\n")
+
     def test_nerve_and_yoneda(self, capsys):
         code, out, _ = run(capsys, "nerve", str(GOLDEN / "path.poly"))
         assert code == 0 and "cell m :" in out
@@ -416,6 +432,23 @@ class TestCommands:
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert err == "error: line 66, column 15: opetope of dimension 130 is above 129\n"
+
+    def test_a_polygraph_four_hundred_dimensions_deep(self, capsys, tmp_path):
+        lines = ["gen 0 a", "gen 1 e1 : a -> a"]
+        lines += [f"gen {n} e{n} : {{[] <- e{n - 1}}} -> e{n - 1}" for n in range(2, 401)]
+        path = tmp_path / "chain.poly"
+        path.write_text("\n".join(lines) + "\n")
+        P = parse_polygraph(path.read_text())
+        assert P.validate().ok
+        assert len(nerve(P, P.max_dim).cells) == 401
+        for argv in (["validate"], ["nerve"], ["roundtrip"], ["shape", "--gen", "e200"]):
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, err) == (0, "") and out
+        # the top shape's slice table may be past the recursion limit
+        code, out, err = run(capsys, "shape", "--gen", "e400", str(path))
+        assert code in (0, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command", ["target", "realize", "yoneda", "boundary", "identities"]

@@ -31,6 +31,7 @@ from opetopic.opetope import (
 )
 from opetopic.oset import validate_oset
 from opetopic.realization import nerve
+from opetopic.trees import corolla
 
 from randomized import random_polygraph
 
@@ -238,6 +239,15 @@ class TestPolygraphFiles:
         with pytest.raises(ParseError) as info:
             parse_polygraph(text)
         assert str(info.value) == message
+
+    def test_arrows_on_one_point_share_its_corolla(self):
+        # h is read token by token, f and g with one match each
+        P = parse_polygraph(
+            "gen 0 a\ngen 0 b\ngen 1 f : a -> b\ngen 1 g : b -> a\ngen 1 h :\n a -> a\n"
+        )
+        f, g, h = (P.gen_data(1, name).source_tree for name in "fgh")
+        assert f is h and f is not g
+        assert (f, g) == (corolla("a"), corolla("b"))
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as info:

@@ -50,7 +50,6 @@ from opetopic.realization import (
     realize_opetope,
     realize_oset,
     shape_of,
-    shape_opetope,
     terminal_polygraph,
     unit_check,
 )
@@ -61,6 +60,11 @@ from test_polygraph import enumerate_cells
 
 O0 = opetopic_integer(0)
 O2 = opetopic_integer(2)
+INDUCED_NOT_A_MORPHISM = (
+    "induced morphism of 2-generator 'm' is not a polygraph morphism:\n"
+    "morphism undefined on 0-generator 's[].s[*]'\n"
+    "morphism undefined on 1-generator 's[**]'"
+)
 
 
 def oracle_corpus():
@@ -409,9 +413,10 @@ class TestTerminal:
     @pytest.mark.parametrize("max_dim, budget", [(3, 2), (4, 3)])
     def test_bijection_with_enumeration(self, max_dim, budget):
         P = terminal_polygraph(max_dim, budget)
+        X = nerve(P, max_dim)
         for dim in range(max_dim + 1):
             shapes = sorted(
-                str(shape_opetope(P, dim, name)) for name in P.generators(dim)
+                str(shape) for shape, cells in X.cells.items() if shape.dim == dim for _ in cells
             )
             expected = sorted(str(omega) for omega in enumerate_opetopes(dim, budget))
             assert shapes == expected
@@ -419,14 +424,35 @@ class TestTerminal:
 
 class TestShape:
     def test_points_and_arrows(self, path_polygraph):
-        assert shape_opetope(path_polygraph, 0, "a") == point()
-        assert shape_opetope(path_polygraph, 1, "f") == arrow()
+        X = nerve(path_polygraph, 1)
+        assert X.cells_at(point()) == ["a", "b", "c"]
+        assert X.cells_at(arrow()) == ["f", "g", "h"]
 
     def test_path_generator(self, path_polygraph):
         result = shape_of(path_polygraph, 2, "m")
         assert result.shape == O2
         assert result.induced.apply(2, "id") == "m"
         assert result.induced.validate().ok
+
+    @pytest.mark.parametrize("dim", [5, -1])
+    def test_an_unknown_dimension_is_an_unknown_name(self, dim):
+        P = parse_polygraph((Path(__file__).parent / "golden" / "path.poly").read_text())
+        with pytest.raises(UnknownNameError) as info:
+            shape_of(P, dim, "a")
+        assert str(info.value) == f"no {dim}-generator named 'a'"
+
+    def test_an_induced_map_that_is_no_morphism_is_a_coherence_error(
+        self, monkeypatch, path_polygraph
+    ):
+        # a 3-gon realized in place of the 2-gon: its classes leave two
+        # generators of that realization unmapped
+        build = realization.realize_opetope
+        monkeypatch.setattr(
+            realization, "realize_opetope", lambda omega: build(opetopic_integer(3))
+        )
+        with pytest.raises(CoherenceError) as info:
+            shape_of(path_polygraph, 2, "m")
+        assert str(info.value) == INDUCED_NOT_A_MORPHISM
 
     def test_top_of_realization_has_identity_induced(self):
         for omega in enumerate_opetopes(3, 2):
@@ -819,8 +845,9 @@ class TestNerve:
                 for omega in set(shapes.values()):
                     expected = [name for name, shape in shapes.items() if shape == omega]
                     assert cells_of_shape(P, omega) == expected
+                X = nerve(P, dim)
                 for name, shape in shapes.items():
-                    assert shape_opetope(P, dim, name) == shape
+                    assert name in X.cells_at(shape)
                     result = shape_of(P, dim, name)
                     assert result.shape == shape
                     assert result.induced.apply(dim, "id") == name

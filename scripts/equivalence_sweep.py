@@ -2,8 +2,10 @@
 """Randomized sweep of the realization/nerve round trip.
 
 Generates seeded random many-to-one polygraphs, runs the counit check on
-each, and runs the unit check on the nerves.  Any failure prints the full
-report and exits nonzero.
+each, and runs the unit check on the nerves.  For every generator it also
+validates the induced map that ``shape_of`` reads off the nerve with the
+polygraph-morphism oracle of ``tests/conftest.py``.  Any failure prints
+the full report and exits nonzero.
 """
 
 import argparse
@@ -14,9 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+from conftest import induced_morphism
 from randomized import RandomPolygraphConfig, random_polygraph
 
-from opetopic.realization import counit_check, nerve, unit_check
+from opetopic.realization import counit_check, nerve, shape_of, unit_check
 
 
 def main() -> int:
@@ -44,6 +47,12 @@ def main() -> int:
         if not report.ok:
             print(f"run {run}: unit FAILED\n{report}")
             return 1
+        for dim in range(P.max_dim + 1):
+            for name in P.generators(dim):
+                report = induced_morphism(P, shape_of(P, dim, name)).validate()
+                if not report.ok:
+                    print(f"run {run}: induced map of {dim}-generator {name!r} FAILED\n{report}")
+                    return 1
     elapsed = time.time() - start
     print(
         f"{args.runs} random polygraphs (avg {sum(sizes) / len(sizes):.1f} "

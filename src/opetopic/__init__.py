@@ -16,7 +16,7 @@ from .opetope import (
     point,
 )
 from .oset import OpetopicSet, validate_oset, yoneda
-from .polygraph import Cell, MtoPolygraph, PolygraphMorphism, count, decompose
+from .polygraph import Cell, MtoPolygraph, count, decompose
 from .realization import (
     ShapeResult,
     boundary_polygraph,

@@ -21,7 +21,7 @@ composition is a lookup in the tables.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import indexOf
+from operator import attrgetter, indexOf
 
 from .address import EMPTY, Address
 from .errors import CompositionError, OpetopicError, Value
@@ -226,9 +226,19 @@ class SliceTable:
 
 
 def slice_table(omega: Opetope) -> SliceTable:
-    """The slice table of ``omega``, built once and kept on it."""
+    """The slice table of ``omega``, built once and kept on it.  The
+    missing tables of its face closure are collected, each once, and built
+    by ascending dimension, so a table never waits on another: no recursion."""
     if omega._slices is None:
-        omega._slices = SliceTable(omega)
+        missing, stack = {omega}, [omega]
+        while stack:
+            for face in faces_of(stack.pop()):
+                domain = face.domain
+                if domain._slices is None and domain not in missing:
+                    missing.add(domain)
+                    stack.append(domain)
+        for shape in sorted(missing, key=attrgetter("dim")):
+            shape._slices = SliceTable(shape)
     return omega._slices
 
 

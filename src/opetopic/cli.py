@@ -282,7 +282,7 @@ def cmd_shape(args) -> int:
             "shape": _opetope_json(result.shape),
             "induced": {
                 str(d): dict(sorted(mapping.items()))
-                for d, mapping in result.induced.maps.items()
+                for d, mapping in result.induced.items()
             },
         }
 

@@ -231,10 +231,10 @@ def _block(scanner: Scanner, read) -> dict:
 
 # -- opetope expressions ------------------------------------------------
 
-# printing an opetope, its target and its slice tables recurse per level or
-# dimension, and so does the expression reader, at two frames per ``{`` and
-# one per ``<<``; at this depth all of them stay within the default
-# recursion limit.  ``<<`` adds two dimensions, so one expression reaches at
+# printing an opetope and its target recurse per level or dimension, and
+# so does the expression reader, at two frames per ``{`` and one per
+# ``<<``; at this depth all of them stay within the default recursion
+# limit.  ``<<`` adds two dimensions, so one expression reaches at
 # most MAX_DIM; a chain of definitions could go on, and is cut off there too.
 MAX_NESTING = 64
 MAX_DIM = 2 * MAX_NESTING + 1

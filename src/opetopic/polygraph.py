@@ -354,56 +354,3 @@ def decompose(cell: Cell) -> Decomposition:
     address, generator = rest.popitem()
     return CompositeShape(Cell(cell.dim, Tree._wrap(rest)), address, generator)
 
-
-class PolygraphMorphism(Value):
-    """Dimension-indexed generator maps preserving boundaries."""
-
-    __slots__ = ("source", "target", "maps")
-
-    def __init__(
-        self, source: MtoPolygraph, target: MtoPolygraph, maps: dict[int, dict[str, str]]
-    ):
-        self.source, self.target, self.maps = source, target, maps
-
-    def apply(self, dim: int, name: str) -> str:
-        try:
-            return self.maps[dim][name]
-        except KeyError:
-            raise UnknownNameError(f"morphism undefined on {dim}-generator {name!r}")
-
-    def map_tree(self, dim: int, tree: Tree) -> Tree:
-        """Relabel decorations; addresses carry over unchanged."""
-        if tree.is_unit:
-            return Tree.unit(self.apply(dim - 1, tree.unit_color))
-        return Tree._wrap({p: self.apply(dim, op) for p, op in tree.nodes.items()})
-
-    def validate(self) -> Report:
-        report = Report()
-        for dim, mapping in sorted(self.maps.items()):
-            sources, targets = self.source._generators(dim), self.target._generators(dim)
-            # a boundary name the map lacks is reported below, not compared
-            lower = self.maps.get(dim - 1, {})
-            for name, image in mapping.items():
-                if name not in sources:
-                    report.fail(f"map names unknown {dim}-generator {name!r}")
-                elif image not in targets:
-                    report.fail(f"{dim}-generator {name!r} maps to unknown {image!r}")
-                elif dim:
-                    data, image_data = sources[name], targets[image]
-                    try:
-                        tree = self.map_tree(dim - 1, data.source_tree)
-                    except UnknownNameError:
-                        tree = image_data.source_tree
-                    # a 1-generator's source, the point of its corolla, comes first
-                    end, kept = image_data.target, tree == image_data.source_tree
-                    if dim == 1 and not kept:
-                        report.fail(f"1-generator {name!r}: source not preserved")
-                    if lower.get(data.target, end) != end:
-                        report.fail(f"{dim}-generator {name!r}: target not preserved")
-                    if dim > 1 and not kept:
-                        report.fail(f"{dim}-generator {name!r}: source tree not preserved")
-        for dim in range(0, self.source.max_dim + 1):
-            for name in self.source.generators(dim):
-                if dim not in self.maps or name not in self.maps[dim]:
-                    report.fail(f"morphism undefined on {dim}-generator {name!r}")
-        return report

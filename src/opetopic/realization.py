@@ -19,10 +19,10 @@ from collections import Counter
 
 from .address import EMPTY
 from .category import faces_of, slice_classes
-from .errors import CoherenceError, Report, UnknownNameError, Value
+from .errors import Report, UnknownNameError, Value
 from .opetope import Opetope, arrow, degenerate, from_tree, point, print_key
 from .oset import OpetopicSet, representable_cells
-from .polygraph import GenN, MtoPolygraph, PolygraphMorphism, _Generators, print_cell_tree
+from .polygraph import GenN, MtoPolygraph, _Generators, print_cell_tree
 from .trees import Tree, collector_paused, corolla, flatten, grow_trees
 
 
@@ -84,19 +84,22 @@ def terminal_polygraph(max_dim: int, budget: int) -> MtoPolygraph:
 
 
 class ShapeResult(Value):
-    """The opetope shape of a generator with the induced morphism from its
-    realization, which sends the top generator to the generator itself."""
+    """The opetope shape of a generator with the generator maps of the
+    induced morphism from its realization, which sends the top generator
+    to the generator itself: together, the generator's cell of the nerve."""
 
     __slots__ = ("shape", "induced")
 
-    def __init__(self, shape: Opetope, induced: PolygraphMorphism):
+    def __init__(self, shape: Opetope, induced: dict[int, dict[str, str]]):
         self.shape, self.induced = shape, induced
 
 
 def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
     """The unique pair of an opetope and a morphism from its realization
     hitting the generator, both read off the nerve: the morphism sends
-    each class into the shape to the cell the class gives the generator."""
+    each class into the shape to the cell the class gives the generator.
+    As for ``nerve``, P must be valid; on an invalid P the maps need not
+    form a polygraph morphism."""
     P.gen_data(dim, name)  # an unknown name or dimension raises here
     X = nerve(P, dim)
     shape = _shape_in(X, dim, name)
@@ -104,14 +107,7 @@ def shape_of(P: MtoPolygraph, dim: int, name: str) -> ShapeResult:
         j: {str(cls): X.apply(cls, name) for cls in classes}
         for j, classes in slice_classes(shape).items()
     }
-    induced = PolygraphMorphism(realize_opetope(shape), P, maps)
-    report = induced.validate()
-    if not report.ok:
-        raise CoherenceError(
-            f"induced morphism of {dim}-generator {name!r} is not a "
-            f"polygraph morphism:\n{report}"
-        )
-    return ShapeResult(shape, induced)
+    return ShapeResult(shape, maps)
 
 
 def _shape_in(X: OpetopicSet, dim: int, name: str) -> Opetope:

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import strategies as st
 
 from opetopic.address import EMPTY, Address, _trusted
-from opetopic.errors import AddressError, CoherenceError, GraftError
+from opetopic.errors import (
+    AddressError,
+    CoherenceError,
+    GraftError,
+    Report,
+    UnknownNameError,
+    Value,
+)
 from opetopic.polygraph import MtoPolygraph
+from opetopic.realization import ShapeResult, realize_opetope
 from opetopic.trees import FlattenResult, Operation, Signature, Tree, corolla
 
 
@@ -201,3 +209,67 @@ def flatten(sig: Signature, tree: Tree) -> FlattenResult:
     if set(rho.values()) != result_nodes or len(rho) != len(result_nodes):
         raise CoherenceError("flatten readdressing failed to be a bijection")
     return FlattenResult(result, rho)
+
+
+# polygraph morphisms: the library reads a generator's induced map off
+# the nerve, and this validator stays its independent oracle
+
+
+class PolygraphMorphism(Value):
+    """Dimension-indexed generator maps preserving boundaries."""
+
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(
+        self, source: MtoPolygraph, target: MtoPolygraph, maps: dict[int, dict[str, str]]
+    ):
+        self.source, self.target, self.maps = source, target, maps
+
+    def apply(self, dim: int, name: str) -> str:
+        try:
+            return self.maps[dim][name]
+        except KeyError:
+            raise UnknownNameError(f"morphism undefined on {dim}-generator {name!r}")
+
+    def map_tree(self, dim: int, tree: Tree) -> Tree:
+        """Relabel decorations; addresses carry over unchanged."""
+        if tree.is_unit:
+            return Tree.unit(self.apply(dim - 1, tree.unit_color))
+        return Tree._wrap({p: self.apply(dim, op) for p, op in tree.nodes.items()})
+
+    def validate(self) -> Report:
+        report = Report()
+        for dim, mapping in sorted(self.maps.items()):
+            sources, targets = self.source._generators(dim), self.target._generators(dim)
+            # a boundary name the map lacks is reported below, not compared
+            lower = self.maps.get(dim - 1, {})
+            for name, image in mapping.items():
+                if name not in sources:
+                    report.fail(f"map names unknown {dim}-generator {name!r}")
+                elif image not in targets:
+                    report.fail(f"{dim}-generator {name!r} maps to unknown {image!r}")
+                elif dim:
+                    data, image_data = sources[name], targets[image]
+                    try:
+                        tree = self.map_tree(dim - 1, data.source_tree)
+                    except UnknownNameError:
+                        tree = image_data.source_tree
+                    # a 1-generator's source, the point of its corolla, comes first
+                    end, kept = image_data.target, tree == image_data.source_tree
+                    if dim == 1 and not kept:
+                        report.fail(f"1-generator {name!r}: source not preserved")
+                    if lower.get(data.target, end) != end:
+                        report.fail(f"{dim}-generator {name!r}: target not preserved")
+                    if dim > 1 and not kept:
+                        report.fail(f"{dim}-generator {name!r}: source tree not preserved")
+        for dim in range(0, self.source.max_dim + 1):
+            for name in self.source.generators(dim):
+                if dim not in self.maps or name not in self.maps[dim]:
+                    report.fail(f"morphism undefined on {dim}-generator {name!r}")
+        return report
+
+
+def induced_morphism(P: MtoPolygraph, result: ShapeResult) -> PolygraphMorphism:
+    """The morphism from the realization of the shape that ``shape_of``
+    found to P, under the generator maps it read off the nerve."""
+    return PolygraphMorphism(realize_opetope(result.shape), P, result.induced)

@@ -44,6 +44,7 @@ from opetopic.trees import (
     total_graft,
 )
 
+from conftest import induced_morphism
 from randomized import RandomPolygraphConfig, random_cell, random_polygraph
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -357,11 +358,13 @@ class TestCriterion07ShapeTerminal:
             for omega in enumerate_opetopes(dim, budget):
                 if omega.dim == 0:
                     continue
-                result = shape_of(realize_opetope(omega), omega.dim, "id")
+                P = realize_opetope(omega)
+                result = shape_of(P, omega.dim, "id")
                 assert result.shape == omega
+                assert induced_morphism(P, result).validate().ok
                 assert all(
                     name == image
-                    for mapping in result.induced.maps.values()
+                    for mapping in result.induced.values()
                     for name, image in mapping.items()
                 )
                 checked += 1

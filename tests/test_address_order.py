@@ -19,10 +19,11 @@ from opetopic.opetope import (
     iter_opetopes,
     opetopic_integer,
 )
-from opetopic.polygraph import Cell, CompositeShape, PolygraphMorphism, decompose
+from opetopic.polygraph import Cell, CompositeShape, decompose
 from opetopic.realization import nerve, realize_opetope, terminal_polygraph
 from opetopic.trees import Tree, corolla, edge_color, flatten, graft, leaf_addresses
 
+from conftest import PolygraphMorphism
 from randomized import RandomPolygraphConfig, random_cell, random_polygraph
 
 

@@ -35,6 +35,11 @@ class TestYoneda:
         assert sizes(X) == {"point": 1, "arrow": 1, "<<point>>": 1}
         assert validate_oset(X).ok
 
+    def test_below_the_dimension_of_the_opetope(self):
+        with pytest.raises(ValueError) as info:
+            yoneda(opetopic_integer(2), 1)
+        assert str(info.value) == "representable of a 2-opetope needs max_dim >= 2"
+
     def test_two_cell(self):
         X = yoneda(O2, 2)
         assert sizes(X) == {

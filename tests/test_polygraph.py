@@ -20,7 +20,6 @@ from opetopic.polygraph import (
     GenN,
     IdentityShape,
     MtoPolygraph,
-    PolygraphMorphism,
     count,
     decompose,
 )
@@ -34,7 +33,7 @@ from opetopic.trees import (
     leaf_addresses,
 )
 
-from conftest import flatten as oracle_flatten, substitute
+from conftest import PolygraphMorphism, flatten as oracle_flatten, substitute
 from randomized import RandomPolygraphConfig, random_cell, random_polygraph
 
 
@@ -70,6 +69,13 @@ class TestValidation:
 
     def test_path_polygraph(self, path_polygraph):
         assert path_polygraph.validate().ok
+
+    def test_add_generator_below_dimension_two(self):
+        P = MtoPolygraph()
+        P.add_point("a")
+        with pytest.raises(ValueError) as info:
+            P.add_generator(1, "f", corolla("a"), "a")
+        assert str(info.value) == "use add_point or add_arrow below dimension 2"
 
     def test_parallelism_failure(self):
         P = MtoPolygraph()

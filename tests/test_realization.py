@@ -55,13 +55,13 @@ from opetopic.realization import (
 )
 from opetopic.trees import Tree, edge_color, leaf_addresses
 
-from randomized import random_polygraph
+from conftest import PolygraphMorphism, induced_morphism
+from randomized import RandomPolygraphConfig, random_polygraph
 from test_polygraph import enumerate_cells
 
 O0 = opetopic_integer(0)
 O2 = opetopic_integer(2)
 INDUCED_NOT_A_MORPHISM = (
-    "induced morphism of 2-generator 'm' is not a polygraph morphism:\n"
     "morphism undefined on 0-generator 's[].s[*]'\n"
     "morphism undefined on 1-generator 's[**]'"
 )
@@ -431,8 +431,8 @@ class TestShape:
     def test_path_generator(self, path_polygraph):
         result = shape_of(path_polygraph, 2, "m")
         assert result.shape == O2
-        assert result.induced.apply(2, "id") == "m"
-        assert result.induced.validate().ok
+        assert result.induced[2]["id"] == "m"
+        assert induced_morphism(path_polygraph, result).validate().ok
 
     @pytest.mark.parametrize("dim", [5, -1])
     def test_an_unknown_dimension_is_an_unknown_name(self, dim):
@@ -441,25 +441,22 @@ class TestShape:
             shape_of(P, dim, "a")
         assert str(info.value) == f"no {dim}-generator named 'a'"
 
-    def test_an_induced_map_that_is_no_morphism_is_a_coherence_error(
-        self, monkeypatch, path_polygraph
-    ):
-        # a 3-gon realized in place of the 2-gon: its classes leave two
-        # generators of that realization unmapped
-        build = realization.realize_opetope
-        monkeypatch.setattr(
-            realization, "realize_opetope", lambda omega: build(opetopic_integer(3))
+    def test_the_oracle_rejects_induced_maps_from_a_larger_realization(self, path_polygraph):
+        # a 3-gon realized in place of the 2-gon: the 2-gon's classes leave
+        # two generators of that realization unmapped
+        result = shape_of(path_polygraph, 2, "m")
+        morphism = PolygraphMorphism(
+            realize_opetope(opetopic_integer(3)), path_polygraph, result.induced
         )
-        with pytest.raises(CoherenceError) as info:
-            shape_of(path_polygraph, 2, "m")
-        assert str(info.value) == INDUCED_NOT_A_MORPHISM
+        assert str(morphism.validate()) == INDUCED_NOT_A_MORPHISM
 
     def test_top_of_realization_has_identity_induced(self):
         for omega in enumerate_opetopes(3, 2):
             P = realize_opetope(omega)
             result = shape_of(P, omega.dim, "id")
             assert result.shape == omega
-            for dim, mapping in result.induced.maps.items():
+            assert induced_morphism(P, result).validate().ok
+            for dim, mapping in result.induced.items():
                 for name, image in mapping.items():
                     assert name == image
 
@@ -476,6 +473,16 @@ class TestShape:
                 for omega in enumerate_opetopes(dim, 3)
             )
             assert total == len(P.generators(dim))
+
+    def test_every_induced_map_of_random_polygraphs_is_a_morphism(self):
+        rng = random.Random(0)
+        config = RandomPolygraphConfig(max_dim=5, max_generators=60)
+        for _ in range(200):
+            P = random_polygraph(rng, config)
+            for dim in range(P.max_dim + 1):
+                for name in P.generators(dim):
+                    report = induced_morphism(P, shape_of(P, dim, name)).validate()
+                    assert report.ok, f"{dim}-generator {name!r}:\n{report}"
 
 
 @contextmanager
@@ -850,9 +857,9 @@ class TestNerve:
                     assert name in X.cells_at(shape)
                     result = shape_of(P, dim, name)
                     assert result.shape == shape
-                    assert result.induced.apply(dim, "id") == name
-                    assert result.induced.validate().ok
-                    assert result.induced.maps == {
+                    assert result.induced[dim]["id"] == name
+                    assert induced_morphism(P, result).validate().ok
+                    assert result.induced == {
                         j: {str(cls): fold_faces(P, dim, name, cls.word) for cls in classes}
                         for j, classes in slice_classes(shape).items()
                     }

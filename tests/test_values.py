@@ -25,16 +25,16 @@ from opetopic.polygraph import (
     GenN,
     IdentityShape,
     MtoPolygraph,
-    PolygraphMorphism,
 )
 from opetopic.realization import ShapeResult
 from opetopic.trees import FlattenResult, Tree, corolla
+
+from conftest import PolygraphMorphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 O2 = opetopic_integer(2)
 POINT = MtoPolygraph()
 POINT.add_point("p")
-IDENTITY = PolygraphMorphism(POINT, POINT, {0: {"p": "p"}})
 
 
 def square():
@@ -106,8 +106,8 @@ CASES = {
     ),
     "ShapeResult": (
         ("shape", "induced"),
-        lambda: ShapeResult(O2, IDENTITY),
-        lambda: ShapeResult(shape=O2, induced=IDENTITY),
+        lambda: ShapeResult(O2, {2: {"id": "m"}}),
+        lambda: ShapeResult(shape=O2, induced={2: {"id": "m"}}),
     ),
 }
 UNHASHABLE = {"Report", "OpetopicSet"}
